@@ -23,8 +23,7 @@ from .entanglement import (
     case2_concurrence,
     case4_concurrence,
     concurrence,
-    jacobi_eigh,
-    singular_values,
+    concurrences,
 )
 from .errors import (
     ConfigTooLarge,

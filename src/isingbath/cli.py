@@ -25,7 +25,8 @@ from .dephasing import (
     coherence_time,
     dephasing_coeffs,
 )
-from .entanglement import concurrence
+# concurrence is re-exported: existing callers reach it as isingbath.cli.concurrence
+from .entanglement import concurrence, concurrences  # noqa: F401
 from .errors import IsingBathError, InvalidParams
 from .mean_field import BathParams, critical_temperature, solve_order
 from .oracle import (
@@ -237,11 +238,13 @@ def _concurrence_rows(cfg: RunConfig, bath: BathParams) -> tuple[list[str], list
     kwargs = {"mode": cfg.mode}
     if cfg.mode == MODE_FINITE:
         kwargs["N"] = cfg.N
+    times = cfg.time_grid()
+    # coefficients stay per point so abs_A and abs_B keep their math/cmath digits
+    coeffs = [dephasing_coeffs(t, sol, bath, sys_p, **kwargs) for t in times]
+    cs = concurrences(evolve_reduced(state, times, cfg.xi0, coeffs)).tolist()
     rows = []
-    for t in cfg.time_grid():
-        coeffs = dephasing_coeffs(t, sol, bath, sys_p, **kwargs)
-        c = concurrence(evolve_reduced(state, t, cfg.xi0, coeffs)).c
-        row = (t, cfg.J0 * t, c, abs(coeffs.A), abs(coeffs.B))
+    for t, k, c in zip(times, coeffs, cs):
+        row = (t, cfg.J0 * t, c, abs(k.A), abs(k.B))
         if with_reference:
             row = row + (abs(math.sin(0.5 * cfg.xi0 * t)),)
         rows.append(row)
@@ -391,20 +394,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output CSV path (fig1: path prefix); stdout if omitted")
 
 
+# command -> (handler, help); handlers take the RunConfig plus any
+# command-specific flags as keywords
+_COMMANDS = {
+    "phase": (cmd_phase, "order-parameter sweep over temperature"),
+    "coherence": (cmd_coherence, "single-qubit coherence factor, finite and asymptotic"),
+    "concurrence": (cmd_concurrence, "two-qubit concurrence for a case or custom state"),
+    "fig1": (cmd_fig1, "case-2 concurrence curves at T/Tc = 0.75, 0.50, 0.35, 0.25"),
+    "fig2": (cmd_fig2, "case-4 entangling oscillations damped by the bath"),
+    "verify": (cmd_verify, "cross-check the exact oracle against the closed forms"),
+}
+_RUN_KEYS = {f.name for f in fields(RunConfig)} | {"config"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isingbath",
         description="Qubit dephasing and entanglement in a mean-field transverse-Ising bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("phase", "order-parameter sweep over temperature"),
-        ("coherence", "single-qubit coherence factor, finite and asymptotic"),
-        ("concurrence", "two-qubit concurrence for a case or custom state"),
-        ("fig1", "case-2 concurrence curves at T/Tc = 0.75, 0.50, 0.35, 0.25"),
-        ("fig2", "case-4 entangling oscillations damped by the bath"),
-        ("verify", "cross-check the exact oracle against the closed forms"),
-    ):
+    for name, (_, descr) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr)
         _add_common(p)
         if name == "verify":
@@ -470,19 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_run_config(args)
-        if args.command == "phase":
-            return cmd_phase(cfg)
-        if args.command == "coherence":
-            return cmd_coherence(cfg)
-        if args.command == "concurrence":
-            return cmd_concurrence(cfg)
-        if args.command == "fig1":
-            return cmd_fig1(cfg)
-        if args.command == "fig2":
-            return cmd_fig2(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, n_max=args.n_max, inject_error=args.inject_error)
-        raise InvalidParams(f"unknown command {args.command!r}")
+        handler, _ = _COMMANDS[args.command]
+        extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
+        return handler(cfg, **extra)
     except (IsingBathError, OSError, ValueError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

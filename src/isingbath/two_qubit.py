@@ -10,8 +10,8 @@ interaction eigenspace, a decoherence-free direction).
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,37 +86,47 @@ def case_state(case: int) -> PureState2Q:
 
 
 def evolve_reduced(
-    state: PureState2Q, t: float, xi0: float, coeffs: DephasingCoeffs
+    state: PureState2Q,
+    t: float | np.ndarray,
+    xi0: float,
+    coeffs: DephasingCoeffs | Sequence[DephasingCoeffs],
 ) -> np.ndarray:
     """Reduced density matrix rho_s(t) for initial |Psi><Psi|.
 
     Populations equal |amplitude|^2 for all t; the (|01>,|10>) coherence
     carries no decay factor; the remaining coherences pick up A or B and
     the xi0 phases.  At t = 0 (A = B = 1) this is |Psi><Psi| exactly.
+
+    A scalar t with one DephasingCoeffs gives a (4, 4) matrix; a 1-D t
+    with one DephasingCoeffs per time gives a (T, 4, 4) stack.
     """
-    A, B = complex(coeffs.A), complex(coeffs.B)
-    if abs(A) > _MAG_TOL or abs(B) > _MAG_TOL:
+    t = np.asarray(t, dtype=float)
+    per_time = [coeffs] if isinstance(coeffs, DephasingCoeffs) else list(coeffs)
+    if t.ndim > 1 or len(per_time) != t.size:
+        raise InvalidParams(
+            f"need one DephasingCoeffs per time: {len(per_time)} for shape {t.shape}"
+        )
+    A = np.array([complex(k.A) for k in per_time]).reshape(t.shape + (1,))
+    B = np.array([complex(k.B) for k in per_time]).reshape(t.shape)
+    if max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0)) > _MAG_TOL:
         raise InvalidParams("coefficients must have |A|, |B| <= 1")
-    a, b, c, d = (
-        complex(state.alpha),
-        complex(state.beta),
-        complex(state.gamma),
-        complex(state.delta),
+    p = np.exp(0.5j * xi0 * t)[..., None]
+    amps = state.amplitudes()
+    # scalar products: numpy's vectorised complex multiply rounds differently,
+    # and the decoherence-free |01><10| entry must stay beta gamma^* exactly
+    upper = np.array(
+        [[x * y.conjugate() if i < j else 0j for j, y in enumerate(amps.tolist())]
+         for i, x in enumerate(amps.tolist())]
     )
-    p = cmath.exp(0.5j * xi0 * t)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = abs(a) ** 2
-    rho[1, 1] = abs(b) ** 2
-    rho[2, 2] = abs(c) ** 2
-    rho[3, 3] = abs(d) ** 2
-    rho[0, 1] = a * b.conjugate() * A * p
-    rho[0, 2] = a * c.conjugate() * A * p
-    rho[0, 3] = a * d.conjugate() * B
-    rho[1, 2] = b * c.conjugate()
-    rho[1, 3] = b * d.conjugate() * A * p.conjugate()
-    rho[2, 3] = c * d.conjugate() * A * p.conjugate()
-    lower = np.triu(rho, 1).conj().T
-    return rho + lower
+    rho = np.broadcast_to(upper, t.shape + (4, 4)).copy()
+    rho[..., 0, 1:3] *= A
+    rho[..., 0, 1:3] *= p
+    rho[..., 0, 3] *= B
+    rho[..., 1:3, 3] *= A
+    rho[..., 1:3, 3] *= p.conj()
+    rho = rho + np.swapaxes(rho, -1, -2).conj()
+    rho[..., range(4), range(4)] = np.abs(amps) ** 2
+    return rho
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
@@ -137,19 +147,22 @@ def pure_concurrence(state: PureState2Q) -> float:
 def validate_density(
     rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12
 ) -> None:
-    """Raise NotADensityMatrix unless rho is 4x4 Hermitian with unit trace.
+    """Raise NotADensityMatrix unless every matrix of a (..., 4, 4) stack is
+    Hermitian with unit trace.
 
     Positivity is checked downstream where an eigendecomposition happens
-    anyway (see entanglement.concurrence).
+    anyway (see entanglement.concurrences).
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise NotADensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+    if rho.shape[-2:] != (4, 4):
+        raise NotADensityMatrix(f"expected 4x4 matrices, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
         raise NotADensityMatrix("matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
+    herm = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(initial=0.0)
     if herm > herm_tol:
         raise NotADensityMatrix(f"Hermiticity violated by {herm:.3g}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise NotADensityMatrix(f"trace = {tr!r} is not 1 within {trace_tol}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    dev = np.abs(tr - 1.0)
+    if dev.max(initial=0.0) > trace_tol:
+        worst = complex(tr[dev.argmax()])
+        raise NotADensityMatrix(f"trace = {worst!r} is not 1 within {trace_tol}")

@@ -82,13 +82,25 @@ def test_concurrence_case1_constant(tmp_path):
     _, data = read_csv(out)
     c = floats(data, "C")
     assert np.abs(c - 1.0).max() < 1e-12
+    assert (c <= 1.0).all()
+
+
+@pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+def test_concurrence_case2_tracks_abs_B(tmp_path, mode):
+    out = tmp_path / "c2.csv"
+    assert main(["concurrence", "--case", "2", "--mode", mode, "--N", "1000",
+                 "--points", "30", "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    c = floats(data, "C")
+    assert np.abs(c - floats(data, "abs_B")).max() < 1e-12
+    assert (c <= 1.0).all()  # including the Bell state at t = 0
 
 
 def test_concurrence_case3_zero(tmp_path):
     out = tmp_path / "c3.csv"
     assert main(["concurrence", "--case", "3", "--points", "30", "--out", str(out)]) == EXIT_OK
     _, data = read_csv(out)
-    assert np.abs(floats(data, "C")).max() < 1e-12
+    assert (floats(data, "C") == 0.0).all()
 
 
 def test_concurrence_custom_amplitudes_normalized(tmp_path):
@@ -110,6 +122,7 @@ def test_fig1_preset(tmp_path):
         curves[ratio] = floats(data, "C")
         assert len(curves[ratio]) == 200
         assert curves[ratio][0] == pytest.approx(1.0, abs=1e-12)
+        assert (curves[ratio] <= 1.0).all()
         assert all(a > b for a, b in zip(curves[ratio], curves[ratio][1:]))
     # colder bath preserves entanglement longer, pointwise
     for warm, cold in ((0.75, 0.50), (0.50, 0.35), (0.35, 0.25)):

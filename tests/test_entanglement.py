@@ -16,8 +16,7 @@ from isingbath.entanglement import (
     case2_concurrence,
     case4_concurrence,
     concurrence,
-    jacobi_eigh,
-    singular_values,
+    concurrences,
 )
 from isingbath.errors import InvalidParams, NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
@@ -43,25 +42,6 @@ def direct_lambdas(rho):
     """Square-rooted eigenvalues of rho rho~ by a generic nonsymmetric solver."""
     evals = np.linalg.eigvals(r_matrix(rho))
     return np.sort(np.sqrt(np.abs(evals.real)))[::-1]
-
-
-def test_jacobi_eigh_matches_numpy():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = x + x.conj().T
-        evals, vecs = jacobi_eigh(h)
-        assert np.abs(np.sort(evals) - np.linalg.eigvalsh(h)).max() < 1e-12
-        assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-13
-        assert np.abs(vecs.conj().T @ h @ vecs - np.diag(evals)).max() < 1e-12
-
-
-def test_singular_values_match_numpy():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        got = singular_values(m)
-        assert np.abs(got - np.linalg.svd(m, compute_uv=False)).max() < 1e-12
 
 
 def test_bell_state_maximally_entangled():
@@ -219,3 +199,65 @@ def test_rejects_invalid_density():
     bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(NotADensityMatrix):
         concurrence(bad)  # eigenvalue -0.2 far below roundoff
+
+
+def test_batched_matches_scalar_on_random_mixtures():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density(rng) for _ in range(300)])
+    scalar = [concurrence(r) for r in stack]
+    got = concurrences(stack)
+    assert got.shape == (300,)
+    assert np.abs(got - [cv.c for cv in scalar]).max() < 1e-13
+    for rho, cv in zip(stack, scalar):
+        lam = np.array(cv.lambdas)
+        assert (lam >= 0).all() and list(lam) == sorted(lam, reverse=True)
+        assert np.abs(lam - direct_lambdas(rho)).max() < 1e-8
+
+
+def test_batched_matches_scalar_on_case_states_over_time():
+    times = np.linspace(0.0, 8.0, 41)
+    for case in (1, 2, 3, 4):
+        st = case_state(case)
+        for mode, kw in ((MODE_FINITE, {"N": 100}), (MODE_ASYMPTOTIC, {})):
+            coeffs = [dephasing_coeffs(t, SOL, BATH, SYS, mode=mode, **kw) for t in times]
+            stack = evolve_reduced(st, times, SYS.xi0, coeffs)
+            assert stack.shape == (len(times), 4, 4)
+            per_point = np.array(
+                [evolve_reduced(st, t, SYS.xi0, k) for t, k in zip(times, coeffs)]
+            )
+            assert np.abs(stack - per_point).max() <= 1e-15
+            got = concurrences(stack)
+            assert np.abs(got - [concurrence(r).c for r in per_point]).max() < 1e-13
+            if case == 3:
+                assert (got == 0.0).all()
+
+
+def test_clip_at_one_hides_only_roundoff():
+    # the kernel clips C to [0, 1]; on maximally entangled states the
+    # unclipped value may exceed 1, but only by roundoff
+    rng = np.random.default_rng(9)
+    amps = case_state(1).amplitudes()
+    rhos = [np.outer(amps, amps.conj()), bell_phi_plus()]
+    for _ in range(200):
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        amps = np.array([1.0, 0.0, 0.0, phase]) / math.sqrt(2.0)
+        rhos.append(np.outer(amps, amps.conj()))
+    for rho in rhos:
+        lam = concurrence(rho).lambdas
+        assert lam[0] - lam[1] - lam[2] - lam[3] - 1.0 <= 1e-14
+        assert concurrence(rho).c <= 1.0
+
+
+def test_rejects_any_bad_matrix_in_a_stack():
+    rng = np.random.default_rng(10)
+    good = np.array([random_density(rng) for _ in range(5)])
+    concurrences(good)
+    bad_trace = good.copy()
+    bad_trace[3] *= 1.5
+    not_hermitian = good.copy()
+    not_hermitian[1, 0, 2] += 0.1
+    negative = good.copy()
+    negative[4] = np.diag([1.2, -0.2, 0.0, 0.0])
+    for stack in (bad_trace, not_hermitian, negative):
+        with pytest.raises(NotADensityMatrix):
+            concurrences(stack)
