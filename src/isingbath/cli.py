@@ -83,8 +83,8 @@ class RunConfig:
     def time_grid(self) -> np.ndarray:
         if self.points < 2:
             raise InvalidParams(f"points must be >= 2, got {self.points}")
-        if self.t_max <= 0:
-            raise InvalidParams(f"t-max must be > 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise InvalidParams(f"t-max must be finite and > 0, got {self.t_max}")
         scaled = np.linspace(0.0, self.t_max, self.points)
         return scaled / self.J0 if self.J0 > 0 else scaled
 
@@ -227,7 +227,8 @@ def cmd_coherence(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _concurrence_rows(cfg: RunConfig, bath: BathParams) -> tuple[list[str], list[tuple]]:
+def _concurrence_rows(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
+    bath = BathParams(J=cfg.J, w=cfg.w, T=cfg.temperatures()[0])
     sol = solve_order(bath)
     sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0)
     state = cfg.state()
@@ -252,8 +253,7 @@ def _concurrence_rows(cfg: RunConfig, bath: BathParams) -> tuple[list[str], list
 
 
 def cmd_concurrence(cfg: RunConfig) -> int:
-    T = cfg.temperatures()[0]
-    columns, rows = _concurrence_rows(cfg, BathParams(J=cfg.J, w=cfg.w, T=T))
+    columns, rows = _concurrence_rows(cfg)
     write_csv(cfg, columns, rows, cfg.out)
     return EXIT_OK
 
@@ -263,21 +263,13 @@ def cmd_fig1(cfg: RunConfig) -> int:
     prefix = cfg.out if cfg.out is not None else "fig1"
     for ratio in FIG1_T_OVER_TC:
         curve = replace(cfg, T=(), T_over_Tc=(ratio,), out=f"{prefix}_TTc{ratio:.2f}.csv")
-        columns, rows = _concurrence_rows(
-            curve, BathParams(J=curve.J, w=curve.w, T=curve.temperatures()[0])
-        )
-        write_csv(curve, columns, rows, curve.out)
+        cmd_concurrence(curve)
     return EXIT_OK
 
 
 def cmd_fig2(cfg: RunConfig) -> int:
     out = cfg.out if cfg.out is not None else "fig2.csv"
-    curve = replace(cfg, out=out)
-    columns, rows = _concurrence_rows(
-        curve, BathParams(J=curve.J, w=curve.w, T=curve.temperatures()[0])
-    )
-    write_csv(curve, columns, rows, curve.out)
-    return EXIT_OK
+    return cmd_concurrence(replace(cfg, out=out))
 
 
 # ---------------------------------------------------------------- verify
@@ -344,9 +336,7 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
         checks.append((f"N={n} exact coefficients vs closed form (w=0)", err, tol))
 
         fac_im = simulate_exact(cfg_im, sol_im)
-        evolved = [
-            evolve_reduced(state, t, sys_p.xi0, k) for t, k in zip(times, closed)
-        ]
+        evolved = evolve_reduced(state, np.array(times), sys_p.xi0, closed)
         err = max(float(np.abs(a - b).max()) for a, b in zip(fac_im, evolved))
         checks.append((f"N={n} oracle vs closed-form reduced matrix (w=0)", err, tol))
 
@@ -451,7 +441,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise InvalidParams(f"malformed config line: {line!r}")
-            file_values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _PARSERS:
+                raise InvalidParams(f"unknown config key {key!r} in {args.config}")
+            file_values[key] = value.strip()
 
     command = args.command
     defaults = _COMMAND_DEFAULTS.get(command, {})

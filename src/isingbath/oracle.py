@@ -4,14 +4,18 @@ The mean-field Hamiltonian commutes with the system z-operators, so the
 exact reduced matrix factorizes: each element (i, j) of rho_s(t) is the
 initial element times exp(-i(E_i - E_j)t) times the N-th power of a single
 2x2 trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
-conditioned on system state i and g the per-spin Gibbs state.  Three
-independent routes to the same object are provided:
+conditioned on system state i and g the per-spin Gibbs state.  The routes
+to it, and what they share:
 
 * simulate_exact (factorized): per-spin propagators from su2.exp_imag,
-  multiplied and traced numerically.  O(1) per time point.
+  multiplied and traced numerically, with its own 4x4 assembly.  O(1) per
+  time point; the reference for the routes below.
 * reconstruct_reduced: the same traces through the closed-form triple-trace
-  identity (su2.trace_triple) instead of matrix products.
-* simulate_exact (dense): full 2^(N+2)-dimensional Kronecker build,
+  identity (su2.trace_triple), put into the closed forms' 4x4 assembly
+  (two_qubit._assemble) with the exact |11>-side coefficient D.  Its trace
+  power is shared with single_qubit_coherence_exact's "trace" method.
+* the "dense" methods of simulate_exact and single_qubit_coherence_exact:
+  one builder for both, with the full Kronecker Hamiltonian, its
   eigendecomposition, evolution and partial trace.  The oracle of the
   oracle, memory-guarded at N <= 12.
 
@@ -36,7 +40,7 @@ from .dephasing import MODE_FINITE, DephasingCoeffs, SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q
+from .two_qubit import PureState2Q, _assemble
 
 MAX_BATH_SIZE = 12  # 2^(N+2) <= 16384 dense dimensions
 
@@ -108,14 +112,19 @@ def simulate_exact(
     "factorized" method exploits the block-diagonal Hamiltonian; "dense"
     builds the full Kronecker Hamiltonian and eigendecomposes it.
     """
-    _guard_size(cfg.N)
     sol = _resolve_sol(cfg, sol)
-    if method == "dense":
-        return _simulate_dense(cfg, sol)
-    if method != "factorized":
-        raise InvalidParams(f"unknown method {method!r}")
     amps = cfg.state.amplitudes()
     outer = np.outer(amps, amps.conj())
+    if method == "dense":
+        return _dense_reduced(
+            -cfg.sys.xi0 * np.kron(_SZ, _SZ),
+            np.kron(_SZ, _I2) + np.kron(_I2, _SZ),
+            outer,
+            cfg.N, cfg.sys.J0, cfg.bath, sol, cfg.times,
+        )
+    if method != "factorized":
+        raise InvalidParams(f"unknown method {method!r}")
+    _guard_size(cfg.N)
     out = []
     for t in cfg.times:
         f = _pair_factor_matrix(cfg, sol, t) ** cfg.N
@@ -136,45 +145,64 @@ def _bath_sum(op: np.ndarray, N: int) -> np.ndarray:
     return total
 
 
-def _dense_hamiltonian(
-    cfg: OracleConfig, sol: OrderSolution, *, include_constant: bool = True
-) -> np.ndarray:
-    bath, sys = cfg.bath, cfg.sys
-    dim_b = 2**cfg.N
-    zb = _bath_sum(_SZ, cfg.N)
-    xb = _bath_sum(_SX, cfg.N)
-    s_sum = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
-    h = -sys.xi0 * np.kron(np.kron(_SZ, _SZ), np.eye(dim_b))
-    h += -(sys.J0 / math.sqrt(cfg.N)) * np.kron(s_sum, zb)
-    h += np.kron(np.eye(4), -bath.w * xb - 2.0 * bath.J * sol.m * zb)
-    if include_constant:
-        h += sol.m**2 * bath.J * cfg.N * np.eye(4 * dim_b)
+def _dense_hamiltonian(h_s, s_op, N, J0, bath, sol):
+    """H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B over N bath spins.
+
+    H_B = -w X_B - 2 J m Z_B is the mean-field bath Hamiltonian without its
+    c-number m^2 J N, a global phase that cancels in U rho U^dag.
+    """
+    zb = _bath_sum(_SZ, N)
+    xb = _bath_sum(_SX, N)
+    h = np.kron(h_s, np.eye(2**N))
+    h += -(J0 / math.sqrt(N)) * np.kron(s_op, zb)
+    h += np.kron(np.eye(len(h_s)), -bath.w * xb - 2.0 * bath.J * sol.m * zb)
     return h
 
 
-def _gibbs_product(cfg: OracleConfig, sol: OrderSolution) -> np.ndarray:
-    g = single_spin_gibbs(cfg.bath.w, 2.0 * sol.m * cfg.bath.J, cfg.bath.T)
+def _gibbs_product(N: int, g: np.ndarray) -> np.ndarray:
     rho_b = np.eye(1, dtype=complex)
-    for _ in range(cfg.N):
+    for _ in range(N):
         rho_b = np.kron(rho_b, g)
     return rho_b
 
 
-def _simulate_dense(
-    cfg: OracleConfig, sol: OrderSolution, *, include_constant: bool = True
-) -> list[np.ndarray]:
-    _guard_size(cfg.N)
-    dim_b = 2**cfg.N
-    h = _dense_hamiltonian(cfg, sol, include_constant=include_constant)
-    evals, evecs = np.linalg.eigh(h)
-    amps = cfg.state.amplitudes()
-    rho0 = np.kron(np.outer(amps, amps.conj()), _gibbs_product(cfg, sol))
+def _dense_reduced(h_s, s_op, op0, N, J0, bath, sol, times):
+    """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt).
+
+    H is _dense_hamiltonian(h_s, s_op, ...), eigendecomposed once; h_s, s_op
+    and op0 are operators on the system alone, and g is the per-spin Gibbs
+    state.  The one dense route, for one qubit and for two.
+    """
+    _guard_size(N)
+    dim_s, dim_b = len(h_s), 2**N
+    evals, evecs = np.linalg.eigh(_dense_hamiltonian(h_s, s_op, N, J0, bath, sol))
+    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
+    rho0 = np.kron(op0, _gibbs_product(N, g))
     out = []
-    for t in cfg.times:
+    for t in times:
         u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        rho_t = u @ rho0 @ u.conj().T
-        out.append(np.einsum("ibjb->ij", rho_t.reshape(4, dim_b, 4, dim_b)))
+        op_t = u @ rho0 @ u.conj().T
+        out.append(np.einsum("ibjb->ij", op_t.reshape(dim_s, dim_b, dim_s, dim_b)))
     return out
+
+
+def _trace_power(bath, sol, N):
+    """(t, left_nu, right_nu) -> (tr[exp(i I1) exp(R) exp(i I2)] / Z)^N.
+
+    The left exponent I1 carries the bra-side bath field left_nu, the right
+    exponent I2 the ket-side field right_nu; exp(R) is the unnormalized
+    per-spin Gibbs weight and Z its trace.
+    """
+    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=2.0 * sol.m * bath.J / (2.0 * bath.T))
+    z_spin = 2.0 * math.cosh(r.q)
+
+    def power(t: float, left_nu: float, right_nu: float) -> complex:
+        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left_nu)
+        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right_nu)
+        per_spin = trace_triple(i1, r, i2) / z_spin
+        return per_spin**N
+
+    return power
 
 
 def extract_products(
@@ -189,18 +217,9 @@ def extract_products(
     """
     _guard_size(cfg.N)
     sol = _resolve_sol(cfg, sol)
-    bath, sys = cfg.bath, cfg.sys
-    h0 = 2.0 * sol.m * bath.J
-    shift = sys.J0 / math.sqrt(cfg.N)
-    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=h0 / (2.0 * bath.T))
-    z_spin = 2.0 * math.cosh(r.q)
-
-    def product(t: float, left_nu: float, right_nu: float) -> complex:
-        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left_nu)
-        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right_nu)
-        per_spin = trace_triple(i1, r, i2) / z_spin
-        return per_spin**cfg.N
-
+    h0 = 2.0 * sol.m * cfg.bath.J
+    shift = cfg.sys.J0 / math.sqrt(cfg.N)
+    product = _trace_power(cfg.bath, sol, cfg.N)
     out = []
     for t in cfg.times:
         a_star = product(t, h0, h0 + shift)
@@ -244,31 +263,12 @@ def reconstruct_reduced(
 
     Independent of simulate_exact's propagator route: coefficients come
     from su2.trace_triple, with the exact D* product (not A*) on the
-    transitions adjacent to |11>.  Agrees with simulate_exact to roundoff
-    for every w.
+    transitions adjacent to |11>, and the matrices from the closed forms'
+    4x4 assembly.  Agrees with simulate_exact to roundoff for every w.
     """
-    sol = _resolve_sol(cfg, sol)
-    amps = cfg.state.amplitudes()
-    a, b, c, d = amps
-    out = []
-    for t, (a_star, b_star, d_star) in zip(
-        cfg.times, extract_products(cfg, sol), strict=True
-    ):
-        coef_a = a_star.conjugate()
-        coef_b = b_star.conjugate()
-        coef_d = d_star.conjugate()
-        p = cmath.exp(0.5j * cfg.sys.xi0 * t)
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1] = abs(a) ** 2, abs(b) ** 2
-        rho[2, 2], rho[3, 3] = abs(c) ** 2, abs(d) ** 2
-        rho[0, 1] = a * b.conjugate() * coef_a * p
-        rho[0, 2] = a * c.conjugate() * coef_a * p
-        rho[0, 3] = a * d.conjugate() * coef_b
-        rho[1, 2] = b * c.conjugate()
-        rho[1, 3] = b * d.conjugate() * coef_d * p.conjugate()
-        rho[2, 3] = c * d.conjugate() * coef_d * p.conjugate()
-        out.append(rho + np.triu(rho, 1).conj().T)
-    return out
+    # one (A*, B*, D*) row per time, also for an empty time list
+    coef = np.array(extract_products(cfg, sol), dtype=complex).reshape(-1, 3).conj()
+    return list(_assemble(cfg.state, np.array(cfg.times), cfg.sys.xi0, *coef.T))
 
 
 def single_qubit_coherence_exact(
@@ -291,40 +291,15 @@ def single_qubit_coherence_exact(
     if sol is None:
         sol = solve_order(bath)
     if method == "dense":
-        _guard_size(N)
-        return _single_qubit_dense(N, bath, sys, times, sol)
+        op0 = np.array([[0, 1], [0, 0]], dtype=complex)
+        reduced = _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, sol, times)
+        return [complex(red[0, 1]) for red in reduced]
     if method != "trace":
         raise InvalidParams(f"unknown method {method!r}")
     h0 = 2.0 * sol.m * bath.J
     half_shift = sys.J0 / (2.0 * math.sqrt(N))
-    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=h0 / (2.0 * bath.T))
-    z_spin = 2.0 * math.cosh(r.q)
+    product = _trace_power(bath, sol, N)
     out = []
     for t in times:
-        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * (h0 + half_shift))
-        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * (h0 - half_shift))
-        per_spin = trace_triple(i1, r, i2) / z_spin
-        out.append(cmath.exp(1j * sys.mu0 * t) * per_spin**N)
-    return out
-
-
-def _single_qubit_dense(N, bath, sys, times, sol):
-    dim_b = 2**N
-    zb = _bath_sum(_SZ, N)
-    xb = _bath_sum(_SX, N)
-    h = -sys.mu0 * np.kron(_SZ, np.eye(dim_b))
-    h += -(sys.J0 / math.sqrt(N)) * np.kron(_SZ, zb)
-    h += np.kron(_I2, -bath.w * xb - 2.0 * bath.J * sol.m * zb)
-    evals, evecs = np.linalg.eigh(h)
-    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
-    rho_b = np.eye(1, dtype=complex)
-    for _ in range(N):
-        rho_b = np.kron(rho_b, g)
-    op0 = np.kron(np.array([[0, 1], [0, 0]], dtype=complex), rho_b)
-    out = []
-    for t in times:
-        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        op_t = u @ op0 @ u.conj().T
-        red = np.einsum("ibjb->ij", op_t.reshape(2, dim_b, 2, dim_b))
-        out.append(complex(red[0, 1]))
+        out.append(cmath.exp(1j * sys.mu0 * t) * product(t, h0 + half_shift, h0 - half_shift))
     return out

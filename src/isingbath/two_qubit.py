@@ -106,10 +106,23 @@ def evolve_reduced(
         raise InvalidParams(
             f"need one DephasingCoeffs per time: {len(per_time)} for shape {t.shape}"
         )
-    A = np.array([complex(k.A) for k in per_time]).reshape(t.shape + (1,))
+    A = np.array([complex(k.A) for k in per_time]).reshape(t.shape)
     B = np.array([complex(k.B) for k in per_time]).reshape(t.shape)
     if max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0)) > _MAG_TOL:
         raise InvalidParams("coefficients must have |A|, |B| <= 1")
+    return _assemble(state, t, xi0, A, B, A)
+
+
+def _assemble(
+    state: PureState2Q, t: np.ndarray, xi0: float, A: np.ndarray, B: np.ndarray, D: np.ndarray
+) -> np.ndarray:
+    """The pure-dephasing rho_s(t), broadcast over the shape of t.
+
+    A multiplies the one-excitation coherences adjacent to |00>, D those
+    adjacent to |11>, and B the |00><11| coherence; A, B and D have the
+    shape of t.  The closed forms share one coefficient (D = A); the exact
+    finite-field products of the oracle do not.
+    """
     p = np.exp(0.5j * xi0 * t)[..., None]
     amps = state.amplitudes()
     # scalar products: numpy's vectorised complex multiply rounds differently,
@@ -119,10 +132,10 @@ def evolve_reduced(
          for i, x in enumerate(amps.tolist())]
     )
     rho = np.broadcast_to(upper, t.shape + (4, 4)).copy()
-    rho[..., 0, 1:3] *= A
+    rho[..., 0, 1:3] *= A[..., None]
     rho[..., 0, 1:3] *= p
     rho[..., 0, 3] *= B
-    rho[..., 1:3, 3] *= A
+    rho[..., 1:3, 3] *= D[..., None]
     rho[..., 1:3, 3] *= p.conj()
     rho = rho + np.swapaxes(rho, -1, -2).conj()
     rho[..., range(4), range(4)] = np.abs(amps) ** 2

@@ -198,6 +198,17 @@ def test_config_file_and_flag_override(tmp_path):
     assert cfg.points == 7
 
 
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    # a typo must not fall back silently to the default xi0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("J=2.0\nxi=0.3\n")
+    out = tmp_path / "o.csv"
+    assert main(["concurrence", "--config", str(cfg_file), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'xi'" in err
+    assert not out.exists()
+
+
 def test_run_config_round_trip(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["concurrence", "--case", "2", "--T-over-Tc", "0.35,0.5",
@@ -218,6 +229,16 @@ def test_invalid_inputs_exit_2(tmp_path):
         main(["concurrence", "--amplitudes", "1,2,3"])  # argparse rejects
     with pytest.raises(SystemExit):
         main(["spectrum"])  # unknown subcommand
+
+
+@pytest.mark.parametrize("command", ["coherence", "concurrence"])
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_non_finite_t_max_exits_2(tmp_path, capsys, command, t_max):
+    out = tmp_path / "o.csv"
+    assert main([command, "--t-max", t_max, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t-max" in err
+    assert not out.exists()
 
 
 def test_stdout_when_no_out(capsys):

@@ -15,9 +15,9 @@ from isingbath.errors import ConfigTooLarge, InvalidParams
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
     OracleConfig,
+    _SZ,
     _dense_hamiltonian,
     _gibbs_product,
-    _simulate_dense,
     extract_coeffs,
     extract_products,
     reconstruct_reduced,
@@ -175,10 +175,12 @@ def test_bath_state_stationary_without_coupling():
     # which commutes with the Gibbs state
     sys_p = SystemParams(J0=0.0, xi0=0.4)
     st = case_state(4)
-    cfg = OracleConfig(N=3, bath=BATH_TIM, sys=sys_p, state=st, times=(1.3,))
     sol = solve_order(BATH_TIM)
-    h = _dense_hamiltonian(cfg, sol)
-    rho_b = _gibbs_product(cfg, sol)
+    h = _dense_hamiltonian(
+        -sys_p.xi0 * np.kron(_SZ, _SZ), np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ),
+        3, sys_p.J0, BATH_TIM, sol,
+    )
+    rho_b = _gibbs_product(3, single_spin_gibbs(BATH_TIM.w, 2 * sol.m * BATH_TIM.J, BATH_TIM.T))
     rho0 = np.kron(np.outer(st.amplitudes(), st.amplitudes().conj()), rho_b)
     evals, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(-1j * evals * 1.3)) @ evecs.conj().T
@@ -187,12 +189,22 @@ def test_bath_state_stationary_without_coupling():
     assert np.abs(bath_marginal - rho_b).max() < 1e-12
 
 
-def test_mean_field_constant_cancels():
-    cfg = make_cfg(3, BATH_TIM)
-    sol = solve_order(BATH_TIM)
-    with_const = _simulate_dense(cfg, sol, include_constant=True)
-    without = _simulate_dense(cfg, sol, include_constant=False)
-    assert max(np.abs(a - b).max() for a, b in zip(with_const, without)) < 1e-12
+@pytest.mark.parametrize("bath", [BATH_IM, BATH_TIM], ids=["w=0", "w>0"])
+def test_reconstruction_shares_the_closed_form_assembly(bath):
+    # reconstruct_reduced and evolve_reduced build rho from one 4x4
+    # assembly, so with the exact coefficients they agree bit for bit on
+    # every entry that does not carry the |11>-side coefficient D
+    rng = np.random.default_rng(31)
+    for k in range(10):
+        cfg = make_cfg(
+            int(rng.integers(1, 13)), bath, state=random_state(k),
+            times=tuple(rng.uniform(0.0, 4.0, size=5)),
+            sys_p=SystemParams(J0=rng.uniform(0.3, 1.5), xi0=rng.uniform(0.0, 1.0)),
+        )
+        rec = np.array(reconstruct_reduced(cfg))
+        closed = evolve_reduced(cfg.state, np.array(cfg.times), cfg.sys.xi0, extract_coeffs(cfg))
+        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2)):
+            assert np.array_equal(rec[:, i, j], closed[:, i, j]), (k, i, j)
 
 
 def test_disordered_bath_still_dephases_exactly():
@@ -246,9 +258,8 @@ def test_config_times_coerced():
 
 
 def test_gibbs_product_shape():
-    cfg = make_cfg(3, BATH_TIM)
     sol = solve_order(BATH_TIM)
-    rho_b = _gibbs_product(cfg, sol)
-    assert rho_b.shape == (8, 8)
     g = single_spin_gibbs(BATH_TIM.w, 2 * sol.m * BATH_TIM.J, BATH_TIM.T)
+    rho_b = _gibbs_product(3, g)
+    assert rho_b.shape == (8, 8)
     np.testing.assert_allclose(rho_b, np.kron(np.kron(g, g), g), atol=1e-15)
