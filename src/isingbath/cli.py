@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -67,6 +68,14 @@ class RunConfig:
     points: int = 200
     out: str | None = None
 
+    def __post_init__(self):
+        if self.case not in (1, 2, 3, 4):
+            raise InvalidParams(f"case must be 1, 2, 3 or 4, got {self.case}")
+        if self.mode not in (MODE_FINITE, MODE_ASYMPTOTIC):
+            raise InvalidParams(
+                f"mode must be {MODE_FINITE!r} or {MODE_ASYMPTOTIC!r}, got {self.mode!r}"
+            )
+
     def temperatures(self) -> tuple[float, ...]:
         if self.T:
             return self.T
@@ -85,6 +94,8 @@ class RunConfig:
             raise InvalidParams(f"points must be >= 2, got {self.points}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise InvalidParams(f"t-max must be finite and > 0, got {self.t_max}")
+        if self.J0 > 0 and not math.isfinite(self.t_max / self.J0):
+            raise InvalidParams(f"t-max / J0 = {self.t_max!r} / {self.J0!r} overflows")
         scaled = np.linspace(0.0, self.t_max, self.points)
         return scaled / self.J0 if self.J0 > 0 else scaled
 
@@ -100,10 +111,16 @@ class RunConfig:
 
     @classmethod
     def from_key_values(cls, mapping: dict[str, str]) -> "RunConfig":
+        """Parse text values keyed by field name; flags, --config lines and
+        CSV headers all come through here."""
         kwargs = {}
-        for f in fields(cls):
-            if f.name in mapping:
-                kwargs[f.name] = _PARSERS[f.name](mapping[f.name])
+        for key, text in mapping.items():
+            if key not in _PARSERS:
+                raise InvalidParams(f"unknown key {key!r}")
+            try:
+                kwargs[key] = _PARSERS[key](text)
+            except ValueError as exc:
+                raise InvalidParams(f"{key}: {exc}") from None
         if "command" not in kwargs:
             raise InvalidParams("configuration is missing the command")
         return cls(**kwargs)
@@ -141,7 +158,7 @@ def _parse_amplitudes(s: str):
         return None
     parts = [x.strip() for x in s.replace(";", ",").split(",")]
     if len(parts) != 4:
-        raise InvalidParams(f"amplitudes need 4 comma-separated entries, got {len(parts)}")
+        raise InvalidParams(f"need 4 comma-separated entries, got {len(parts)}")
     return tuple(complex(x) for x in parts)
 
 
@@ -180,16 +197,26 @@ def write_csv(cfg: RunConfig, columns: list[str], rows: list[tuple], path: str |
         Path(path).write_text(text)
 
 
+def _parse_key_values(tokens: list[str], source: str) -> dict[str, str]:
+    """key=value tokens (--config lines, CSV header words) as text; blank
+    tokens and # comments are skipped."""
+    mapping = {}
+    for token in map(str.strip, tokens):
+        if not token or token.startswith("#"):
+            continue
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise InvalidParams(f"malformed key=value {token!r} in {source}")
+        mapping[key.strip()] = value.strip()
+    return mapping
+
+
 def read_csv_config(path: str) -> RunConfig:
     """Rebuild the RunConfig from an emitted CSV's parameter header."""
     first = Path(path).read_text().splitlines()[0]
     if not first.startswith("# "):
         raise InvalidParams(f"{path} has no parameter header")
-    mapping = {}
-    for token in first[2:].split(" "):
-        key, _, value = token.partition("=")
-        mapping[key] = value
-    return RunConfig.from_key_values(mapping)
+    return RunConfig.from_key_values(_parse_key_values(first[2:].split(" "), path))
 
 
 # ---------------------------------------------------------------- commands
@@ -236,12 +263,9 @@ def _concurrence_rows(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     columns = ["t", "J0_t", "C", "abs_A", "abs_B"]
     if with_reference:
         columns.append("no_bath_C")
-    kwargs = {"mode": cfg.mode}
-    if cfg.mode == MODE_FINITE:
-        kwargs["N"] = cfg.N
     times = cfg.time_grid()
     # coefficients stay per point so abs_A and abs_B keep their math/cmath digits
-    coeffs = [dephasing_coeffs(t, sol, bath, sys_p, **kwargs) for t in times]
+    coeffs = [dephasing_coeffs(t, sol, bath, sys_p, mode=cfg.mode, N=cfg.N) for t in times]
     cs = concurrences(evolve_reduced(state, times, cfg.xi0, coeffs)).tolist()
     rows = []
     for t, k, c in zip(times, coeffs, cs):
@@ -267,11 +291,6 @@ def cmd_fig1(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fig2(cfg: RunConfig) -> int:
-    out = cfg.out if cfg.out is not None else "fig2.csv"
-    return cmd_concurrence(replace(cfg, out=out))
-
-
 # ---------------------------------------------------------------- verify
 
 
@@ -288,6 +307,8 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
     Ising limit w = 0, the regime where the finite-N formulas are exact
     identities rather than large-N asymptotics.
     """
+    if n_max < 1:
+        raise InvalidParams(f"N-max must be >= 1, got {n_max}")
     tol = 1e-10
     sym_tol = 1e-12
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
@@ -343,7 +364,11 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
         err = max(abs(a - d) for a, _, d in extract_products(cfg_im, sol_im))
         checks.append((f"N={n} one-excitation coefficient symmetry (w=0)", err, sym_tol))
 
-        r_cl = [coherence_factor_finite(t, n, sol_im, bath_im, sys_p) for t in times]
+        # the closed form excludes the free phase exp(i mu0 t); the exact route has it
+        r_cl = [
+            cmath.exp(1j * sys_p.mu0 * t) * coherence_factor_finite(t, n, sol_im, bath_im, sys_p)
+            for t in times
+        ]
         r_ex = single_qubit_coherence_exact(n, bath_im, sys_p, times, sol_im)
         err = max(abs(a - b) for a, b in zip(r_cl, r_ex))
         checks.append((f"N={n} single-qubit closed form vs exact (w=0)", err, tol))
@@ -361,27 +386,30 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
 # ---------------------------------------------------------------- parsing
 
 
+# RunConfig field -> help of its flag, which is the field name with "_" -> "-";
+# flag values stay text until RunConfig.from_key_values parses them
+_FLAG_HELP = {
+    "J": "bath exchange coupling",
+    "w": "bath transverse field",
+    "T": "temperature(s), absolute",
+    "T_over_Tc": "temperature(s) as a fraction of Tc = J/2",
+    "J0": "system-bath coupling",
+    "xi0": "qubit-qubit coupling",
+    "mu0": "single-qubit field (free phase)",
+    "case": "paradigmatic initial state: 1, 2, 3 or 4",
+    "amplitudes": "four comma-separated complex amplitudes, normalized after parsing",
+    "mode": f"{MODE_FINITE} (finite-N coefficients) or {MODE_ASYMPTOTIC} (large-N magnitudes)",
+    "N": "bath size for finite mode",
+    "t_max": "maximum scaled time J0*t (raw t when J0=0)",
+    "points": "number of time-grid points",
+    "out": "output CSV path (fig1: path prefix); stdout if omitted",
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; explicit flags win")
-    p.add_argument("--J", type=float, help="bath exchange coupling")
-    p.add_argument("--w", type=float, help="bath transverse field")
-    p.add_argument("--T", type=_parse_float_tuple, help="temperature(s), absolute")
-    p.add_argument("--T-over-Tc", dest="T_over_Tc", type=_parse_float_tuple,
-                   help="temperature(s) as a fraction of Tc = J/2")
-    p.add_argument("--J0", type=float, help="system-bath coupling")
-    p.add_argument("--xi0", type=float, help="qubit-qubit coupling")
-    p.add_argument("--mu0", type=float, help="single-qubit field (free phase)")
-    p.add_argument("--case", type=int, choices=(1, 2, 3, 4),
-                   help="paradigmatic initial state")
-    p.add_argument("--amplitudes", type=_parse_amplitudes,
-                   help="four comma-separated complex amplitudes, normalized after parsing")
-    p.add_argument("--mode", choices=(MODE_FINITE, MODE_ASYMPTOTIC),
-                   help="finite-N coefficients or large-N magnitudes")
-    p.add_argument("--N", type=int, help="bath size for finite mode")
-    p.add_argument("--t-max", dest="t_max", type=float,
-                   help="maximum scaled time J0*t (raw t when J0=0)")
-    p.add_argument("--points", type=int, help="number of time-grid points")
-    p.add_argument("--out", help="output CSV path (fig1: path prefix); stdout if omitted")
+    for name, text in _FLAG_HELP.items():
+        p.add_argument("--" + name.replace("_", "-"), help=text)
 
 
 # command -> (handler, help); handlers take the RunConfig plus any
@@ -391,7 +419,7 @@ _COMMANDS = {
     "coherence": (cmd_coherence, "single-qubit coherence factor, finite and asymptotic"),
     "concurrence": (cmd_concurrence, "two-qubit concurrence for a case or custom state"),
     "fig1": (cmd_fig1, "case-2 concurrence curves at T/Tc = 0.75, 0.50, 0.35, 0.25"),
-    "fig2": (cmd_fig2, "case-4 entangling oscillations damped by the bath"),
+    "fig2": (cmd_concurrence, "case-4 entangling oscillations damped by the bath"),
     "verify": (cmd_verify, "cross-check the exact oracle against the closed forms"),
 }
 _RUN_KEYS = {f.name for f in fields(RunConfig)} | {"config"}
@@ -414,57 +442,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "phase": {"T_over_Tc": tuple(round(0.05 * k, 2) for k in range(1, 25))},
-    "coherence": {"T_over_Tc": (0.25,), "mode": MODE_FINITE},
-    "concurrence": {},
-    "fig1": {"J": 2.0, "w": 0.1, "case": 2, "t_max": 8.0},
-    "fig2": {"J": 2.0, "w": 0.1, "case": 4, "xi0": 0.3,
-             "T_over_Tc": (0.25,), "t_max": 64.0},
-    "verify": {"w": 0.1, "T_over_Tc": (0.5,), "xi0": 0.3},
+# per-command text values where they differ from the RunConfig defaults
+_COMMAND_DEFAULTS: dict[str, dict[str, str]] = {
+    "phase": {"T_over_Tc": ",".join(str(round(0.05 * k, 2)) for k in range(1, 25))},
+    "coherence": {"mode": MODE_FINITE},
+    "fig2": {"t_max": "64.0", "out": "fig2.csv"},
+    "verify": {"T_over_Tc": "0.5", "xi0": "0.3"},
 }
 
 # fig presets pin the caption parameters; user flags cannot unpin these
-_PRESET_LOCKED: dict[str, tuple[str, ...]] = {
-    "fig1": ("J", "w", "case", "amplitudes"),
-    "fig2": ("J", "w", "case", "xi0", "amplitudes"),
+_PRESET_LOCKED: dict[str, dict] = {
+    "fig1": {"J": 2.0, "w": 0.1, "case": 2, "amplitudes": None},
+    "fig2": {"J": 2.0, "w": 0.1, "case": 4, "xi0": 0.3, "amplitudes": None},
 }
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        for line in Path(args.config).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise InvalidParams(f"malformed config line: {line!r}")
-            key = key.strip()
-            if key not in _PARSERS:
-                raise InvalidParams(f"unknown config key {key!r} in {args.config}")
-            file_values[key] = value.strip()
-
-    command = args.command
-    defaults = _COMMAND_DEFAULTS.get(command, {})
-    locked = _PRESET_LOCKED.get(command, ())
-    kwargs = {"command": command}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        if f.name in locked:
-            if f.name in defaults:
-                kwargs[f.name] = defaults[f.name]
-            continue
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            kwargs[f.name] = flag
-        elif f.name in file_values:
-            kwargs[f.name] = _PARSERS[f.name](file_values[f.name])
-        elif f.name in defaults:
-            kwargs[f.name] = defaults[f.name]
-    return RunConfig(**kwargs)
+    """Command defaults < --config < flags, parsed and checked as one
+    mapping, then the locked preset values."""
+    from_file = {}
+    if args.config:
+        from_file = _parse_key_values(Path(args.config).read_text().splitlines(), args.config)
+    flags = {k: v for k, v in vars(args).items() if k in _FLAG_HELP and v is not None}
+    cfg = RunConfig.from_key_values(
+        {**_COMMAND_DEFAULTS.get(args.command, {}), **from_file, **flags,
+         "command": args.command}
+    )
+    return replace(cfg, **_PRESET_LOCKED.get(args.command, {}))
 
 
 def main(argv: list[str] | None = None) -> int:

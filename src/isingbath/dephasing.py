@@ -55,22 +55,12 @@ class DephasingCoeffs:
 
     A: complex
     B: complex
-    mode: str
-    N: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_FINITE, MODE_ASYMPTOTIC):
-            raise InvalidParams(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_FINITE and (self.N is None or self.N < 1):
-            raise InvalidParams("finite mode requires a bath size N >= 1")
         if abs(self.A) > _MAG_TOL or abs(self.B) > _MAG_TOL:
             raise InvalidParams(
                 f"|A|={abs(self.A)}, |B|={abs(self.B)} exceed 1 beyond tolerance"
             )
-        if self.mode == MODE_ASYMPTOTIC and (
-            complex(self.A).imag != 0.0 or complex(self.B).imag != 0.0
-        ):
-            raise InvalidParams("asymptotic coefficients are magnitudes (real)")
 
 
 def _log_per_spin(phi: float, ratio: float) -> complex:
@@ -89,8 +79,6 @@ def coherence_factor_finite(
     sol: OrderSolution,
     bath: BathParams,
     sys: SystemParams,
-    *,
-    include_free_phase: bool = False,
 ) -> complex:
     """Finite-N coherence factor r(t) multiplying the <0|rho|1> element.
 
@@ -98,22 +86,18 @@ def coherence_factor_finite(
     principal branch is exact even when z crosses the negative real axis.
     A disordered bath (m = 0) dephases nothing: r = 1 for all t.
 
-    The free single-qubit phase exp(i mu0 t) is excluded by default (it
-    cannot change |r| or any concurrence); pass include_free_phase=True to
-    recover the full matrix-element evolution.
+    The free single-qubit phase exp(i mu0 t) is excluded: it cannot change
+    |r| or any concurrence.  Multiply by it to recover the full
+    matrix-element evolution.
     """
     if N < 1:
         raise InvalidParams(f"bath size N must be >= 1, got {N}")
     if sol.m == 0.0:
-        r = 1.0 + 0.0j
-    else:
-        if sol.theta <= 0.0:
-            raise InvalidParams("ordered solution with Theta = 0 is inconsistent")
-        phi = t * sol.m * bath.J * sys.J0 / (sol.theta * math.sqrt(N))
-        r = cmath.exp(N * _log_per_spin(phi, sol.theta / bath.J))
-    if include_free_phase:
-        r *= cmath.exp(1j * sys.mu0 * t)
-    return r
+        return 1.0 + 0.0j
+    if sol.theta <= 0.0:
+        raise InvalidParams("ordered solution with Theta = 0 is inconsistent")
+    phi = t * sol.m * bath.J * sys.J0 / (sol.theta * math.sqrt(N))
+    return cmath.exp(N * _log_per_spin(phi, sol.theta / bath.J))
 
 
 def coherence_magnitude_asymptotic(
@@ -194,8 +178,8 @@ def dephasing_coeffs(
             raise InvalidParams("finite mode requires a bath size N")
         A = coherence_factor_finite(t, N, sol, bath, sys)
         B = coherence_factor_finite(2.0 * t, N, sol, bath, sys)
-        return DephasingCoeffs(A=A, B=B, mode=MODE_FINITE, N=N)
+        return DephasingCoeffs(A=A, B=B)
     if mode == MODE_ASYMPTOTIC:
         A = coherence_magnitude_asymptotic(t, sol, bath, sys)
-        return DephasingCoeffs(A=A, B=A**4, mode=MODE_ASYMPTOTIC)
+        return DephasingCoeffs(A=A, B=A**4)
     raise InvalidParams(f"unknown mode {mode!r}")

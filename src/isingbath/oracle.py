@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dephasing import MODE_FINITE, DephasingCoeffs, SystemParams
+from .dephasing import DephasingCoeffs, SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
@@ -230,30 +230,18 @@ def extract_products(
 
 
 def extract_coeffs(
-    cfg: OracleConfig,
-    sol: OrderSolution | None = None,
-    *,
-    symmetry_tol: float | None = None,
+    cfg: OracleConfig, sol: OrderSolution | None = None
 ) -> list[DephasingCoeffs]:
     """Exact finite-N DephasingCoeffs from the trace products.
 
-    Returns A = conj(A*), B = conj(B*).  When symmetry_tol is given, the
-    one-excitation symmetry |A* - D*| <= symmetry_tol is asserted; it holds
-    to machine precision only in the Ising limit w = 0, with an
-    O(w^2 J0^2/Theta^4) violation otherwise, so there is no default check.
+    Returns A = conj(A*), B = conj(B*).  The one-excitation symmetry
+    A* = D* holds to machine precision only in the Ising limit w = 0, with
+    an O(w^2 J0^2/Theta^4) violation otherwise; extract_products exposes D*.
     """
-    out = []
-    for a_star, b_star, d_star in extract_products(cfg, sol):
-        if symmetry_tol is not None:
-            assert abs(a_star - d_star) <= symmetry_tol, (
-                f"|A* - D*| = {abs(a_star - d_star):.3e} exceeds {symmetry_tol:g}"
-            )
-        out.append(
-            DephasingCoeffs(
-                A=a_star.conjugate(), B=b_star.conjugate(), mode=MODE_FINITE, N=cfg.N
-            )
-        )
-    return out
+    return [
+        DephasingCoeffs(A=a_star.conjugate(), B=b_star.conjugate())
+        for a_star, b_star, _ in extract_products(cfg, sol)
+    ]
 
 
 def reconstruct_reduced(

@@ -19,7 +19,7 @@ import numpy as np
 from .dephasing import DephasingCoeffs
 from .errors import InvalidParams, InvalidState, NotADensityMatrix
 
-_NORM_TOL = 1e-12
+_TOL = 1e-12  # state norm^2, Hermiticity and trace
 _MAG_TOL = 1.0 + 1e-12
 
 # sigma_y (x) sigma_y in the standard basis
@@ -48,8 +48,8 @@ class PureState2Q:
         if not all(math.isfinite(abs(complex(a))) for a in amps):
             raise InvalidState("non-finite amplitude")
         norm2 = sum(abs(complex(a)) ** 2 for a in amps)
-        if abs(norm2 - 1.0) > _NORM_TOL:
-            raise InvalidState(f"state norm^2 = {norm2!r} is not 1 within {_NORM_TOL}")
+        if abs(norm2 - 1.0) > _TOL:
+            raise InvalidState(f"state norm^2 = {norm2!r} is not 1 within {_TOL}")
 
     @classmethod
     def normalized(cls, alpha, beta, gamma, delta) -> "PureState2Q":
@@ -157,9 +157,7 @@ def pure_concurrence(state: PureState2Q) -> float:
     return 2.0 * abs(state.alpha * state.delta - state.beta * state.gamma)
 
 
-def validate_density(
-    rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12
-) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Raise NotADensityMatrix unless every matrix of a (..., 4, 4) stack is
     Hermitian with unit trace.
 
@@ -172,10 +170,10 @@ def validate_density(
     if not np.isfinite(rho).all():
         raise NotADensityMatrix("matrix has non-finite entries")
     herm = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(initial=0.0)
-    if herm > herm_tol:
+    if herm > _TOL:
         raise NotADensityMatrix(f"Hermiticity violated by {herm:.3g}")
     tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
     dev = np.abs(tr - 1.0)
-    if dev.max(initial=0.0) > trace_tol:
+    if dev.max(initial=0.0) > _TOL:
         worst = complex(tr[dev.argmax()])
-        raise NotADensityMatrix(f"trace = {worst!r} is not 1 within {trace_tol}")
+        raise NotADensityMatrix(f"trace = {worst!r} is not 1 within {_TOL}")

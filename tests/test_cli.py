@@ -11,6 +11,7 @@ from isingbath.cli import (
     main,
     read_csv_config,
 )
+from isingbath.errors import InvalidParams
 
 
 def read_csv(path):
@@ -163,6 +164,20 @@ def test_verify_extended_bath_passes(capsys):
     assert "N=8" in out and "all checks passed" in out
 
 
+def test_verify_closed_form_carries_the_free_phase(capsys):
+    # the closed form excludes exp(i mu0 t), the exact route includes it
+    assert main(["verify", "--N-max", "2", "--mu0", "0.5"]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_verify_rejects_an_empty_bath_range(capsys, n_max):
+    assert main(["verify", "--N-max", n_max]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "N-max" in captured.err
+
+
 def test_verify_negative_control(capsys):
     assert main(["verify", "--N-max", "2", "--inject-error"]) == EXIT_VERIFY_FAILED
     assert "FAIL" in capsys.readouterr().out
@@ -221,14 +236,45 @@ def test_run_config_round_trip(tmp_path):
     assert cfg.N == 777
 
 
-def test_invalid_inputs_exit_2(tmp_path):
+def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["phase", "--J", "-3"]) == EXIT_BAD_INPUT
     assert main(["concurrence", "--T-over-Tc", "-0.5"]) == EXIT_BAD_INPUT
     assert main(["coherence", "--points", "1"]) == EXIT_BAD_INPUT
-    with pytest.raises(SystemExit):
-        main(["concurrence", "--amplitudes", "1,2,3"])  # argparse rejects
+    capsys.readouterr()
+    assert main(["concurrence", "--amplitudes", "1,2,3"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.count("\n") == 1
     with pytest.raises(SystemExit):
         main(["spectrum"])  # unknown subcommand
+
+
+@pytest.mark.parametrize("key, value", [
+    ("J", "abc"), ("case", "9"), ("mode", "foo"), ("amplitudes", "1,2,3"),
+])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, route, key, value):
+    # flags and --config lines reach the same parser and the same checks
+    if route == "flag":
+        args = ["--" + key, value]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={value}\n")
+        args = ["--config", str(cfg_file)]
+    out = tmp_path / "o.csv"
+    assert main(["phase", *args, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"error: {key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [(" case=2 ", " case=9 "), (" xi0=", " xi=")])
+def test_csv_header_is_checked_like_flags(tmp_path, old, new):
+    out = tmp_path / "c.csv"
+    assert main(["concurrence", "--points", "3", "--out", str(out)]) == EXIT_OK
+    header, rest = out.read_text().split("\n", 1)
+    assert old in header
+    out.write_text(header.replace(old, new) + "\n" + rest)
+    with pytest.raises(InvalidParams):
+        read_csv_config(str(out))
 
 
 @pytest.mark.parametrize("command", ["coherence", "concurrence"])
@@ -238,6 +284,19 @@ def test_non_finite_t_max_exits_2(tmp_path, capsys, command, t_max):
     assert main([command, "--t-max", t_max, "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "t-max" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--J0", "1e-320", "--points", "3"],
+    ["concurrence", "--t-max", "1e300", "--J0", "1e-10", "--points", "3"],
+])
+def test_time_grid_overflow_exits_2(tmp_path, capsys, argv):
+    # t-max / J0 is checked before numpy divides the scaled grid by J0
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t-max" in err and "J0" in err
     assert not out.exists()
 
 

@@ -99,14 +99,6 @@ def test_phase_is_odd_in_time():
         assert cmath.phase(fwd) == pytest.approx(-cmath.phase(bwd), abs=1e-12)
 
 
-def test_free_phase_flag():
-    sys_mu = SystemParams(J0=1.0, mu0=0.7, xi0=0.0)
-    t = 1.3
-    bare = coherence_factor_finite(t, 4, SOL, BATH, sys_mu)
-    full = coherence_factor_finite(t, 4, SOL, BATH, sys_mu, include_free_phase=True)
-    assert full == pytest.approx(bare * cmath.exp(1j * 0.7 * t), abs=1e-13)
-
-
 def test_mu0_xi0_do_not_enter_coefficients():
     t = 1.7
     base = dephasing_coeffs(t, SOL, BATH, SystemParams(J0=1.0), mode=MODE_FINITE, N=7)
@@ -189,11 +181,7 @@ def test_validation():
     with pytest.raises(InvalidParams):
         dephasing_coeffs(1.0, SOL, BATH, SYS, mode="exactish")
     with pytest.raises(InvalidParams):
-        DephasingCoeffs(A=1.5, B=0.0, mode=MODE_ASYMPTOTIC)
-    with pytest.raises(InvalidParams):
-        DephasingCoeffs(A=0.5 + 0.1j, B=0.5, mode=MODE_ASYMPTOTIC)
-    with pytest.raises(InvalidParams):
-        DephasingCoeffs(A=1.0, B=1.0, mode=MODE_FINITE)  # missing N
+        DephasingCoeffs(A=1.5, B=0.0)
     with pytest.raises(InvalidParams):
         coherence_time(SOL, BATH, SystemParams(J0=0.0))
     with pytest.raises(InvalidParams):

@@ -133,7 +133,7 @@ def test_case4_no_bath_oscillation():
     # exp(i xi0 t s_a s_b), and the pure-state concurrence of that state is
     # 2|alpha delta e^{i xi0 t/2} - beta gamma e^{-i xi0 t/2}|/... = |sin(xi0 t/2)|
     xi0 = 0.3
-    no_bath = DephasingCoeffs(A=1.0, B=1.0, mode=MODE_FINITE, N=1)
+    no_bath = DephasingCoeffs(A=1.0, B=1.0)
     for t in np.linspace(0.0, 40.0, 37):
         phased = PureState2Q(
             0.5 * np.exp(0.25j * xi0 * t),
@@ -190,7 +190,7 @@ def test_closed_form_norm_validation():
     with pytest.raises(InvalidParams):
         case1_concurrence(1.0, 0.5)
     with pytest.raises(InvalidParams):
-        case2_concurrence(0.9, 0.9, DephasingCoeffs(A=1.0, B=1.0, mode=MODE_FINITE, N=1))
+        case2_concurrence(0.9, 0.9, DephasingCoeffs(A=1.0, B=1.0))
 
 
 def test_rejects_invalid_density():

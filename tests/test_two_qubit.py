@@ -16,7 +16,7 @@ from isingbath.two_qubit import (
     validate_density,
 )
 
-NO_DECAY = DephasingCoeffs(A=1.0, B=1.0, mode=MODE_FINITE, N=1)
+NO_DECAY = DephasingCoeffs(A=1.0, B=1.0)
 
 
 def random_state(rng):
@@ -27,7 +27,7 @@ def random_coeffs(rng):
     # magnitudes below 1, generic phases
     a = rng.uniform(0.2, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
     b = rng.uniform(0.2, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-    return DephasingCoeffs(A=a, B=b, mode=MODE_FINITE, N=4)
+    return DephasingCoeffs(A=a, B=b)
 
 
 def random_density(rng):
@@ -251,7 +251,7 @@ def test_case_state_validation():
 
 def test_evolve_rejects_oversized_coefficients():
     with pytest.raises(InvalidParams):
-        evolve_reduced(case_state(2), 1.0, 0.0, DephasingCoeffs(A=1.0, B=1.0 + 1e-6, mode=MODE_FINITE, N=1))
+        evolve_reduced(case_state(2), 1.0, 0.0, DephasingCoeffs(A=1.0, B=1.0 + 1e-6))
 
 
 def test_validate_density():
