@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -92,22 +91,24 @@ class RunConfig:
     def time_grid(self) -> np.ndarray:
         if self.points < 2:
             raise InvalidParams(f"points must be >= 2, got {self.points}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise InvalidParams(f"t-max must be finite and > 0, got {self.t_max}")
-        if self.J0 > 0 and not math.isfinite(self.t_max / self.J0):
-            raise InvalidParams(f"t-max / J0 = {self.t_max!r} / {self.J0!r} overflows")
+        # B(t) = A(2t) doubles the last time t-max / J0, and the Gaussian
+        # squares J0 m t <= t-max / 2
+        t_last = self.t_max / self.J0 if self.J0 > 0 else self.t_max
+        if not (self.t_max > 0 and math.isfinite(2.0 * t_last)
+                and math.isfinite(0.25 * self.t_max * self.t_max)):
+            raise InvalidParams(
+                f"t-max must be > 0 with 2 t-max / J0 and (t-max / 2)^2 finite, "
+                f"got t-max = {self.t_max!r}, J0 = {self.J0!r}"
+            )
         scaled = np.linspace(0.0, self.t_max, self.points)
         return scaled / self.J0 if self.J0 > 0 else scaled
 
     def key_values(self) -> dict[str, str]:
         # the output path is not a physics parameter and would break
         # byte-identical output across destinations
-        out: dict[str, str] = {}
-        for f in fields(self):
-            if f.name == "out":
-                continue
-            out[f.name] = _format_value(getattr(self, f.name))
-        return out
+        return {
+            f.name: _format_value(getattr(self, f.name)) for f in fields(self) if f.name != "out"
+        }
 
     @classmethod
     def from_key_values(cls, mapping: dict[str, str]) -> "RunConfig":
@@ -117,32 +118,34 @@ class RunConfig:
         for key, text in mapping.items():
             if key not in _PARSERS:
                 raise InvalidParams(f"unknown key {key!r}")
-            try:
-                kwargs[key] = _PARSERS[key](text)
-            except ValueError as exc:
-                raise InvalidParams(f"{key}: {exc}") from None
+            kwargs[key] = _parse_text(key, _PARSERS[key], text)
         if "command" not in kwargs:
             raise InvalidParams("configuration is missing the command")
         return cls(**kwargs)
 
 
 def _format_value(v) -> str:
+    """Header text of one RunConfig value, as _PARSERS reads it back."""
     if v is None:
         return "none"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
+    if isinstance(v, tuple):
+        return ";".join(_format_value(x) for x in v)
     if isinstance(v, complex):
         sign = "+" if v.imag >= 0 else "-"
         return f"{v.real!r}{sign}{abs(v.imag)!r}j"
-    if isinstance(v, tuple):
-        return ";".join(_format_value(x) for x in v)
+    if isinstance(v, float):
+        return repr(float(v))
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
     raise TypeError(f"cannot serialize {v!r}")
+
+
+def _parse_text(name: str, parse, text: str):
+    """parse(text), with a failure reported as one line naming the key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InvalidParams(f"{name}: {exc}") from None
 
 
 def _parse_float_tuple(s: str) -> tuple[float, ...]:
@@ -185,12 +188,20 @@ _PARSERS = {
 }
 
 
-def write_csv(cfg: RunConfig, columns: list[str], rows: list[tuple], path: str | None) -> None:
+def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]], path: str | None) -> None:
+    """Header, column-name line, then one row per entry of the columns.
+
+    A numpy column is written as Python's shortest round-trip repr of each
+    value; a list column must already hold strings.
+    """
     header = "# " + " ".join(f"{k}={v}" for k, v in cfg.key_values().items())
-    lines = [header, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    # .tolist() gives Python floats: numpy 2 scalars repr as np.float64(...)
+    cells = [
+        map(repr, col.tolist()) if isinstance(col, np.ndarray) else col
+        for col in columns.values()
+    ]
+    rows = map(",".join, zip(*cells))
+    text = "\n".join([header, ",".join(columns), *rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -224,11 +235,16 @@ def read_csv_config(path: str) -> RunConfig:
 
 def cmd_phase(cfg: RunConfig) -> int:
     tc = critical_temperature(cfg.J)
-    rows = []
-    for T in cfg.temperatures():
-        sol = solve_order(BathParams(J=cfg.J, w=cfg.w, T=T))
-        rows.append((T, T / tc if tc > 0 else math.inf, sol.theta, sol.m, sol.phase))
-    write_csv(cfg, ["T", "T_over_Tc", "theta", "m", "phase"], rows, cfg.out)
+    temps = cfg.temperatures()
+    sols = [solve_order(BathParams(J=cfg.J, w=cfg.w, T=T)) for T in temps]
+    columns = {
+        "T": np.array(temps),
+        "T_over_Tc": np.array([T / tc if tc > 0 else math.inf for T in temps]),
+        "theta": np.array([sol.theta for sol in sols]),
+        "m": np.array([sol.m for sol in sols]),
+        "phase": [sol.phase for sol in sols],
+    }
+    write_csv(cfg, columns, cfg.out)
     return EXIT_OK
 
 
@@ -238,47 +254,38 @@ def cmd_coherence(cfg: RunConfig) -> int:
     sol = solve_order(bath)
     sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0)
     tau = coherence_time(sol, bath, sys_p)
-    rows = []
-    for t in cfg.time_grid():
-        r = coherence_factor_finite(t, cfg.N, sol, bath, sys_p)
-        rows.append(
-            (t, cfg.J0 * t, r.real, r.imag, abs(r),
-             coherence_magnitude_asymptotic(t, sol, bath, sys_p), tau)
-        )
-    write_csv(
-        cfg,
-        ["t", "J0_t", "re_r", "im_r", "abs_r", "abs_r_asymptotic", "tau"],
-        rows,
-        cfg.out,
-    )
+    times = cfg.time_grid()
+    r = coherence_factor_finite(times, cfg.N, sol, bath, sys_p)
+    columns = {
+        "t": times,
+        "J0_t": cfg.J0 * times,
+        "re_r": r.real,
+        "im_r": r.imag,
+        "abs_r": np.abs(r),
+        "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
+        "tau": np.full_like(times, tau),
+    }
+    write_csv(cfg, columns, cfg.out)
     return EXIT_OK
 
 
-def _concurrence_rows(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
+def cmd_concurrence(cfg: RunConfig) -> int:
     bath = BathParams(J=cfg.J, w=cfg.w, T=cfg.temperatures()[0])
     sol = solve_order(bath)
     sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0)
     state = cfg.state()
-    with_reference = cfg.amplitudes is None and cfg.case == 4
-    columns = ["t", "J0_t", "C", "abs_A", "abs_B"]
-    if with_reference:
-        columns.append("no_bath_C")
     times = cfg.time_grid()
-    # coefficients stay per point so abs_A and abs_B keep their math/cmath digits
-    coeffs = [dephasing_coeffs(t, sol, bath, sys_p, mode=cfg.mode, N=cfg.N) for t in times]
-    cs = concurrences(evolve_reduced(state, times, cfg.xi0, coeffs)).tolist()
-    rows = []
-    for t, k, c in zip(times, coeffs, cs):
-        row = (t, cfg.J0 * t, c, abs(k.A), abs(k.B))
-        if with_reference:
-            row = row + (abs(math.sin(0.5 * cfg.xi0 * t)),)
-        rows.append(row)
-    return columns, rows
-
-
-def cmd_concurrence(cfg: RunConfig) -> int:
-    columns, rows = _concurrence_rows(cfg)
-    write_csv(cfg, columns, rows, cfg.out)
+    coeffs = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
+    columns = {
+        "t": times,
+        "J0_t": cfg.J0 * times,
+        "C": concurrences(evolve_reduced(state, times, cfg.xi0, coeffs)),
+        "abs_A": np.abs(coeffs.A),
+        "abs_B": np.abs(coeffs.B),
+    }
+    if cfg.amplitudes is None and cfg.case == 4:
+        columns["no_bath_C"] = np.abs(np.sin(0.5 * cfg.xi0 * times))
+    write_csv(cfg, columns, cfg.out)
     return EXIT_OK
 
 
@@ -294,19 +301,16 @@ def cmd_fig1(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_state(rng) -> PureState2Q:
-    raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return PureState2Q.normalized(*raw)
-
-
-def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> int:
     """Cross-check the exact oracle against the closed forms.
 
     Structural checks (factorized vs dense vs trace-identity routes) run at
     the working transverse field; closed-form equivalence checks run in the
     Ising limit w = 0, the regime where the finite-N formulas are exact
-    identities rather than large-N asymptotics.
+    identities rather than large-N asymptotics.  n_max is the text of the
+    --N-max flag.
     """
+    n_max = _parse_text("N-max", int, n_max)
     if n_max < 1:
         raise InvalidParams(f"N-max must be >= 1, got {n_max}")
     tol = 1e-10
@@ -317,11 +321,11 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
     T = cfg.temperatures()[0]
     bath_tim = BathParams(J=cfg.J, w=cfg.w, T=T)
     bath_im = BathParams(J=cfg.J, w=0.0, T=T)
-    times = tuple(np.linspace(0.15, 2.4, 8))
+    times = np.linspace(0.15, 2.4, 8)
     checks: list[tuple[str, float, float]] = []
 
     for n in sizes:
-        state = _verify_state(rng)
+        state = PureState2Q.normalized(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
         cfg_tim = OracleConfig(N=n, bath=bath_tim, sys=sys_p, state=state, times=times)
         cfg_im = OracleConfig(N=n, bath=bath_im, sys=sys_p, state=state, times=times)
         sol_tim = solve_order(bath_tim, tol=1e-15)
@@ -344,20 +348,15 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
             err = max(abs(a - b) for a, b in zip(r_tr, r_de))
             checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
 
-        coeffs = extract_coeffs(cfg_im, sol_im)
-        closed = [
-            dephasing_coeffs(t, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
-            for t in times
-        ]
-        err = max(
-            max(abs(a.A - b.A), abs(a.B - b.B)) for a, b in zip(coeffs, closed)
-        )
+        exact = extract_coeffs(cfg_im, sol_im)
+        closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
+        err = np.abs([exact.A - closed.A, exact.B - closed.B]).max()
         if inject_error:
             err += 1e-6
         checks.append((f"N={n} exact coefficients vs closed form (w=0)", err, tol))
 
         fac_im = simulate_exact(cfg_im, sol_im)
-        evolved = evolve_reduced(state, np.array(times), sys_p.xi0, closed)
+        evolved = evolve_reduced(state, times, sys_p.xi0, closed)
         err = max(float(np.abs(a - b).max()) for a, b in zip(fac_im, evolved))
         checks.append((f"N={n} oracle vs closed-form reduced matrix (w=0)", err, tol))
 
@@ -365,12 +364,11 @@ def cmd_verify(cfg: RunConfig, n_max: int = 6, inject_error: bool = False) -> in
         checks.append((f"N={n} one-excitation coefficient symmetry (w=0)", err, sym_tol))
 
         # the closed form excludes the free phase exp(i mu0 t); the exact route has it
-        r_cl = [
-            cmath.exp(1j * sys_p.mu0 * t) * coherence_factor_finite(t, n, sol_im, bath_im, sys_p)
-            for t in times
-        ]
+        r_cl = np.exp(1j * sys_p.mu0 * times) * coherence_factor_finite(
+            times, n, sol_im, bath_im, sys_p
+        )
         r_ex = single_qubit_coherence_exact(n, bath_im, sys_p, times, sol_im)
-        err = max(abs(a - b) for a, b in zip(r_cl, r_ex))
+        err = np.abs(r_cl - r_ex).max()
         checks.append((f"N={n} single-qubit closed form vs exact (w=0)", err, tol))
 
     failed = False
@@ -406,12 +404,6 @@ _FLAG_HELP = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file; explicit flags win")
-    for name, text in _FLAG_HELP.items():
-        p.add_argument("--" + name.replace("_", "-"), help=text)
-
-
 # command -> (handler, help); handlers take the RunConfig plus any
 # command-specific flags as keywords
 _COMMANDS = {
@@ -425,17 +417,27 @@ _COMMANDS = {
 _RUN_KEYS = {f.name for f in fields(RunConfig)} | {"config"}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as InvalidParams, so main prints one
+    line and returns EXIT_BAD_INPUT; add_subparsers reuses this class."""
+
+    def error(self, message: str):
+        raise InvalidParams(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="isingbath",
         description="Qubit dephasing and entanglement in a mean-field transverse-Ising bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, descr) in _COMMANDS.items():
         p = sub.add_parser(name, help=descr)
-        _add_common(p)
+        p.add_argument("--config", help="key=value file; explicit flags win")
+        for key, text in _FLAG_HELP.items():
+            p.add_argument("--" + key.replace("_", "-"), help=text)
         if name == "verify":
-            p.add_argument("--N-max", dest="n_max", type=int, default=6,
+            p.add_argument("--N-max", dest="n_max", default="6",
                            help="largest bath size to verify (default 6)")
             p.add_argument("--inject-error", action="store_true",
                            help=argparse.SUPPRESS)
@@ -472,9 +474,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_run_config(args)
         handler, _ = _COMMANDS[args.command]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}

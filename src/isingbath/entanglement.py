@@ -106,7 +106,7 @@ def case2_concurrence(alpha: complex, delta: complex, coeffs: DephasingCoeffs) -
     decoherence (|B(t)| = |A(2t)|).
     """
     _check_pair_norm(alpha, delta)
-    return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * abs(complex(coeffs.B))
+    return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * np.abs(coeffs.B)
 
 
 def case4_concurrence(t: float, xi0: float, coeffs: DephasingCoeffs) -> float:

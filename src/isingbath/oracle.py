@@ -231,17 +231,16 @@ def extract_products(
 
 def extract_coeffs(
     cfg: OracleConfig, sol: OrderSolution | None = None
-) -> list[DephasingCoeffs]:
-    """Exact finite-N DephasingCoeffs from the trace products.
+) -> DephasingCoeffs:
+    """Exact finite-N DephasingCoeffs from the trace products, one array
+    entry per time of cfg.times.
 
     Returns A = conj(A*), B = conj(B*).  The one-excitation symmetry
     A* = D* holds to machine precision only in the Ising limit w = 0, with
     an O(w^2 J0^2/Theta^4) violation otherwise; extract_products exposes D*.
     """
-    return [
-        DephasingCoeffs(A=a_star.conjugate(), B=b_star.conjugate())
-        for a_star, b_star, _ in extract_products(cfg, sol)
-    ]
+    A, B, _ = np.array(extract_products(cfg, sol), dtype=complex).reshape(-1, 3).conj().T
+    return DephasingCoeffs(A=A, B=B)
 
 
 def reconstruct_reduced(

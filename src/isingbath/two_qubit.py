@@ -11,7 +11,6 @@ interaction eigenspace, a decoherence-free direction).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .dephasing import DephasingCoeffs
 from .errors import InvalidParams, InvalidState, NotADensityMatrix
 
 _TOL = 1e-12  # state norm^2, Hermiticity and trace
-_MAG_TOL = 1.0 + 1e-12
 
 # sigma_y (x) sigma_y in the standard basis
 SIGMA_YY = np.array(
@@ -89,7 +87,7 @@ def evolve_reduced(
     state: PureState2Q,
     t: float | np.ndarray,
     xi0: float,
-    coeffs: DephasingCoeffs | Sequence[DephasingCoeffs],
+    coeffs: DephasingCoeffs,
 ) -> np.ndarray:
     """Reduced density matrix rho_s(t) for initial |Psi><Psi|.
 
@@ -97,19 +95,14 @@ def evolve_reduced(
     carries no decay factor; the remaining coherences pick up A or B and
     the xi0 phases.  At t = 0 (A = B = 1) this is |Psi><Psi| exactly.
 
-    A scalar t with one DephasingCoeffs gives a (4, 4) matrix; a 1-D t
-    with one DephasingCoeffs per time gives a (T, 4, 4) stack.
+    Takes a scalar or array t with coefficients A and B of the same shape:
+    a scalar t gives a (4, 4) matrix, a 1-D t a (T, 4, 4) stack.
     """
     t = np.asarray(t, dtype=float)
-    per_time = [coeffs] if isinstance(coeffs, DephasingCoeffs) else list(coeffs)
-    if t.ndim > 1 or len(per_time) != t.size:
-        raise InvalidParams(
-            f"need one DephasingCoeffs per time: {len(per_time)} for shape {t.shape}"
-        )
-    A = np.array([complex(k.A) for k in per_time]).reshape(t.shape)
-    B = np.array([complex(k.B) for k in per_time]).reshape(t.shape)
-    if max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0)) > _MAG_TOL:
-        raise InvalidParams("coefficients must have |A|, |B| <= 1")
+    A = np.asarray(coeffs.A, dtype=complex)
+    B = np.asarray(coeffs.B, dtype=complex)
+    if A.shape != t.shape or B.shape != t.shape:
+        raise InvalidParams(f"coefficients of shape {A.shape}, {B.shape} for times {t.shape}")
     return _assemble(state, t, xi0, A, B, A)
 
 

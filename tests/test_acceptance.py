@@ -175,7 +175,7 @@ def test_criterion_05_closed_forms_exact_in_ising_limit():
         got = extract_coeffs(cfg, sol)
         worst_co = max(
             worst_co,
-            max(max(abs(a.A - b.A), abs(a.B - b.B)) for a, b in zip(got, closed)),
+            np.abs([got.A - [co.A for co in closed], got.B - [co.B for co in closed]]).max(),
         )
         worst_sym = max(
             worst_sym, max(abs(a - d) for a, _, d in extract_products(cfg, sol))
@@ -206,7 +206,7 @@ def test_criterion_05_closed_forms_at_figure_field():
         got = extract_coeffs(cfg, sol)
         worst_co = max(
             worst_co,
-            max(max(abs(a.A - b.A), abs(a.B - b.B)) for a, b in zip(got, closed)),
+            np.abs([got.A - [co.A for co in closed], got.B - [co.B for co in closed]]).max(),
         )
         worst_sym = max(
             worst_sym, max(abs(a - d) for a, _, d in extract_products(cfg, sol))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,8 +244,22 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["concurrence", "--amplitudes", "1,2,3"]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.count("\n") == 1
-    with pytest.raises(SystemExit):
-        main(["spectrum"])  # unknown subcommand
+    assert main(["spectrum"]) == EXIT_BAD_INPUT  # unknown subcommand
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'spectrum'" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["phase", "--bogus", "1"], "--bogus"),
+    (["concurrence", "--J"], "--J"),
+    (["verify", "--N-max", "abc"], "N-max"),
+])
+def test_command_line_errors_exit_2_naming_the_flag(capsys, argv, flag):
+    # argparse's own errors return through main like every other bad input
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -298,6 +313,43 @@ def test_time_grid_overflow_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "t-max" in err and "J0" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--t-max", "1e200", "--points", "3"],
+    ["concurrence", "--t-max", "1e200", "--points", "3"],
+    ["concurrence", "--t-max", "1e308", "--mode", "finite", "--points", "3"],
+])
+def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
+    # B(t) = A(2t) doubles the last time and the Gaussian squares J0 m t
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t-max" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--J", "2", "--w", "0", "--T-over-Tc", "0.5,1.2"],
+    ["coherence", "--points", "40"],
+    ["concurrence", "--case", "4", "--xi0", "0.3", "--mode", "finite", "--N", "50",
+     "--points", "40"],
+    ["fig1", "--points", "20"],
+    ["fig2", "--points", "40"],
+])
+def test_every_data_cell_is_a_float(tmp_path, argv):
+    # a numpy scalar leaking into the writer would print as np.float64(...)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    paths = sorted(tmp_path.glob("out*"))
+    assert paths
+    for path in paths:
+        columns, data = read_csv(path)
+        for name in columns:
+            if name != "phase":
+                assert all(math.isfinite(float(v)) or v == "inf" for v in data[name]), name
 
 
 def test_stdout_when_no_out(capsys):

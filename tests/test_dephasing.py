@@ -22,6 +22,7 @@ from isingbath.mean_field import (
     PHASE_ORDERED,
     BathParams,
     OrderSolution,
+    critical_temperature,
     solve_order,
 )
 
@@ -32,6 +33,28 @@ SYS = SystemParams(J0=1.0, mu0=0.0, xi0=0.3)
 
 def per_spin_factor(phi, ratio):
     return complex(math.cos(phi), ratio * math.sin(phi))
+
+
+def reference_factor(t, N, sol, bath, sys_p):
+    """r(t) at one point with math/cmath: the log-domain formula of
+    coherence_factor_finite, evaluated without numpy."""
+    if sol.m == 0.0:
+        return 1.0 + 0.0j
+    phi = t * sol.m * bath.J * sys_p.J0 / (sol.theta * math.sqrt(N))
+    ratio = sol.theta / bath.J
+    sin_phi = math.sin(phi)
+    log_z = 0.5 * math.log1p(-(1.0 - ratio * ratio) * sin_phi * sin_phi) + 1j * math.atan2(
+        ratio * sin_phi, math.cos(phi)
+    )
+    return cmath.exp(N * log_z)
+
+
+def reference_gaussian(t, sol, bath, sys_p):
+    """The large-N |r(t)| at one point with math."""
+    gap = bath.J**2 - sol.theta**2
+    if sol.m == 0.0 or gap <= 0.0:
+        return 1.0
+    return math.exp(-0.5 * (sys_p.J0 * sol.m * t) ** 2 * gap / sol.theta**2)
 
 
 def test_unity_at_t_zero():
@@ -119,6 +142,40 @@ def test_two_excitation_coefficient_is_coherence_at_doubled_time():
         assert asy.B == asy.A**4
 
 
+@pytest.mark.parametrize("w", [0.0, 0.2])
+@pytest.mark.parametrize("T_over_Tc", [0.25, 0.9, 1.5, "saturated"])
+def test_array_kernels_match_the_pointwise_reference(w, T_over_Tc):
+    # numpy's sin/log1p/arctan2/exp may differ from math's in the last ulp;
+    # N amplifies that in the phase, hence the absolute budget on re and im
+    if T_over_Tc == "saturated":  # J^2 - Theta^2 <= 0
+        bath = BathParams(J=2.0, w=w, T=1e-6)
+        sol = OrderSolution(theta=2.0, m=0.5, phase=PHASE_ORDERED)
+    else:
+        bath = BathParams(J=2.0, w=w, T=T_over_Tc * critical_temperature(2.0))
+        sol = solve_order(bath)
+        assert (sol.m == 0.0) == (T_over_Tc > 1.0)
+    tau = coherence_time(sol, bath, SYS)
+    ts = np.linspace(0.0, 3.0 * tau if math.isfinite(tau) else 30.0, 501)
+    for N in (1, 7, 10**4, 10**8):
+        got = coherence_factor_finite(ts, N, sol, bath, SYS)
+        want = np.array([reference_factor(t, N, sol, bath, SYS) for t in ts.tolist()])
+        assert got.shape == ts.shape
+        assert np.abs(got.real - want.real).max() <= 1e-11
+        assert np.abs(got.imag - want.imag).max() <= 1e-11
+        assert (np.abs(np.abs(got) - np.abs(want)) <= 1e-13 * np.abs(want)).all()
+    got = coherence_magnitude_asymptotic(ts, sol, bath, SYS)
+    want = np.array([reference_gaussian(t, sol, bath, SYS) for t in ts.tolist()])
+    assert (np.abs(got - want) <= 1e-13 * want).all()
+
+
+def test_scalar_time_gives_scalar_coefficients():
+    for mode, kw in ((MODE_FINITE, {"N": 9}), (MODE_ASYMPTOTIC, {})):
+        co = dephasing_coeffs(1.3, SOL, BATH, SYS, mode=mode, **kw)
+        assert np.ndim(co.A) == 0 and np.ndim(co.B) == 0
+        grid = dephasing_coeffs(np.array([0.0, 1.3]), SOL, BATH, SYS, mode=mode, **kw)
+        assert abs(grid.A[1] - co.A) <= 1e-15 and abs(grid.B[1] - co.B) <= 1e-15
+
+
 def test_coherence_time_identity():
     tau = coherence_time(SOL, BATH, SYS)
     assert coherence_magnitude_asymptotic(tau, SOL, BATH, SYS) == pytest.approx(
@@ -176,6 +233,8 @@ def test_coefficients_bounded():
 def test_validation():
     with pytest.raises(InvalidParams):
         coherence_factor_finite(1.0, 0, SOL, BATH, SYS)
+    with pytest.raises(InvalidParams):
+        coherence_factor_finite(np.array([0.0, np.inf]), 4, SOL, BATH, SYS)
     with pytest.raises(InvalidParams):
         dephasing_coeffs(1.0, SOL, BATH, SYS, mode=MODE_FINITE)  # missing N
     with pytest.raises(InvalidParams):

@@ -219,12 +219,14 @@ def test_batched_matches_scalar_on_case_states_over_time():
     for case in (1, 2, 3, 4):
         st = case_state(case)
         for mode, kw in ((MODE_FINITE, {"N": 100}), (MODE_ASYMPTOTIC, {})):
-            coeffs = [dephasing_coeffs(t, SOL, BATH, SYS, mode=mode, **kw) for t in times]
-            stack = evolve_reduced(st, times, SYS.xi0, coeffs)
-            assert stack.shape == (len(times), 4, 4)
-            per_point = np.array(
-                [evolve_reduced(st, t, SYS.xi0, k) for t, k in zip(times, coeffs)]
+            stack = evolve_reduced(
+                st, times, SYS.xi0, dephasing_coeffs(times, SOL, BATH, SYS, mode=mode, **kw)
             )
+            assert stack.shape == (len(times), 4, 4)
+            per_point = np.array([
+                evolve_reduced(st, t, SYS.xi0, dephasing_coeffs(t, SOL, BATH, SYS, mode=mode, **kw))
+                for t in times
+            ])
             assert np.abs(stack - per_point).max() <= 1e-15
             got = concurrences(stack)
             assert np.abs(got - [concurrence(r).c for r in per_point]).max() < 1e-13
