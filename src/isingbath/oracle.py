@@ -4,20 +4,24 @@ The mean-field Hamiltonian commutes with the system z-operators, so the
 exact reduced matrix factorizes: each element (i, j) of rho_s(t) is the
 initial element times exp(-i(E_i - E_j)t) times the N-th power of a single
 2x2 trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
-conditioned on system state i and g the per-spin Gibbs state.  The routes
-to it, and what they share:
+conditioned on system state i and g the per-spin Gibbs state.  Every route
+is one array pass over the time axis and returns an array with time as its
+first axis.  The routes to it, and what they share:
 
-* simulate_exact (factorized): per-spin propagators from su2.exp_imag,
-  multiplied and traced numerically, with its own 4x4 assembly.  O(1) per
-  time point; the reference for the routes below.
+* simulate_exact (factorized): a (4, T, 2, 2) stack of per-spin
+  propagators from su2.exp_imag, traced against g in one einsum, with its
+  own 4x4 assembly; the reference for the routes below.
 * reconstruct_reduced: the same traces through the closed-form triple-trace
   identity (su2.trace_triple), put into the closed forms' 4x4 assembly
   (two_qubit._assemble) with the exact |11>-side coefficient D.  Its trace
   power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both, with the full Kronecker Hamiltonian, its
-  eigendecomposition, evolution and partial trace.  The oracle of the
-  oracle, memory-guarded at N <= 12.
+  one builder for both, with the full Kronecker Hamiltonian as a real
+  symmetric matrix, its eigendecomposition, evolution in the eigenbasis
+  and partial trace, one time after another.  The oracle of the oracle,
+  memory-guarded at N <= 12.
+
+Times must be finite; a nan or inf time raises InvalidParams on every route.
 
 extract_coeffs returns the exact finite-N dephasing coefficients from the
 trace products.  Note that the one-excitation coefficient is not unique at
@@ -29,7 +33,6 @@ exposes all three conjugate products (A*, B*, D*).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,13 +48,21 @@ from .two_qubit import PureState2Q, _assemble
 MAX_BATH_SIZE = 12  # 2^(N+2) <= 16384 dense dimensions
 
 # total system S^z eigenvalue per basis state |00>, |01>, |10>, |11>
-_LAMBDA = (1.0, 0.0, 0.0, -1.0)
+_LAMBDA = np.array([1.0, 0.0, 0.0, -1.0])
 # H_s = -xi0 S1^z S2^z eigenvalue per basis state, in units of xi0
-_E_OVER_XI0 = (-0.25, 0.25, 0.25, -0.25)
+_E_OVER_XI0 = np.array([-0.25, 0.25, 0.25, -0.25])
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-_SZ = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
+_I2 = np.eye(2)
+_SX = np.array([[0.0, 0.5], [0.5, 0.0]])
+_SZ = np.array([[0.5, 0.0], [0.0, -0.5]])
+
+
+def _finite_times(times: Sequence[float]) -> np.ndarray:
+    t = np.array(times, dtype=float)
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise InvalidParams(f"oracle times must be finite, got t={bad[0]}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class OracleConfig:
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 1:
             raise InvalidParams(f"bath size N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "times", tuple(_finite_times(self.times).tolist()))
 
 
 def _resolve_sol(cfg: OracleConfig, sol: OrderSolution | None) -> OrderSolution:
@@ -81,31 +92,14 @@ def _guard_size(N: int) -> None:
         )
 
 
-def _pair_factor_matrix(cfg, sol, t):
-    """4x4 matrix of per-spin bath traces tr[U_i g U_j^dag] (not yet ^N)."""
-    bath, sys = cfg.bath, cfg.sys
-    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
-    shift = sys.J0 / math.sqrt(cfg.N)
-    props = [
-        exp_imag(TracelessXZ(a=0.5 * t * bath.w,
-                             b=0.5 * t * (2.0 * sol.m * bath.J + shift * lam)))
-        for lam in _LAMBDA
-    ]
-    f = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        gi = props[i] @ g
-        for j in range(4):
-            f[i, j] = np.trace(gi @ props[j].conj().T)
-    return f
-
-
 def simulate_exact(
     cfg: OracleConfig,
     sol: OrderSolution | None = None,
     *,
     method: str = "factorized",
-) -> list[np.ndarray]:
-    """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)].
+) -> np.ndarray:
+    """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)], shaped
+    (T, 4, 4) over the T times of cfg.times.
 
     rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
     supplied (or freshly solved) mean-field order parameter.  The
@@ -115,30 +109,36 @@ def simulate_exact(
     sol = _resolve_sol(cfg, sol)
     amps = cfg.state.amplitudes()
     outer = np.outer(amps, amps.conj())
+    t = np.array(cfg.times)
     if method == "dense":
         return _dense_reduced(
             -cfg.sys.xi0 * np.kron(_SZ, _SZ),
             np.kron(_SZ, _I2) + np.kron(_I2, _SZ),
             outer,
-            cfg.N, cfg.sys.J0, cfg.bath, sol, cfg.times,
+            cfg.N, cfg.sys.J0, cfg.bath, sol, t,
         )
     if method != "factorized":
         raise InvalidParams(f"unknown method {method!r}")
     _guard_size(cfg.N)
-    out = []
-    for t in cfg.times:
-        f = _pair_factor_matrix(cfg, sol, t) ** cfg.N
-        phase = np.exp(
-            -1j * cfg.sys.xi0 * t * (np.array(_E_OVER_XI0)[:, None] - np.array(_E_OVER_XI0)[None, :])
-        )
-        out.append(outer * phase * f)
-    return out
+    bath = cfg.bath
+    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
+    nu = 2.0 * sol.m * bath.J + cfg.sys.J0 / math.sqrt(cfg.N) * _LAMBDA
+    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
+        fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
+    # (4, T, 2, 2): the per-spin bath propagator conditioned on each system state
+    props = exp_imag(fields)
+    # per-spin bath traces tr[U_i g U_j^dag], not yet ^N
+    f = np.einsum("itab,bc,jtac->tij", props, g, props.conj())
+    phase = np.exp(
+        -1j * cfg.sys.xi0 * t[:, None, None] * (_E_OVER_XI0[:, None] - _E_OVER_XI0[None, :])
+    )
+    return outer * phase * f**cfg.N
 
 
 def _bath_sum(op: np.ndarray, N: int) -> np.ndarray:
-    total = np.zeros((2**N, 2**N), dtype=complex)
+    total = np.zeros((2**N, 2**N))
     for k in range(N):
-        term = np.eye(1, dtype=complex)
+        term = np.eye(1)
         for j in range(N):
             term = np.kron(term, op if j == k else _I2)
         total += term
@@ -146,7 +146,8 @@ def _bath_sum(op: np.ndarray, N: int) -> np.ndarray:
 
 
 def _dense_hamiltonian(h_s, s_op, N, J0, bath, sol):
-    """H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B over N bath spins.
+    """H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B over N bath spins,
+    a real symmetric matrix.
 
     H_B = -w X_B - 2 J m Z_B is the mean-field bath Hamiltonian without its
     c-number m^2 J N, a global phase that cancels in U rho U^dag.
@@ -160,55 +161,70 @@ def _dense_hamiltonian(h_s, s_op, N, J0, bath, sol):
 
 
 def _gibbs_product(N: int, g: np.ndarray) -> np.ndarray:
-    rho_b = np.eye(1, dtype=complex)
+    rho_b = np.eye(1)
     for _ in range(N):
         rho_b = np.kron(rho_b, g)
     return rho_b
 
 
 def _dense_reduced(h_s, s_op, op0, N, J0, bath, sol, times):
-    """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt).
+    """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt),
+    shaped (T, dim_s, dim_s).
 
-    H is _dense_hamiltonian(h_s, s_op, ...), eigendecomposed once; h_s, s_op
-    and op0 are operators on the system alone, and g is the per-spin Gibbs
-    state.  The one dense route, for one qubit and for two.
+    H is _dense_hamiltonian(h_s, s_op, ...), real symmetric, so its
+    eigenvectors V are real.  h_s and s_op are real operators on the system
+    alone, op0 any system operator, and g the per-spin Gibbs state.  With
+    R = V^T rho(0) V fixed, U rho(0) U^dag = V (R * p p^dag) V^T for the
+    phases p = exp(-i evals t); each time costs the elementwise phases, one
+    real-times-complex product with V (two real GEMMs) and the partial
+    trace as a contraction with V.  Every d x d temporary is real.  The one
+    dense route, for one qubit and for two.
     """
     _guard_size(N)
-    dim_s, dim_b = len(h_s), 2**N
+    dim_s = len(h_s)
     evals, evecs = np.linalg.eigh(_dense_hamiltonian(h_s, s_op, N, J0, bath, sol))
-    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
-    rho0 = np.kron(op0, _gibbs_product(N, g))
-    out = []
-    for t in times:
-        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        op_t = u @ rho0 @ u.conj().T
-        out.append(np.einsum("ibjb->ij", op_t.reshape(dim_s, dim_b, dim_s, dim_b)))
+    rho_b = _gibbs_product(N, single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T))
+    r_re = evecs.T @ np.kron(op0.real, rho_b) @ evecs
+    r_im = evecs.T @ np.kron(op0.imag, rho_b) @ evecs
+    del rho_b
+    # rows (i, b) of V as (dim_s, dim_b * d): tr_B[V m V^T] is then one product
+    v_rows = evecs.reshape(dim_s, -1)
+
+    def traced(m):
+        return (evecs @ m).reshape(dim_s, -1) @ v_rows.T
+
+    out = np.empty((len(times), dim_s, dim_s), dtype=complex)
+    for k, t in enumerate(times):
+        c, s = np.cos(evals * t), np.sin(evals * t)
+        # p p^dag = p_re + i p_im for p = c - i s
+        p_re = np.outer(c, c) + np.outer(s, s)
+        p_im = np.outer(c, s) - np.outer(s, c)
+        out[k] = traced(r_re * p_re - r_im * p_im)
+        out[k] += 1j * traced(r_re * p_im + r_im * p_re)
     return out
 
 
-def _trace_power(bath, sol, N):
-    """(t, left_nu, right_nu) -> (tr[exp(i I1) exp(R) exp(i I2)] / Z)^N.
+def _trace_power(bath, sol, N, t, left_nu, right_nu):
+    """(tr[exp(i I1) exp(R) exp(i I2)] / Z)^N, broadcast over the shapes of
+    t, left_nu and right_nu.
 
     The left exponent I1 carries the bra-side bath field left_nu, the right
     exponent I2 the ket-side field right_nu; exp(R) is the unnormalized
     per-spin Gibbs weight and Z its trace.
     """
     r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=2.0 * sol.m * bath.J / (2.0 * bath.T))
-    z_spin = 2.0 * math.cosh(r.q)
-
-    def power(t: float, left_nu: float, right_nu: float) -> complex:
+    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
         i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left_nu)
         i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right_nu)
-        per_spin = trace_triple(i1, r, i2) / z_spin
-        return per_spin**N
-
-    return power
+    per_spin = trace_triple(i1, r, i2) / (2.0 * math.cosh(r.q))
+    return per_spin**N
 
 
 def extract_products(
     cfg: OracleConfig, sol: OrderSolution | None = None
-) -> list[tuple[complex, complex, complex]]:
-    """Exact conjugate coefficients (A*, B*, D*) per time, via trace_triple.
+) -> np.ndarray:
+    """Exact conjugate coefficients (A*, B*, D*), one row per time: shaped
+    (T, 3), via trace_triple.
 
     Each is the N-th power of a normalized three-factor trace: the left
     exponent carries the bra-side bath coupling, the right exponent the
@@ -219,14 +235,9 @@ def extract_products(
     sol = _resolve_sol(cfg, sol)
     h0 = 2.0 * sol.m * cfg.bath.J
     shift = cfg.sys.J0 / math.sqrt(cfg.N)
-    product = _trace_power(cfg.bath, sol, cfg.N)
-    out = []
-    for t in cfg.times:
-        a_star = product(t, h0, h0 + shift)
-        b_star = product(t, h0 - shift, h0 + shift)
-        d_star = product(t, h0 - shift, h0)
-        out.append((a_star, b_star, d_star))
-    return out
+    left = np.array([h0, h0 - shift, h0 - shift])
+    right = np.array([h0 + shift, h0 + shift, h0])
+    return _trace_power(cfg.bath, sol, cfg.N, np.array(cfg.times)[:, None], left, right)
 
 
 def extract_coeffs(
@@ -239,23 +250,23 @@ def extract_coeffs(
     A* = D* holds to machine precision only in the Ising limit w = 0, with
     an O(w^2 J0^2/Theta^4) violation otherwise; extract_products exposes D*.
     """
-    A, B, _ = np.array(extract_products(cfg, sol), dtype=complex).reshape(-1, 3).conj().T
+    A, B, _ = extract_products(cfg, sol).conj().T
     return DephasingCoeffs(A=A, B=B)
 
 
 def reconstruct_reduced(
     cfg: OracleConfig, sol: OrderSolution | None = None
-) -> list[np.ndarray]:
-    """Reduced matrices rebuilt from the closed trace identity, per slot.
+) -> np.ndarray:
+    """Reduced matrices rebuilt from the closed trace identity, shaped
+    (T, 4, 4).
 
     Independent of simulate_exact's propagator route: coefficients come
     from su2.trace_triple, with the exact D* product (not A*) on the
     transitions adjacent to |11>, and the matrices from the closed forms'
     4x4 assembly.  Agrees with simulate_exact to roundoff for every w.
     """
-    # one (A*, B*, D*) row per time, also for an empty time list
-    coef = np.array(extract_products(cfg, sol), dtype=complex).reshape(-1, 3).conj()
-    return list(_assemble(cfg.state, np.array(cfg.times), cfg.sys.xi0, *coef.T))
+    coef = extract_products(cfg, sol).conj()
+    return _assemble(cfg.state, np.array(cfg.times), cfg.sys.xi0, *coef.T)
 
 
 def single_qubit_coherence_exact(
@@ -266,8 +277,8 @@ def single_qubit_coherence_exact(
     sol: OrderSolution | None = None,
     *,
     method: str = "trace",
-) -> list[complex]:
-    """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit.
+) -> np.ndarray:
+    """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
     "trace" evaluates the per-spin triple-trace product in closed form;
     "dense" evolves |0><1| (x) rho_B on the full 2^(N+1)-dimensional space.
@@ -275,18 +286,15 @@ def single_qubit_coherence_exact(
     """
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
+    t = _finite_times(times)
     if sol is None:
         sol = solve_order(bath)
     if method == "dense":
-        op0 = np.array([[0, 1], [0, 0]], dtype=complex)
-        reduced = _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, sol, times)
-        return [complex(red[0, 1]) for red in reduced]
+        op0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        return _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, sol, t)[:, 0, 1]
     if method != "trace":
         raise InvalidParams(f"unknown method {method!r}")
     h0 = 2.0 * sol.m * bath.J
     half_shift = sys.J0 / (2.0 * math.sqrt(N))
-    product = _trace_power(bath, sol, N)
-    out = []
-    for t in times:
-        out.append(cmath.exp(1j * sys.mu0 * t) * product(t, h0 + half_shift, h0 - half_shift))
-    return out
+    product = _trace_power(bath, sol, N, t, h0 + half_shift, h0 - half_shift)
+    return np.exp(1j * sys.mu0 * t) * product

@@ -26,42 +26,59 @@ _SMALL_Q = 1e-4
 
 @dataclass(frozen=True)
 class TracelessXZ:
-    """Coefficients of a*sigma_x + b*sigma_z, i.e. [[b, a], [a, -b]]."""
+    """Coefficients of a*sigma_x + b*sigma_z, i.e. [[b, a], [a, -b]].
 
-    a: float
-    b: float
+    a and b are floats or arrays that broadcast against each other; the
+    functions below then broadcast over their common shape.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidParams(f"non-finite coefficients ({self.a}, {self.b})")
+        bad = ~(np.isfinite(self.a) & np.isfinite(self.b))
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            a, b = np.broadcast_arrays(self.a, self.b)
+            raise InvalidParams(f"non-finite coefficients ({a.flat[k]}, {b.flat[k]})")
 
     @property
-    def q(self) -> float:
-        return math.hypot(self.a, self.b)
+    def q(self) -> float | np.ndarray:
+        return np.hypot(self.a, self.b)
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.b, self.a], [self.a, -self.b]], dtype=complex)
+        return _xz_matrix(0.0, self.a, self.b)
 
 
-def _sinch(q: float) -> float:
+def _xz_matrix(c, a, b) -> np.ndarray:
+    """c I + a sigma_x + b sigma_z, shaped (..., 2, 2) over the broadcast
+    shape of c, a and b."""
+    c, a, b = np.broadcast_arrays(c, a, b)
+    return np.stack([np.stack([c + b, a], axis=-1), np.stack([a, c - b], axis=-1)], axis=-2)
+
+
+def _series_or_ratio(q, series, ratio):
+    """series(q) where |q| < _SMALL_Q, else ratio(q); each side only ever
+    sees its own entries, so neither evaluates 0/0 nor overflows q*q."""
+    small = np.abs(q) < _SMALL_Q
+    return np.where(
+        small, series(np.where(small, q, 0.0)), ratio(np.where(small, 1.0, q))
+    )[()]
+
+
+def _sinch(q):
     """sinh(q)/q with the q -> 0 limit."""
-    if abs(q) < _SMALL_Q:
-        return 1.0 + q * q / 6.0
-    return math.sinh(q) / q
+    return _series_or_ratio(q, lambda x: 1.0 + x * x / 6.0, lambda x: np.sinh(x) / x)
 
 
-def _sinc(q: float) -> float:
+def _sinc(q):
     """sin(q)/q with the q -> 0 limit."""
-    if abs(q) < _SMALL_Q:
-        return 1.0 - q * q / 6.0
-    return math.sin(q) / q
+    return _series_or_ratio(q, lambda x: 1.0 - x * x / 6.0, lambda x: np.sin(x) / x)
 
 
-def _tanhc(q: float) -> float:
+def _tanhc(q):
     """tanh(q)/q with the q -> 0 limit."""
-    if abs(q) < _SMALL_Q:
-        return 1.0 - q * q / 3.0
-    return math.tanh(q) / q
+    return _series_or_ratio(q, lambda x: 1.0 - x * x / 3.0, lambda x: np.tanh(x) / x)
 
 
 def exp_real(M: TracelessXZ) -> np.ndarray:
@@ -70,24 +87,17 @@ def exp_real(M: TracelessXZ) -> np.ndarray:
     Raises RangeError once cosh(q) would overflow (|q| > ~700).
     """
     q = M.q
-    if q > _OVERFLOW_Q:
-        raise RangeError(f"q={q:.3g} overflows cosh; rescale the exponent")
-    c = math.cosh(q)
+    if np.any(q > _OVERFLOW_Q):
+        raise RangeError(f"q={np.max(q):.3g} overflows cosh; rescale the exponent")
     s = _sinch(q)
-    return np.array(
-        [[c + s * M.b, s * M.a], [s * M.a, c - s * M.b]], dtype=complex
-    )
+    return _xz_matrix(np.cosh(q), s * M.a, s * M.b)
 
 
 def exp_imag(M: TracelessXZ) -> np.ndarray:
     """exp(i M) = cos(q) I + i (sin(q)/q) M; always unitary."""
     q = M.q
-    c = math.cos(q)
-    s = _sinc(q)
-    return np.array(
-        [[c + 1j * s * M.b, 1j * s * M.a], [1j * s * M.a, c - 1j * s * M.b]],
-        dtype=complex,
-    )
+    s = 1j * _sinc(q)
+    return _xz_matrix(np.cos(q), s * M.a, s * M.b)
 
 
 def pair_trace(X: TracelessXZ, Y: TracelessXZ) -> float:
@@ -103,21 +113,21 @@ def trace_triple(I1: TracelessXZ, R: TracelessXZ, I2: TracelessXZ) -> complex:
     family, so the formula below is exact.
     """
     x, y, z = I1.q, R.q, I2.q
-    if y > _OVERFLOW_Q:
-        raise RangeError(f"q={y:.3g} overflows cosh; rescale the exponent")
-    cosh_y = math.cosh(y)
+    if np.any(y > _OVERFLOW_Q):
+        raise RangeError(f"q={np.max(y):.3g} overflows cosh; rescale the exponent")
+    cosh_y = np.cosh(y)
     sinch_y = _sinch(y)
-    cos_x, cos_z = math.cos(x), math.cos(z)
+    cos_x, cos_z = np.cos(x), np.cos(z)
     sinc_x, sinc_z = _sinc(x), _sinc(z)
     out = 2.0 * cos_x * cos_z * cosh_y
-    out += 1j * sinc_x * sinch_y * cos_z * pair_trace(I1, R)
-    out += 1j * cos_x * sinch_y * sinc_z * pair_trace(R, I2)
-    out -= sinc_x * sinc_z * cosh_y * pair_trace(I1, I2)
+    out = out + 1j * sinc_x * sinch_y * cos_z * pair_trace(I1, R)
+    out = out + 1j * cos_x * sinch_y * sinc_z * pair_trace(R, I2)
+    out = out - sinc_x * sinc_z * cosh_y * pair_trace(I1, I2)
     return out
 
 
 def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
-    """Thermal 2x2 density matrix of one bath spin in fields (w, h).
+    """Thermal 2x2 density matrix of one bath spin in fields (w, h), real.
 
     Returns exp((w S^x + h S^z)/T) / (2 cosh(sqrt(w^2+h^2)/(2T))) with
     S = sigma/2.  Evaluated as I/2 + tanh(q) (a sigma_x + b sigma_z)/(2q),
@@ -128,8 +138,5 @@ def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
         raise InvalidParams(f"temperature must be positive, got {T}")
     a = w / (2.0 * T)
     b = h / (2.0 * T)
-    q = math.hypot(a, b)
-    f = 0.5 * _tanhc(q)
-    return np.array(
-        [[0.5 + f * b, f * a], [f * a, 0.5 - f * b]], dtype=complex
-    )
+    f = 0.5 * _tanhc(math.hypot(a, b))
+    return _xz_matrix(0.5, f * a, f * b)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -25,7 +24,7 @@ from isingbath.oracle import (
     simulate_exact,
     single_qubit_coherence_exact,
 )
-from isingbath.su2 import single_spin_gibbs
+from isingbath.su2 import _SMALL_Q, TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
 
 BATH_TIM = BathParams(J=2.0, w=0.1, T=0.5)
@@ -67,7 +66,7 @@ def test_factorized_matches_dense():
         cfg = make_cfg(n, BATH_TIM, state=random_state(n))
         fac = simulate_exact(cfg)
         den = simulate_exact(cfg, method="dense")
-        assert max(np.abs(a - b).max() for a, b in zip(fac, den)) < 1e-11
+        assert np.abs(fac - den).max() < 1e-11
 
 
 def test_factorized_matches_trace_identity_reconstruction():
@@ -75,7 +74,7 @@ def test_factorized_matches_trace_identity_reconstruction():
         cfg = make_cfg(5, bath)
         fac = simulate_exact(cfg)
         rec = reconstruct_reduced(cfg)
-        assert max(np.abs(a - b).max() for a, b in zip(fac, rec)) < 1e-12
+        assert np.abs(fac - rec).max() < 1e-12
 
 
 def test_oracle_matches_closed_forms_in_ising_limit():
@@ -88,10 +87,11 @@ def test_oracle_matches_closed_forms_in_ising_limit():
         ]
         evolved = [evolve_reduced(st, t, SYS.xi0, co) for t, co in zip(TIMES, closed)]
         exact = simulate_exact(cfg, sol)
-        assert max(np.abs(a - b).max() for a, b in zip(exact, evolved)) < 1e-10
+        assert np.abs(exact - np.array(evolved)).max() < 1e-10
 
         got = extract_coeffs(cfg, sol)
-        assert max(abs(a - d) for a, _, d in extract_products(cfg, sol)) <= 1e-12
+        products = extract_products(cfg, sol)
+        assert np.abs(products[:, 0] - products[:, 2]).max() <= 1e-12
         assert np.abs(got.A - [co.A for co in closed]).max() < 1e-11
         assert np.abs(got.B - [co.B for co in closed]).max() < 1e-11
 
@@ -108,7 +108,8 @@ def test_closed_forms_are_large_N_asymptotics_at_finite_w():
 
     # the one-excitation coefficient symmetry is also only an Ising-limit
     # identity; at w=0.1 the two exact products differ measurably
-    asym = max(abs(a - d) for a, _, d in extract_products(cfg, sol))
+    products = extract_products(cfg, sol)
+    asym = np.abs(products[:, 0] - products[:, 2]).max()
     assert 1e-6 < asym < 1e-2
 
 
@@ -120,26 +121,24 @@ def test_single_qubit_trace_vs_dense():
         times = tuple(rng.uniform(0.1, 3.0, size=4))
         tr = single_qubit_coherence_exact(6, bath, sys_p, times)
         de = single_qubit_coherence_exact(6, bath, sys_p, times, method="dense")
-        assert max(abs(a - b) for a, b in zip(tr, de)) < 1e-11
+        assert np.abs(tr - de).max() < 1e-11
 
 
 def test_single_qubit_t_zero_and_closed_form():
     assert single_qubit_coherence_exact(4, BATH_TIM, SYS, (0.0,))[0] == pytest.approx(1.0, abs=1e-14)
     sol = solve_order(BATH_IM, tol=1e-15)
-    closed = [coherence_factor_finite(t, 6, sol, BATH_IM, SYS) for t in TIMES]
+    closed = coherence_factor_finite(np.array(TIMES), 6, sol, BATH_IM, SYS)
     exact = single_qubit_coherence_exact(6, BATH_IM, SYS, TIMES, sol)
-    assert max(abs(a - b) for a, b in zip(closed, exact)) < 1e-11
+    assert np.abs(closed - exact).max() < 1e-11
 
 
 def test_single_qubit_free_phase_matches_exact():
     sys_mu = SystemParams(J0=1.0, mu0=0.8)
     sol = solve_order(BATH_IM, tol=1e-15)
-    closed = [
-        cmath.exp(1j * sys_mu.mu0 * t) * coherence_factor_finite(t, 4, sol, BATH_IM, sys_mu)
-        for t in TIMES
-    ]
+    t = np.array(TIMES)
+    closed = np.exp(1j * sys_mu.mu0 * t) * coherence_factor_finite(t, 4, sol, BATH_IM, sys_mu)
     exact = single_qubit_coherence_exact(4, BATH_IM, sys_mu, TIMES, sol, method="dense")
-    assert max(abs(a - b) for a, b in zip(closed, exact)) < 1e-11
+    assert np.abs(closed - exact).max() < 1e-11
 
 
 def test_single_qubit_gaussian_at_large_N():
@@ -149,9 +148,8 @@ def test_single_qubit_gaussian_at_large_N():
     n = 1000
     times = np.linspace(0.0, 2.0, 9)
     exact = single_qubit_coherence_exact(n, BATH_TIM, SYS, times, sol)
-    for t, r in zip(times, exact):
-        gauss = coherence_magnitude_asymptotic(t, sol, BATH_TIM, SYS)
-        assert abs(abs(r) - gauss) < 10.0 / n
+    gauss = coherence_magnitude_asymptotic(times, sol, BATH_TIM, SYS)
+    assert np.abs(np.abs(exact) - gauss).max() < 10.0 / n
 
 
 def test_unit_trace_preserved():
@@ -201,7 +199,7 @@ def test_reconstruction_shares_the_closed_form_assembly(bath):
             times=tuple(rng.uniform(0.0, 4.0, size=5)),
             sys_p=SystemParams(J0=rng.uniform(0.3, 1.5), xi0=rng.uniform(0.0, 1.0)),
         )
-        rec = np.array(reconstruct_reduced(cfg))
+        rec = reconstruct_reduced(cfg)
         closed = evolve_reduced(cfg.state, np.array(cfg.times), cfg.sys.xi0, extract_coeffs(cfg))
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2)):
             assert np.array_equal(rec[:, i, j], closed[:, i, j]), (k, i, j)
@@ -263,3 +261,113 @@ def test_gibbs_product_shape():
     rho_b = _gibbs_product(3, g)
     assert rho_b.shape == (8, 8)
     np.testing.assert_allclose(rho_b, np.kron(np.kron(g, g), g), atol=1e-15)
+
+
+def _route_calls(n=3, bath=BATH_TIM):
+    """Every oracle route as a function of its time list."""
+    return {
+        "factorized": lambda ts: simulate_exact(make_cfg(n, bath, times=ts)),
+        "dense": lambda ts: simulate_exact(make_cfg(n, bath, times=ts), method="dense"),
+        "trace": lambda ts: extract_products(make_cfg(n, bath, times=ts)),
+        "reconstruct": lambda ts: reconstruct_reduced(make_cfg(n, bath, times=ts)),
+        "single_qubit": lambda ts: single_qubit_coherence_exact(n, bath, SYS, ts),
+        "single_qubit_dense": lambda ts: single_qubit_coherence_exact(
+            n, bath, SYS, ts, method="dense"
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", list(_route_calls()))
+def test_non_finite_time_is_one_error_on_every_route(route, bad):
+    with pytest.raises(InvalidParams, match=r"^oracle times must be finite, got t=-?(nan|inf)$"):
+        _route_calls()[route]((0.5, bad, 1.0))
+
+
+@pytest.mark.parametrize("route", ["factorized", "trace", "reconstruct", "single_qubit"])
+def test_field_overflow_at_a_finite_time_is_invalid_params(route):
+    # 0.5 t (2 m J) overflows at t = 1e308 with J = 10; no RuntimeWarning
+    bath = BathParams(J=10.0, w=0.1, T=1.0)
+    with pytest.raises(InvalidParams, match="non-finite coefficients"):
+        _route_calls(bath=bath)[route]((1e308,))
+
+
+_ROUTE_SHAPES = {
+    "factorized": (4, 4), "dense": (4, 4), "trace": (3,), "reconstruct": (4, 4),
+    "single_qubit": (), "single_qubit_dense": (),
+}
+
+
+@pytest.mark.parametrize("n_times", [0, 1, 200])
+def test_routes_return_one_array_over_the_time_axis(n_times):
+    times = tuple(np.linspace(0.0, 3.0, n_times))
+    for route, call in _route_calls(n=2).items():
+        got = call(times)
+        assert isinstance(got, np.ndarray), route
+        assert got.shape == (n_times,) + _ROUTE_SHAPES[route], route
+
+
+def _scalar_factorized(cfg, sol):
+    """simulate_exact from explicit per-time 2x2 products of scalar propagators."""
+    bath, amps = cfg.bath, cfg.state.amplitudes()
+    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
+    shift = cfg.sys.J0 / math.sqrt(cfg.N)
+    energy = np.array([-0.25, 0.25, 0.25, -0.25])
+    out = []
+    for t in cfg.times:
+        props = [
+            exp_imag(TracelessXZ(0.5 * t * bath.w, 0.5 * t * (2.0 * sol.m * bath.J + shift * lam)))
+            for lam in (1.0, 0.0, 0.0, -1.0)
+        ]
+        f = np.array([[np.trace(ui @ g @ uj.conj().T) for uj in props] for ui in props])
+        phase = np.exp(-1j * cfg.sys.xi0 * t * (energy[:, None] - energy[None, :]))
+        out.append(np.outer(amps, amps.conj()) * phase * f**cfg.N)
+    return np.array(out)
+
+
+def _scalar_products(cfg, sol):
+    """extract_products from one scalar trace_triple per time and product."""
+    bath = cfg.bath
+    h0 = 2.0 * sol.m * bath.J
+    shift = cfg.sys.J0 / math.sqrt(cfg.N)
+    r = TracelessXZ(bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T))
+    z_spin = 2.0 * math.cosh(r.q)
+    pairs = ((h0, h0 + shift), (h0 - shift, h0 + shift), (h0 - shift, h0))
+    return np.array([
+        [
+            (trace_triple(TracelessXZ(0.5 * t * bath.w, 0.5 * t * left), r,
+                          TracelessXZ(-0.5 * t * bath.w, -0.5 * t * right)) / z_spin) ** cfg.N
+            for left, right in pairs
+        ]
+        for t in cfg.times
+    ])
+
+
+@pytest.mark.parametrize("w", [0.0, 0.2])
+def test_batched_routes_match_per_time_scalar_reference(w):
+    rng = np.random.default_rng(71)
+    for k in range(12):
+        J = rng.uniform(1.0, 3.0)
+        bath = BathParams(J=J, w=w, T=rng.uniform(0.1, 0.9) * critical_temperature(J))
+        sys_p = SystemParams(J0=rng.uniform(0.5, 2.0), xi0=rng.uniform(0.0, 0.5))
+        n = k + 1
+        sol = solve_order(bath)
+        # the |00> propagator has q = 0.5 t hypot(w, nu); put q on both
+        # sides of the small-q series switch, next to t = 0 and a tiny t
+        nu = 2.0 * sol.m * J + sys_p.J0 / math.sqrt(n)
+        t_switch = 2.0 * _SMALL_Q / math.hypot(w, nu)
+        times = (0.0, 1e-9, 0.99 * t_switch, 1.01 * t_switch, *rng.uniform(0.0, 5.0, size=6))
+        cfg = make_cfg(n, bath, state=random_state(k), times=times, sys_p=sys_p)
+        assert np.abs(simulate_exact(cfg, sol) - _scalar_factorized(cfg, sol)).max() <= 1e-14
+        assert np.abs(extract_products(cfg, sol) - _scalar_products(cfg, sol)).max() <= 1e-14
+
+
+def test_dense_hamiltonian_is_real_symmetric():
+    sol = solve_order(BATH_TIM)
+    h = _dense_hamiltonian(
+        -SYS.xi0 * np.kron(_SZ, _SZ), np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ),
+        3, SYS.J0, BATH_TIM, sol,
+    )
+    assert h.dtype == np.float64
+    assert h.shape == (32, 32)
+    assert np.array_equal(h, h.T)

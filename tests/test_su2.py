@@ -171,3 +171,59 @@ def test_invalid_inputs():
         TracelessXZ(float("nan"), 0.0)
     with pytest.raises(InvalidParams):
         single_spin_gibbs(1.0, 1.0, 0.0)
+
+
+def _array_fields(rng, shape):
+    """Random (a, b) arrays with q spread over both sides of the small-q
+    series switch, exact zeros included."""
+    scale = 10.0 ** rng.uniform(-9, 1, size=shape)
+    a, b = rng.uniform(-1, 1, size=(2,) + shape) * scale
+    a.flat[0] = b.flat[0] = 0.0
+    return a, b
+
+
+def test_exp_imag_broadcasts_elementwise():
+    rng = np.random.default_rng(11)
+    a, b = _array_fields(rng, (7, 30))
+    got = exp_imag(TracelessXZ(a, b))
+    assert got.shape == (7, 30, 2, 2)
+    for idx in np.ndindex(a.shape):
+        np.testing.assert_allclose(
+            got[idx], exp_imag(TracelessXZ(float(a[idx]), float(b[idx]))), rtol=0, atol=2e-16
+        )
+
+
+def test_trace_triple_broadcasts_elementwise():
+    rng = np.random.default_rng(12)
+    i1, i2 = (TracelessXZ(*_array_fields(rng, (200,))) for _ in range(2))
+    r = TracelessXZ(0.7, -1.3)
+    got = trace_triple(i1, r, i2)
+    assert got.shape == (200,)
+    want = [
+        trace_triple(TracelessXZ(float(i1.a[k]), float(i1.b[k])), r,
+                     TracelessXZ(float(i2.a[k]), float(i2.b[k])))
+        for k in range(200)
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_scalar_fields_keep_scalar_results():
+    m = TracelessXZ(0.3, -0.4)
+    assert exp_imag(m).shape == (2, 2)
+    assert isinstance(trace_triple(m, m, m), complex)
+    assert single_spin_gibbs(0.3, 0.4, 1.0).dtype == np.float64
+
+
+def test_series_branch_meets_ratio_at_small_q_switch():
+    # at q = 0 and on both sides of the switch, no 0/0 and no warning
+    q = np.array([0.0, 1e-12, 0.999e-4, 1.001e-4, 1.0])
+    m = TracelessXZ(np.zeros_like(q), q)
+    got = exp_imag(m)
+    for k, qk in enumerate(q):
+        np.testing.assert_allclose(got[k], series_exp(1j * TracelessXZ(0.0, qk).as_matrix()),
+                                   rtol=0, atol=1e-15)
+
+
+def test_invalid_array_fields():
+    with pytest.raises(InvalidParams):
+        TracelessXZ(np.array([0.0, np.inf]), 0.0)
