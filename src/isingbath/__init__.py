@@ -41,8 +41,8 @@ from .mean_field import (
     OrderSolution,
     critical_temperature,
     is_ordered,
-    order_parameter_sweep,
     solve_order,
+    solve_order_grid,
 )
 from .oracle import (
     MAX_BATH_SIZE,

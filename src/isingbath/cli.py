@@ -28,7 +28,14 @@ from .dephasing import (
 # concurrence is re-exported: existing callers reach it as isingbath.cli.concurrence
 from .entanglement import concurrence, concurrences  # noqa: F401
 from .errors import IsingBathError, InvalidParams
-from .mean_field import BathParams, critical_temperature, solve_order
+from .mean_field import (
+    PHASE_DISORDERED,
+    PHASE_ORDERED,
+    BathParams,
+    critical_temperature,
+    solve_order,
+    solve_order_grid,
+)
 from .oracle import (
     OracleConfig,
     extract_coeffs,
@@ -235,14 +242,16 @@ def read_csv_config(path: str) -> RunConfig:
 
 def cmd_phase(cfg: RunConfig) -> int:
     tc = critical_temperature(cfg.J)
-    temps = cfg.temperatures()
-    sols = [solve_order(BathParams(J=cfg.J, w=cfg.w, T=T)) for T in temps]
+    temps = np.array(cfg.temperatures(), dtype=float)
+    theta, m, ordered = solve_order_grid(cfg.J, cfg.w, temps)
+    with np.errstate(over="ignore"):  # T / Tc may overflow to inf, as a Python float does
+        t_over_tc = temps / tc if tc > 0 else np.full_like(temps, math.inf)
     columns = {
-        "T": np.array(temps),
-        "T_over_Tc": np.array([T / tc if tc > 0 else math.inf for T in temps]),
-        "theta": np.array([sol.theta for sol in sols]),
-        "m": np.array([sol.m for sol in sols]),
-        "phase": [sol.phase for sol in sols],
+        "T": temps,
+        "T_over_Tc": t_over_tc,
+        "theta": theta,
+        "m": m,
+        "phase": np.where(ordered, PHASE_ORDERED, PHASE_DISORDERED).tolist(),
     }
     write_csv(cfg, columns, cfg.out)
     return EXIT_OK
@@ -263,7 +272,7 @@ def cmd_coherence(cfg: RunConfig) -> int:
         "im_r": r.imag,
         "abs_r": np.abs(r),
         "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
-        "tau": np.full_like(times, tau),
+        "tau": [repr(tau)] * len(times),
     }
     write_csv(cfg, columns, cfg.out)
     return EXIT_OK
@@ -426,14 +435,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidParams(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a known command, only that command's subparser
+    is built (its help and errors read the same)."""
     parser = _ArgumentParser(
         prog="isingbath",
         description="Qubit dephasing and entanglement in a mean-field transverse-Ising bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, descr) in _COMMANDS.items():
-        p = sub.add_parser(name, help=descr)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
         p.add_argument("--config", help="key=value file; explicit flags win")
         for key, text in _FLAG_HELP.items():
             p.add_argument("--" + key.replace("_", "-"), help=text)
@@ -475,8 +487,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = build_run_config(args)
         handler, _ = _COMMANDS[args.command]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}

@@ -6,14 +6,17 @@ Theta/J = tanh(Theta/(2T)); the order parameter follows as
 m = sqrt(Theta^2 - w^2)/(2J), canonicalized to m >= 0, Theta >= 0 (the
 m -> -m branch is physically equivalent).  Above the transition, or when
 the transverse field is too strong (w/J >= tanh(w/2T)), the bath is
-disordered and m = 0.
+disordered and m = 0.  solve_order solves one temperature;
+solve_order_grid runs the same bisection over a temperature grid at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 
@@ -24,6 +27,9 @@ PHASE_DISORDERED = "disordered"
 _BRACKET_EPS = 1e-12
 _DEFAULT_TOL = 1e-12
 _MAX_BISECTIONS = 200
+# np.tanh and math.tanh can differ by an ulp; a residual this close to a
+# threshold it is compared with is recomputed with math.tanh
+_TANH_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -139,11 +145,80 @@ def _order_parameter(theta: float, w: float, J: float) -> float:
     return math.sqrt(max(theta * theta - w * w, 0.0)) / (2.0 * J)
 
 
-def order_parameter_sweep(
-    p: BathParams, T_list: Iterable[float], tol: float = _DEFAULT_TOL
-) -> list[tuple[float, OrderSolution]]:
-    """solve_order at each temperature, preserving input order."""
-    out = []
-    for T in T_list:
-        out.append((T, solve_order(replace(p, T=T), tol=tol)))
-    return out
+def solve_order_grid(
+    J: float,
+    w: float,
+    temperatures: Iterable[float],
+    max_iter: int = _MAX_BISECTIONS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """solve_order at each temperature of a 1-D grid, as one array pass.
+
+    Returns the arrays (theta, m, ordered), in input order.  Every
+    temperature runs the midpoint sequence of solve_order at its default
+    tol step for step, so theta and m equal solve_order's bitwise.  Raises
+    what solve_order (or BathParams) raises at the first temperature that
+    fails.
+    """
+    tol = _DEFAULT_TOL
+    if max_iter < 1:
+        raise InvalidParams(f"max_iter must be >= 1, got {max_iter}")
+    T = np.array(temperatures, dtype=float).reshape(-1)
+    theta = np.full(T.size, float(w))  # disordered: Theta = w, m = 0
+    m = np.zeros(T.size)
+    ordered = np.zeros(T.size, dtype=bool)
+    if T.size == 0:
+        return theta, m, ordered
+    BathParams(J=J, w=w, T=1.0)  # J and w, checked as every BathParams checks them
+    valid = np.isfinite(T) & (T > 0)
+    # Theta/(2T) and Theta^2 may overflow, as their Python float forms do
+    with np.errstate(over="ignore", invalid="ignore"):
+        if J > 0:
+            safe_T = np.where(valid, T, 1.0)
+            if w == 0:
+                ordered = valid & (safe_T < critical_temperature(J))
+            else:
+                ordered = valid & (_residual(np.full(T.size, float(w)), safe_T, J, 0.0) > 0.0)
+        idx = np.flatnonzero(ordered)
+        # tanh saturates to 1 in double precision: T -> 0 limit, Theta = J
+        saturated = np.abs(_residual(np.full(idx.size, float(J)), T[idx], J, tol)) < tol
+        theta[idx[saturated]] = J
+        idx = idx[~saturated]
+        lo = np.full(idx.size, max(w, _BRACKET_EPS * J))
+        hi = np.full(idx.size, float(J))
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = _residual(mid, T[idx], J, tol)
+            done = np.abs(fmid) < tol
+            theta[idx[done]] = mid[done]
+            up = fmid > 0.0
+            lo, hi = np.where(up, mid, lo)[~done], np.where(up, hi, mid)[~done]
+            idx = idx[~done]
+        th = theta[ordered]
+        m[ordered] = np.sqrt(np.maximum(th * th - w * w, 0.0)) / (2.0 * J)
+    unconverged = np.zeros(T.size, dtype=bool)
+    unconverged[idx] = True
+    # OrderSolution's range check on m, which a nan fails too
+    failed = ~valid | unconverged | ~(m <= 0.5 + 1e-12)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if not valid[k]:
+            BathParams(J=J, w=w, T=float(T[k]))
+        if unconverged[k]:
+            raise NoConvergence(
+                f"bisection residual did not reach tol={tol:g} in {max_iter} iterations"
+            )
+        OrderSolution(theta=float(theta[k]), m=float(m[k]), phase=PHASE_ORDERED)
+    return theta, m, ordered
+
+
+def _residual(theta: np.ndarray, T: np.ndarray, J: float, level: float) -> np.ndarray:
+    """solve_order's f(theta) = tanh(theta/2T) - theta/J over arrays, exact
+    (math.tanh) wherever |f| lies within _TANH_SLACK of level."""
+    x = theta / (2.0 * T)
+    f = np.tanh(x) - theta / J
+    redo = np.abs(np.abs(f) - level) < _TANH_SLACK
+    if redo.any():
+        f[redo] = np.array([math.tanh(v) for v in x[redo].tolist()]) - theta[redo] / J
+    return f

@@ -21,7 +21,8 @@ first axis.  The routes to it, and what they share:
   and partial trace, one time after another.  The oracle of the oracle,
   memory-guarded at N <= 12.
 
-Times must be finite; a nan or inf time raises InvalidParams on every route.
+Times must be finite; a nan or inf time raises InvalidParams on every route,
+and so does a finite time at which a field or a phase overflows.
 
 extract_coeffs returns the exact finite-N dephasing coefficients from the
 trace products.  Note that the one-excitation coefficient is not unique at
@@ -183,6 +184,12 @@ def _dense_reduced(h_s, s_op, op0, N, J0, bath, sol, times):
     _guard_size(N)
     dim_s = len(h_s)
     evals, evecs = np.linalg.eigh(_dense_hamiltonian(h_s, s_op, N, J0, bath, sol))
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(np.abs(evals).max() * times)
+    if overflow.any():
+        raise InvalidParams(
+            f"non-finite coefficients: eigenphase E t overflows at t={times[overflow][0]}"
+        )
     rho_b = _gibbs_product(N, single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T))
     r_re = evecs.T @ np.kron(op0.real, rho_b) @ evecs
     r_im = evecs.T @ np.kron(op0.imag, rho_b) @ evecs

@@ -9,10 +9,15 @@ from isingbath.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     RunConfig,
+    build_parser,
     main,
     read_csv_config,
 )
+from isingbath.dephasing import SystemParams, coherence_time
 from isingbath.errors import InvalidParams
+from isingbath.mean_field import BathParams, solve_order
+
+COMMANDS = ["phase", "coherence", "concurrence", "fig1", "fig2", "verify"]
 
 
 def read_csv(path):
@@ -76,6 +81,38 @@ def test_coherence_columns(tmp_path):
     assert floats(data, "t")[-1] > tau
     rate = -math.log(np.interp(tau, floats(data, "t"), floats(data, "abs_r_asymptotic")))
     assert rate == pytest.approx(1.0, abs=1e-3)  # interpolation-limited
+
+
+def test_coherence_tau_cells_are_the_coherence_time_repr(tmp_path):
+    out = tmp_path / "coh.csv"
+    assert main(["coherence", "--J", "2", "--w", "0.3", "--T-over-Tc", "0.4", "--J0", "0.7",
+                 "--points", "25", "--out", str(out)]) == EXIT_OK
+    bath = BathParams(J=2.0, w=0.3, T=0.4)
+    tau = coherence_time(solve_order(bath), bath, SystemParams(J0=0.7, mu0=0.0, xi0=0.0))
+    _, data = read_csv(out)
+    assert data["tau"] == [repr(tau)] * 25
+
+
+def _help_text(capsys, parse):
+    with pytest.raises(SystemExit) as info:
+        parse()
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_prints_the_full_parsers_help(capsys, command):
+    # main builds only the named command's subparser; its help is unchanged
+    full = _help_text(capsys, lambda: build_parser().parse_args([command, "--help"]))
+    assert _help_text(capsys, lambda: main([command, "--help"])) == full
+    assert full.startswith(f"usage: isingbath {command} ")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    text = _help_text(capsys, lambda: main(["--help"]))
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    for command in COMMANDS:
+        assert f"    {command} " in text
 
 
 def test_concurrence_case1_constant(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isingbath.errors import InvalidParams, NoConvergence
+from isingbath.errors import InvalidParams, IsingBathError, NoConvergence
 from isingbath.mean_field import (
     PHASE_DISORDERED,
     PHASE_ORDERED,
@@ -11,8 +11,8 @@ from isingbath.mean_field import (
     OrderSolution,
     critical_temperature,
     is_ordered,
-    order_parameter_sweep,
     solve_order,
+    solve_order_grid,
 )
 
 
@@ -97,19 +97,94 @@ def test_ising_limit_reduction():
         assert 2.0 * sol.m == pytest.approx(math.tanh(sol.m * p.J / p.T), abs=1e-10)
 
 
-def test_sweep():
-    p = BathParams(J=2.0, w=0.0, T=1.0)
-    out = order_parameter_sweep(p, [critical_temperature(2.0)])
-    assert len(out) == 1 and out[0][1].phase == PHASE_DISORDERED
+def test_grid_solver_sweep():
+    theta, m, ordered = solve_order_grid(2.0, 0.0, [critical_temperature(2.0)])
+    assert len(theta) == 1 and not ordered[0] and m[0] == 0.0
 
-    assert order_parameter_sweep(p, []) == []
+    for out in solve_order_grid(2.0, 0.0, []):
+        assert out.shape == (0,)
 
     temps = [r * critical_temperature(2.0) for r in (0.75, 0.50, 0.35, 0.25)]
-    out = order_parameter_sweep(BathParams(J=2.0, w=0.1, T=1.0), temps)
-    assert [t for t, _ in out] == temps
-    ms = [sol.m for _, sol in out]
-    assert all(sol.ordered for _, sol in out)
-    assert all(b > a for a, b in zip(ms, ms[1:]))  # colder => larger m
+    theta, m, ordered = solve_order_grid(2.0, 0.1, temps)
+    assert ordered.all()
+    assert all(b > a for a, b in zip(m, m[1:]))  # colder => larger m
+    # input order is kept: a reversed grid gives the reversed columns
+    theta_r, m_r, _ = solve_order_grid(2.0, 0.1, temps[::-1])
+    assert theta_r.tolist() == theta.tolist()[::-1] and m_r.tolist() == m.tolist()[::-1]
+
+
+def _boundary_temperature(J, w):
+    """The w > 0 ordering boundary w/J = tanh(w/2T)."""
+    return w / (2.0 * math.atanh(w / J))
+
+
+def _grid(J, w):
+    tc = critical_temperature(J)
+    near = np.logspace(-8, -1, 120)
+    temps = [
+        np.linspace(0.01, 1.3, 400) * tc,
+        tc * (1.0 - near), tc * (1.0 + near),
+        np.logspace(-6, -2, 60) * tc,  # tanh saturates: the |f(J)| < tol branch
+    ]
+    if w > 0:
+        tb = _boundary_temperature(J, w)
+        temps.append(tb * (1.0 + np.linspace(-1e-13, 1e-13, 801)))
+    return np.concatenate(temps)
+
+
+@pytest.mark.parametrize("J, w", [
+    (2.0, 0.1), (2.0, 0.0), (1.0, 0.5), (0.37, 0.037), (10.0, 9.0), (2.0, 1e-9),
+])
+def test_grid_solver_equals_solve_order_bitwise(J, w):
+    temps = _grid(J, w)
+    theta, m, ordered = solve_order_grid(J, w, temps)
+    for k, T in enumerate(temps.tolist()):
+        sol = solve_order(BathParams(J=J, w=w, T=T))
+        assert (theta[k], m[k], bool(ordered[k])) == (sol.theta, sol.m, sol.ordered), T
+
+
+def test_grid_solver_zero_coupling_with_absolute_temperatures():
+    temps = [1e-300, 0.3, 1.0, 7.5, 1e300]
+    theta, m, ordered = solve_order_grid(0.0, 0.5, temps)
+    for k, T in enumerate(temps):
+        sol = solve_order(BathParams(J=0.0, w=0.5, T=T))
+        assert (theta[k], m[k], bool(ordered[k])) == (sol.theta, sol.m, sol.ordered)
+
+
+def _first_scalar_error(J, w, temps, **kw):
+    for T in temps:
+        try:
+            solve_order(BathParams(J=J, w=w, T=T), **kw)
+        except IsingBathError as exc:
+            return exc
+    raise AssertionError("no temperature fails")
+
+
+@pytest.mark.parametrize("J, w, temps, kw", [
+    (2.0, 0.1, [0.5, math.nan, -1.0], {}),
+    (2.0, 0.1, [0.5, 0.0], {}),
+    (2.0, 0.1, [-1.0, 0.5], {}),
+    (2.0, 0.0, [math.inf], {}),
+    (-1.0, 0.1, [0.5], {}),
+    (2.0, math.nan, [0.5], {}),
+    # Theta^2 overflows: the OrderSolution check fails before the bad T
+    (1e300, 0.1, [0.5, math.nan], {}),
+    (1e300, 0.1, [math.nan, 0.5], {}),
+    # disordered first, then a bisection that cannot converge
+    (2.0, 0.1, [2.0, 0.5, math.nan], {"max_iter": 8}),
+])
+def test_grid_solver_raises_the_first_scalar_error(J, w, temps, kw):
+    expected = _first_scalar_error(J, w, temps, **kw)
+    with pytest.raises(type(expected)) as info:
+        solve_order_grid(J, w, temps, **kw)
+    assert str(info.value) == str(expected)
+
+
+def test_grid_solver_no_convergence_when_cap_too_small():
+    with pytest.raises(NoConvergence, match="did not reach tol=1e-12 in 8 iterations"):
+        solve_order_grid(2.0, 0.1, [0.5], max_iter=8)
+    with pytest.raises(InvalidParams, match="max_iter must be >= 1"):
+        solve_order_grid(2.0, 0.1, [0.5], max_iter=0)
 
 
 def test_zero_coupling_disordered():

@@ -284,9 +284,12 @@ def test_non_finite_time_is_one_error_on_every_route(route, bad):
         _route_calls()[route]((0.5, bad, 1.0))
 
 
-@pytest.mark.parametrize("route", ["factorized", "trace", "reconstruct", "single_qubit"])
+@pytest.mark.parametrize("route", [
+    "factorized", "dense", "trace", "reconstruct", "single_qubit", "single_qubit_dense",
+])
 def test_field_overflow_at_a_finite_time_is_invalid_params(route):
-    # 0.5 t (2 m J) overflows at t = 1e308 with J = 10; no RuntimeWarning
+    # 0.5 t (2 m J), and on the dense routes the eigenphase E t, overflow at
+    # t = 1e308 with J = 10; no RuntimeWarning
     bath = BathParams(J=10.0, w=0.1, T=1.0)
     with pytest.raises(InvalidParams, match="non-finite coefficients"):
         _route_calls(bath=bath)[route]((1e308,))
