@@ -21,7 +21,6 @@ from .entanglement import (
     ConcurrenceValue,
     case1_concurrence,
     case2_concurrence,
-    case4_concurrence,
     concurrence,
     concurrences,
 )
@@ -47,21 +46,12 @@ from .mean_field import (
 from .oracle import (
     MAX_BATH_SIZE,
     OracleConfig,
-    extract_coeffs,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
     single_qubit_coherence_exact,
 )
-from .su2 import TracelessXZ, exp_imag, exp_real, single_spin_gibbs, trace_triple
-from .two_qubit import (
-    PureState2Q,
-    case_state,
-    evolve_reduced,
-    pure_concurrence,
-    r_matrix,
-    spin_flip,
-    validate_density,
-)
+from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
+from .two_qubit import PureState2Q, case_state, evolve_reduced, validate_density
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import numpy as np
 from .dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
+    DephasingCoeffs,
     SystemParams,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
@@ -38,7 +39,6 @@ from .mean_field import (
 )
 from .oracle import (
     OracleConfig,
-    extract_coeffs,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
@@ -357,7 +357,8 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
             err = np.abs(r_tr - r_de).max()
             checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
 
-        exact = extract_coeffs(cfg_im, sol_im)
+        A, B, _ = extract_products(cfg_im, sol_im).conj().T
+        exact = DephasingCoeffs(A=A, B=B)  # checks |A|, |B| <= 1
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
         err = np.abs([exact.A - closed.A, exact.B - closed.B]).max()
         if inject_error:

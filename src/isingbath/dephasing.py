@@ -114,8 +114,8 @@ def coherence_magnitude_asymptotic(
     nearly cancels.
     """
     t = np.asarray(t, dtype=float)
-    gap = bath.J**2 - sol.theta**2
-    if sol.m == 0.0 or gap <= 0.0:  # no order, or Theta -> J (T -> 0): no decay
+    if sol.m == 0.0 or (gap := _gap(sol, bath)) <= 0.0:
+        # no order, or Theta -> J (T -> 0): no decay
         return np.ones_like(t)[()]
     # an overflowing (J0 m t)^2 gap gives exp(-inf) = 0, the exact underflow
     with np.errstate(over="ignore"):
@@ -132,9 +132,15 @@ def coherence_time(sol: OrderSolution, bath: BathParams, sys: SystemParams) -> f
         raise InvalidParams("coherence time needs J0 > 0")
     if sol.m == 0.0 or sol.theta >= bath.J:
         return math.inf
-    return (sol.theta / (sys.J0 * sol.m)) * math.sqrt(
-        2.0 / (bath.J**2 - sol.theta**2)
-    )
+    return (sol.theta / (sys.J0 * sol.m)) * math.sqrt(2.0 / _gap(sol, bath))
+
+
+def _gap(sol: OrderSolution, bath: BathParams) -> float:
+    # J^2 - Theta^2 of an ordered bath, the Gaussian rate's numerator
+    try:
+        return bath.J**2 - sol.theta**2
+    except OverflowError:
+        raise InvalidParams(f"J={bath.J!r} is too large: J^2 overflows") from None
 
 
 def im_coherence_time(m: float, J0: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dephasing import DephasingCoeffs
 from .errors import InvalidParams, NotADensityMatrix
-from .two_qubit import SIGMA_YY, PureState2Q, evolve_reduced, validate_density
+from .two_qubit import SIGMA_YY, validate_density
 
 _PSD_CLAMP = -1e-10  # eigenvalues of rho below this are a genuine violation
 _ZERO_FLOOR = 1e-13  # |eig| below this is numerically zero (unit-trace scale)
@@ -108,13 +108,3 @@ def case2_concurrence(alpha: complex, delta: complex, coeffs: DephasingCoeffs) -
     _check_pair_norm(alpha, delta)
     return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * np.abs(coeffs.B)
 
-
-def case4_concurrence(t: float, xi0: float, coeffs: DephasingCoeffs) -> float:
-    """Equal-amplitude product state: concurrence via the full pipeline.
-
-    No closed form is used; the qubits entangle through xi0 while the bath
-    damps the oscillation.  With A = B = 1 (no bath) the result is
-    |sin(xi0 t / 2)|.
-    """
-    state = PureState2Q(0.5, 0.5, 0.5, 0.5)
-    return concurrence(evolve_reduced(state, t, xi0, coeffs)).c

@@ -92,9 +92,7 @@ def is_ordered(p: BathParams) -> bool:
     return p.w / p.J < math.tanh(p.w / (2.0 * p.T))
 
 
-def solve_order(
-    p: BathParams, tol: float = _DEFAULT_TOL, max_iter: int = _MAX_BISECTIONS
-) -> OrderSolution:
+def solve_order(p: BathParams, tol: float = _DEFAULT_TOL) -> OrderSolution:
     """Solve Theta/J = tanh(Theta/(2T)) for the ordered branch.
 
     Bisects f(Theta) = tanh(Theta/2T) - Theta/J on [max(w, 1e-12 J), J]:
@@ -103,12 +101,11 @@ def solve_order(
     disordered solution (m = 0, Theta = w) outside the ordered phase.
 
     Raises NoConvergence if the residual |f| < tol is not reached within
-    max_iter bisections.
+    _MAX_BISECTIONS bisections, and InvalidParams naming J where Theta^2
+    overflows.
     """
     if tol <= 0:
         raise InvalidParams(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise InvalidParams(f"max_iter must be >= 1, got {max_iter}")
     if not is_ordered(p):
         return OrderSolution(theta=p.w, m=0.0, phase=PHASE_DISORDERED)
 
@@ -124,7 +121,7 @@ def solve_order(
         return OrderSolution(theta=hi, m=_order_parameter(hi, w, J), phase=PHASE_ORDERED)
 
     theta = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) < tol:
@@ -135,21 +132,29 @@ def solve_order(
         else:
             hi = mid
     if theta is None:
-        raise NoConvergence(
-            f"bisection residual did not reach tol={tol:g} in {max_iter} iterations"
-        )
+        raise _no_convergence(tol)
     return OrderSolution(theta=theta, m=_order_parameter(theta, w, J), phase=PHASE_ORDERED)
 
 
+def _no_convergence(tol: float) -> NoConvergence:
+    return NoConvergence(
+        f"bisection residual did not reach tol={tol:g} in {_MAX_BISECTIONS} iterations"
+    )
+
+
+def _theta_overflow(J: float) -> InvalidParams:
+    return InvalidParams(f"J={J!r} is too large: Theta^2 overflows")
+
+
 def _order_parameter(theta: float, w: float, J: float) -> float:
-    return math.sqrt(max(theta * theta - w * w, 0.0)) / (2.0 * J)
+    theta2 = theta * theta
+    if theta2 == math.inf:
+        raise _theta_overflow(J)
+    return math.sqrt(max(theta2 - w * w, 0.0)) / (2.0 * J)
 
 
 def solve_order_grid(
-    J: float,
-    w: float,
-    temperatures: Iterable[float],
-    max_iter: int = _MAX_BISECTIONS,
+    J: float, w: float, temperatures: Iterable[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """solve_order at each temperature of a 1-D grid, as one array pass.
 
@@ -160,15 +165,13 @@ def solve_order_grid(
     fails.
     """
     tol = _DEFAULT_TOL
-    if max_iter < 1:
-        raise InvalidParams(f"max_iter must be >= 1, got {max_iter}")
+    BathParams(J=J, w=w, T=1.0)  # J and w, checked as every BathParams checks them
     T = np.array(temperatures, dtype=float).reshape(-1)
     theta = np.full(T.size, float(w))  # disordered: Theta = w, m = 0
     m = np.zeros(T.size)
     ordered = np.zeros(T.size, dtype=bool)
     if T.size == 0:
         return theta, m, ordered
-    BathParams(J=J, w=w, T=1.0)  # J and w, checked as every BathParams checks them
     valid = np.isfinite(T) & (T > 0)
     # Theta/(2T) and Theta^2 may overflow, as their Python float forms do
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,7 +188,7 @@ def solve_order_grid(
         idx = idx[~saturated]
         lo = np.full(idx.size, max(w, _BRACKET_EPS * J))
         hi = np.full(idx.size, float(J))
-        for _ in range(max_iter):
+        for _ in range(_MAX_BISECTIONS):
             if idx.size == 0:
                 break
             mid = 0.5 * (lo + hi)
@@ -196,19 +199,22 @@ def solve_order_grid(
             lo, hi = np.where(up, mid, lo)[~done], np.where(up, hi, mid)[~done]
             idx = idx[~done]
         th = theta[ordered]
-        m[ordered] = np.sqrt(np.maximum(th * th - w * w, 0.0)) / (2.0 * J)
+        theta2 = th * th
+        m[ordered] = np.sqrt(np.maximum(theta2 - w * w, 0.0)) / (2.0 * J)
     unconverged = np.zeros(T.size, dtype=bool)
     unconverged[idx] = True
+    overflow = np.zeros(T.size, dtype=bool)
+    overflow[ordered] = theta2 == math.inf
     # OrderSolution's range check on m, which a nan fails too
-    failed = ~valid | unconverged | ~(m <= 0.5 + 1e-12)
+    failed = ~valid | unconverged | overflow | ~(m <= 0.5 + 1e-12)
     if failed.any():
         k = int(np.argmax(failed))
         if not valid[k]:
             BathParams(J=J, w=w, T=float(T[k]))
         if unconverged[k]:
-            raise NoConvergence(
-                f"bisection residual did not reach tol={tol:g} in {max_iter} iterations"
-            )
+            raise _no_convergence(tol)
+        if overflow[k]:
+            raise _theta_overflow(J)
         OrderSolution(theta=float(theta[k]), m=float(m[k]), phase=PHASE_ORDERED)
     return theta, m, ordered
 

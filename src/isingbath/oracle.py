@@ -24,12 +24,11 @@ first axis.  The routes to it, and what they share:
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field or a phase overflows.
 
-extract_coeffs returns the exact finite-N dephasing coefficients from the
-trace products.  Note that the one-excitation coefficient is not unique at
-w > 0: transitions adjacent to |00> (A) and to |11> (D) differ by an
-O(w^2 J0^2/Theta^4) margin, collapsing to a single coefficient only in the
-Ising limit w = 0.  extract_coeffs reports the A branch; extract_products
-exposes all three conjugate products (A*, B*, D*).
+extract_products returns the exact finite-N dephasing coefficients as
+their three conjugate products (A*, B*, D*).  The one-excitation
+coefficient is not unique at w > 0: transitions adjacent to |00> (A) and
+to |11> (D) differ by an O(w^2 J0^2/Theta^4) margin, collapsing to a
+single coefficient only in the Ising limit w = 0.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dephasing import DephasingCoeffs, SystemParams
+from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
@@ -245,20 +244,6 @@ def extract_products(
     left = np.array([h0, h0 - shift, h0 - shift])
     right = np.array([h0 + shift, h0 + shift, h0])
     return _trace_power(cfg.bath, sol, cfg.N, np.array(cfg.times)[:, None], left, right)
-
-
-def extract_coeffs(
-    cfg: OracleConfig, sol: OrderSolution | None = None
-) -> DephasingCoeffs:
-    """Exact finite-N DephasingCoeffs from the trace products, one array
-    entry per time of cfg.times.
-
-    Returns A = conj(A*), B = conj(B*).  The one-excitation symmetry
-    A* = D* holds to machine precision only in the Ising limit w = 0, with
-    an O(w^2 J0^2/Theta^4) violation otherwise; extract_products exposes D*.
-    """
-    A, B, _ = extract_products(cfg, sol).conj().T
-    return DephasingCoeffs(A=A, B=B)
 
 
 def reconstruct_reduced(

@@ -2,9 +2,9 @@
 
 Every bath operator in the mean-field model is a real combination
 a*sigma_x + b*sigma_z, i.e. a traceless real-symmetric 2x2 matrix.  For this
-two-parameter family the exponential, the unitary exponential and the trace
-of a triple product exp(i*I1) exp(R) exp(i*I2) all have closed forms in terms
-of q = sqrt(a^2 + b^2).  The triple-product trace is exact (not a commuting
+two-parameter family the unitary exponential and the trace of a triple
+product exp(i*I1) exp(R) exp(i*I2) have closed forms in terms of
+q = sqrt(a^2 + b^2).  The triple-product trace is exact (not a commuting
 approximation): the product of any three family members has a traceless
 sigma_x/sigma_z part, so the naive four-term expansion loses nothing.
 """
@@ -79,18 +79,6 @@ def _sinc(q):
 def _tanhc(q):
     """tanh(q)/q with the q -> 0 limit."""
     return _series_or_ratio(q, lambda x: 1.0 - x * x / 3.0, lambda x: np.tanh(x) / x)
-
-
-def exp_real(M: TracelessXZ) -> np.ndarray:
-    """exp(M) = cosh(q) I + (sinh(q)/q) M for M = a*sigma_x + b*sigma_z.
-
-    Raises RangeError once cosh(q) would overflow (|q| > ~700).
-    """
-    q = M.q
-    if np.any(q > _OVERFLOW_Q):
-        raise RangeError(f"q={np.max(q):.3g} overflows cosh; rescale the exponent")
-    s = _sinch(q)
-    return _xz_matrix(np.cosh(q), s * M.a, s * M.b)
 
 
 def exp_imag(M: TracelessXZ) -> np.ndarray:

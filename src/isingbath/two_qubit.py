@@ -135,21 +135,6 @@ def _assemble(
     return rho
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y); an involution."""
-    return SIGMA_YY @ rho.conj() @ SIGMA_YY
-
-
-def r_matrix(rho: np.ndarray) -> np.ndarray:
-    """rho times its spin-flip; square-rooted eigenvalues give concurrence."""
-    return rho @ spin_flip(rho)
-
-
-def pure_concurrence(state: PureState2Q) -> float:
-    """Concurrence 2|alpha delta - beta gamma| of the pure state itself."""
-    return 2.0 * abs(state.alpha * state.delta - state.beta * state.gamma)
-
-
 def validate_density(rho: np.ndarray) -> None:
     """Raise NotADensityMatrix unless every matrix of a (..., 4, 4) stack is
     Hermitian with unit trace.

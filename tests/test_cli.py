@@ -369,6 +369,46 @@ def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["coherence", "--w", "1e200", "--points", "3"],
+    ["concurrence", "--w", "1e200", "--points", "3"],
+    ["coherence", "--J", "1e200", "--T-over-Tc", "2"],
+])
+def test_huge_field_of_a_disordered_bath_runs(tmp_path, capsys, argv):
+    # a disordered bath (m = 0) never dephases: no J^2 or Theta^2 is formed
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    columns, data = read_csv(out)
+    col = "abs_r" if "abs_r" in columns else "abs_A"
+    assert set(data[col]) == {"1.0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--J", "1e308", "--T", "1,2"],
+    ["coherence", "--J", "1e155", "--T-over-Tc", "0.5"],
+    ["coherence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
+    ["concurrence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
+])
+def test_overflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, argv):
+    # Theta^2 (first two) or J^2 (last two, Theta small near Tc) overflows
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"J={float(argv[2])!r} is too large" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("w", "-1"), ("J", "nan")])
+def test_empty_temperature_list_still_checks_the_bath(tmp_path, capsys, flag, value):
+    out = tmp_path / "o.csv"
+    argv = ["phase", f"--{flag}", value, "--T-over-Tc", "none", "--out", str(out)]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["phase", "--J", "2", "--w", "0", "--T-over-Tc", "0.5,1.2"],
     ["coherence", "--points", "40"],
     ["concurrence", "--case", "4", "--xi0", "0.3", "--mode", "finite", "--N", "50",

@@ -14,13 +14,13 @@ from isingbath.dephasing import (
 from isingbath.entanglement import (
     case1_concurrence,
     case2_concurrence,
-    case4_concurrence,
     concurrence,
     concurrences,
 )
 from isingbath.errors import InvalidParams, NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
-from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, r_matrix
+from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
+from wootters_reference import r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
@@ -126,6 +126,11 @@ def test_case2_against_full_pipeline():
                 co = dephasing_coeffs(t, sol, bath, SYS, mode=mode, **kw)
                 got = concurrence(evolve_reduced(st, t, SYS.xi0, co)).c
                 assert got == pytest.approx(case2_concurrence(alpha, delta, co), abs=1e-10)
+
+
+def case4_concurrence(t, xi0, coeffs):
+    """Concurrence of the case-4 product state through the full pipeline."""
+    return concurrence(evolve_reduced(case_state(4), t, xi0, coeffs)).c
 
 
 def test_case4_no_bath_oscillation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isingbath import mean_field
 from isingbath.errors import InvalidParams, IsingBathError, NoConvergence
 from isingbath.mean_field import (
     PHASE_DISORDERED,
@@ -151,15 +152,17 @@ def test_grid_solver_zero_coupling_with_absolute_temperatures():
         assert (theta[k], m[k], bool(ordered[k])) == (sol.theta, sol.m, sol.ordered)
 
 
-def _first_scalar_error(J, w, temps, **kw):
-    for T in temps:
+def _first_scalar_error(J, w, temps):
+    # an empty grid still checks J and w, as BathParams does at any T
+    for T in temps or [1.0]:
         try:
-            solve_order(BathParams(J=J, w=w, T=T), **kw)
+            solve_order(BathParams(J=J, w=w, T=T))
         except IsingBathError as exc:
             return exc
     raise AssertionError("no temperature fails")
 
 
+# kw: mean_field module settings patched for the case
 @pytest.mark.parametrize("J, w, temps, kw", [
     (2.0, 0.1, [0.5, math.nan, -1.0], {}),
     (2.0, 0.1, [0.5, 0.0], {}),
@@ -167,24 +170,44 @@ def _first_scalar_error(J, w, temps, **kw):
     (2.0, 0.0, [math.inf], {}),
     (-1.0, 0.1, [0.5], {}),
     (2.0, math.nan, [0.5], {}),
-    # Theta^2 overflows: the OrderSolution check fails before the bad T
+    # Theta^2 overflows: the J check fails before the bad T
     (1e300, 0.1, [0.5, math.nan], {}),
     (1e300, 0.1, [math.nan, 0.5], {}),
     # disordered first, then a bisection that cannot converge
-    (2.0, 0.1, [2.0, 0.5, math.nan], {"max_iter": 8}),
+    (2.0, 0.1, [2.0, 0.5, math.nan], {"_MAX_BISECTIONS": 8}),
+    # no temperature: J and w are checked all the same
+    (2.0, -1.0, [], {}),
+    (-1.0, 0.1, [], {}),
+    # Theta^2 overflows to inf (w = 0) and Theta^2 - w^2 to nan (w > 0),
+    # at saturation (Theta = J) and after the bisection
+    (1e308, 0.0, [1.0, 2.0], {}),
+    (1e308, 1e300, [1.0], {}),
+    (1e155, 0.1, [2.5e154], {}),
 ])
-def test_grid_solver_raises_the_first_scalar_error(J, w, temps, kw):
-    expected = _first_scalar_error(J, w, temps, **kw)
+def test_grid_solver_raises_the_first_scalar_error(J, w, temps, kw, monkeypatch):
+    for name, value in kw.items():
+        monkeypatch.setattr(mean_field, name, value)
+    expected = _first_scalar_error(J, w, temps)
     with pytest.raises(type(expected)) as info:
-        solve_order_grid(J, w, temps, **kw)
+        solve_order_grid(J, w, temps)
     assert str(info.value) == str(expected)
 
 
-def test_grid_solver_no_convergence_when_cap_too_small():
+def test_grid_solver_no_convergence_when_cap_too_small(monkeypatch):
+    monkeypatch.setattr(mean_field, "_MAX_BISECTIONS", 8)
     with pytest.raises(NoConvergence, match="did not reach tol=1e-12 in 8 iterations"):
-        solve_order_grid(2.0, 0.1, [0.5], max_iter=8)
-    with pytest.raises(InvalidParams, match="max_iter must be >= 1"):
-        solve_order_grid(2.0, 0.1, [0.5], max_iter=0)
+        solve_order_grid(2.0, 0.1, [0.5])
+
+
+def test_huge_J_near_tc_still_solves():
+    # Theta is small near Tc, so Theta^2 stays finite even where J^2 does not
+    J = 1e155
+    T = 0.9999 * critical_temperature(J)
+    sol = solve_order(BathParams(J=J, w=0.1, T=T))
+    assert sol.ordered and math.isfinite(sol.theta * sol.theta)
+    assert 0.0 < sol.m < 0.01
+    theta, m, _ = solve_order_grid(J, 0.1, [T])
+    assert (theta[0], m[0]) == (sol.theta, sol.m)
 
 
 def test_zero_coupling_disordered():
@@ -193,10 +216,11 @@ def test_zero_coupling_disordered():
     assert sol.theta == 0.5  # sqrt(w^2) at m=0
 
 
-def test_no_convergence_when_cap_too_small():
+def test_no_convergence_when_cap_too_small(monkeypatch):
     # 8 bisections narrow the bracket to ~2/256; the residual is still ~1e-3
-    with pytest.raises(NoConvergence):
-        solve_order(BathParams(J=2.0, w=0.1, T=0.5), tol=1e-12, max_iter=8)
+    monkeypatch.setattr(mean_field, "_MAX_BISECTIONS", 8)
+    with pytest.raises(NoConvergence, match="in 8 iterations"):
+        solve_order(BathParams(J=2.0, w=0.1, T=0.5), tol=1e-12)
 
 
 def test_invalid_params():

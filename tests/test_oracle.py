@@ -5,6 +5,7 @@ import pytest
 
 from isingbath.dephasing import (
     MODE_FINITE,
+    DephasingCoeffs,
     SystemParams,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
@@ -18,7 +19,6 @@ from isingbath.oracle import (
     _SZ,
     _dense_hamiltonian,
     _gibbs_product,
-    extract_coeffs,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
@@ -89,11 +89,11 @@ def test_oracle_matches_closed_forms_in_ising_limit():
         exact = simulate_exact(cfg, sol)
         assert np.abs(exact - np.array(evolved)).max() < 1e-10
 
-        got = extract_coeffs(cfg, sol)
         products = extract_products(cfg, sol)
+        A, B, _ = products.conj().T
         assert np.abs(products[:, 0] - products[:, 2]).max() <= 1e-12
-        assert np.abs(got.A - [co.A for co in closed]).max() < 1e-11
-        assert np.abs(got.B - [co.B for co in closed]).max() < 1e-11
+        assert np.abs(A - [co.A for co in closed]).max() < 1e-11
+        assert np.abs(B - [co.B for co in closed]).max() < 1e-11
 
 
 def test_closed_forms_are_large_N_asymptotics_at_finite_w():
@@ -102,8 +102,8 @@ def test_closed_forms_are_large_N_asymptotics_at_finite_w():
     sol = solve_order(BATH_TIM, tol=1e-15)
     cfg = make_cfg(4, BATH_TIM)
     closed = [dephasing_coeffs(t, sol, BATH_TIM, SYS, mode=MODE_FINITE, N=4) for t in TIMES]
-    got = extract_coeffs(cfg, sol)
-    dev = np.abs(got.A - [co.A for co in closed]).max()
+    A = extract_products(cfg, sol)[:, 0].conj()
+    dev = np.abs(A - [co.A for co in closed]).max()
     assert 1e-6 < dev < 2e-3
 
     # the one-excitation coefficient symmetry is also only an Ising-limit
@@ -200,7 +200,8 @@ def test_reconstruction_shares_the_closed_form_assembly(bath):
             sys_p=SystemParams(J0=rng.uniform(0.3, 1.5), xi0=rng.uniform(0.0, 1.0)),
         )
         rec = reconstruct_reduced(cfg)
-        closed = evolve_reduced(cfg.state, np.array(cfg.times), cfg.sys.xi0, extract_coeffs(cfg))
+        A, B, _ = extract_products(cfg).conj().T
+        closed = evolve_reduced(cfg.state, np.array(cfg.times), cfg.sys.xi0, DephasingCoeffs(A, B))
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2)):
             assert np.array_equal(rec[:, i, j], closed[:, i, j]), (k, i, j)
 

@@ -7,7 +7,6 @@ from isingbath.errors import InvalidParams, RangeError
 from isingbath.su2 import (
     TracelessXZ,
     exp_imag,
-    exp_real,
     pair_trace,
     single_spin_gibbs,
     trace_triple,
@@ -26,21 +25,7 @@ def series_exp(m, terms=40):
 
 def test_exp_of_zero_is_identity():
     z = TracelessXZ(0.0, 0.0)
-    np.testing.assert_allclose(exp_real(z), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(exp_imag(z), np.eye(2), atol=1e-15)
-
-
-def test_exp_real_diagonal_case():
-    q = 1.7
-    got = exp_real(TracelessXZ(0.0, q))
-    np.testing.assert_allclose(got, np.diag([np.exp(q), np.exp(-q)]), rtol=1e-14)
-
-
-def test_exp_real_matches_series():
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        m = TracelessXZ(*rng.uniform(-3, 3, size=2))
-        assert np.abs(exp_real(m) - series_exp(m.as_matrix())).max() < 1e-12
 
 
 def test_exp_imag_matches_series():
@@ -57,27 +42,26 @@ def test_exp_imag_unitary():
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-14
 
 
-def test_exp_real_inverse():
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        a, b = rng.uniform(-3, 3, size=2)
-        prod = exp_real(TracelessXZ(a, b)) @ exp_real(TracelessXZ(-a, -b))
-        assert np.abs(prod - np.eye(2)).max() < 1e-12
-
-
 def test_traces_closed_form():
     rng = np.random.default_rng(5)
+    z = TracelessXZ(0.0, 0.0)
     for _ in range(300):
         m = TracelessXZ(*rng.uniform(-4, 4, size=2))
-        assert abs(np.trace(exp_real(m)) - 2.0 * math.cosh(m.q)) < 1e-13 * math.cosh(m.q)
+        # trace_triple with identity outer factors is tr exp(m)
+        assert abs(trace_triple(z, m, z) - 2.0 * math.cosh(m.q)) < 1e-13 * math.cosh(m.q)
         assert abs(np.trace(exp_imag(m)) - 2.0 * math.cos(m.q)) < 1e-13
 
 
 def test_small_q_series_branch():
     # exercise the |q| < 1e-4 series against the generic formula
     m = TracelessXZ(3e-5, -4e-5)
-    assert np.abs(exp_real(m) - series_exp(m.as_matrix())).max() < 1e-15
     assert np.abs(exp_imag(m) - series_exp(1j * m.as_matrix())).max() < 1e-15
+    # the real factor's sinh(q)/q series, through the triple trace
+    i1, i2 = TracelessXZ(0.3, -0.2), TracelessXZ(-0.1, 0.4)
+    brute = np.trace(
+        series_exp(1j * i1.as_matrix()) @ series_exp(m.as_matrix()) @ series_exp(1j * i2.as_matrix())
+    )
+    assert abs(trace_triple(i1, m, i2) - brute) < 1e-15
 
 
 def test_trace_triple_all_zero():
@@ -91,7 +75,7 @@ def test_trace_triple_degenerate_factor():
     for _ in range(100):
         r = TracelessXZ(*rng.uniform(-2, 2, size=2))
         i2 = TracelessXZ(*rng.uniform(-2, 2, size=2))
-        direct = np.trace(exp_real(r) @ exp_imag(i2))
+        direct = np.trace(series_exp(r.as_matrix()) @ exp_imag(i2))
         assert abs(trace_triple(z, r, i2) - direct) < 1e-13
 
 
@@ -144,7 +128,7 @@ def test_gibbs_matches_normalized_exponential():
         w, h = rng.uniform(-3, 3, size=2)
         T = rng.uniform(0.2, 5.0)
         m = TracelessXZ(w / (2 * T), h / (2 * T))
-        expected = exp_real(m) / (2.0 * math.cosh(m.q))
+        expected = series_exp(m.as_matrix(), terms=80).real / (2.0 * math.cosh(m.q))
         assert np.abs(single_spin_gibbs(w, h, T) - expected).max() < 1e-13
 
 
@@ -158,8 +142,6 @@ def test_gibbs_is_density_matrix():
 
 
 def test_overflow_raises_range_error():
-    with pytest.raises(RangeError):
-        exp_real(TracelessXZ(0.0, 800.0))
     with pytest.raises(RangeError):
         trace_triple(
             TracelessXZ(0.1, 0.1), TracelessXZ(0.0, 800.0), TracelessXZ(0.1, 0.1)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from isingbath.dephasing import MODE_FINITE, DephasingCoeffs
+from isingbath.entanglement import concurrence
 from isingbath.errors import InvalidParams, InvalidState, NotADensityMatrix
 from isingbath.two_qubit import (
     SIGMA_YY,
     PureState2Q,
     case_state,
     evolve_reduced,
-    pure_concurrence,
-    r_matrix,
-    spin_flip,
     validate_density,
 )
+from wootters_reference import r_matrix, spin_flip
 
 NO_DECAY = DephasingCoeffs(A=1.0, B=1.0)
 
@@ -212,16 +211,20 @@ def test_r_matrix_case3_is_zero():
     assert np.abs(r).max() == 0.0
 
 
+def pure_concurrence(st: PureState2Q) -> float:
+    """Concurrence 2|alpha delta - beta gamma| of a pure state."""
+    return 2.0 * abs(st.alpha * st.delta - st.beta * st.gamma)
+
+
 def test_pure_concurrence_values():
-    assert pure_concurrence(case_state(1)) == pytest.approx(1.0, abs=1e-15)
-    assert pure_concurrence(case_state(2)) == pytest.approx(1.0, abs=1e-15)
-    assert pure_concurrence(case_state(3)) == 0.0
-    assert pure_concurrence(case_state(4)) == pytest.approx(0.0, abs=1e-16)
+    # the Wootters route on the four case states against their pure-state values
+    for case, want in ((1, 1.0), (2, 1.0), (3, 0.0), (4, 0.0)):
+        amps = case_state(case).amplitudes()
+        assert pure_concurrence(case_state(case)) == pytest.approx(want, abs=1e-15)
+        assert concurrence(np.outer(amps, amps.conj())).c == pytest.approx(want, abs=1e-12)
 
 
 def test_pure_concurrence_matches_wootters():
-    from isingbath.entanglement import concurrence
-
     rng = np.random.default_rng(11)
     for _ in range(200):
         st = random_state(rng)
