@@ -331,14 +331,14 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
     bath_tim = BathParams(J=cfg.J, w=cfg.w, T=T)
     bath_im = BathParams(J=cfg.J, w=0.0, T=T)
     times = np.linspace(0.15, 2.4, 8)
+    sol_tim = solve_order(bath_tim, tol=1e-15)
+    sol_im = solve_order(bath_im, tol=1e-15)
     checks: list[tuple[str, float, float]] = []
 
     for n in sizes:
         state = PureState2Q.normalized(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
         cfg_tim = OracleConfig(N=n, bath=bath_tim, sys=sys_p, state=state, times=times)
         cfg_im = OracleConfig(N=n, bath=bath_im, sys=sys_p, state=state, times=times)
-        sol_tim = solve_order(bath_tim, tol=1e-15)
-        sol_im = solve_order(bath_im, tol=1e-15)
 
         fac = simulate_exact(cfg_tim, sol_tim)
         rec = reconstruct_reduced(cfg_tim, sol_tim)
@@ -357,7 +357,8 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
             err = np.abs(r_tr - r_de).max()
             checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
 
-        A, B, _ = extract_products(cfg_im, sol_im).conj().T
+        products = extract_products(cfg_im, sol_im)
+        A, B, _ = products.conj().T
         exact = DephasingCoeffs(A=A, B=B)  # checks |A|, |B| <= 1
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
         err = np.abs([exact.A - closed.A, exact.B - closed.B]).max()
@@ -370,7 +371,6 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
         err = np.abs(fac_im - evolved).max()
         checks.append((f"N={n} oracle vs closed-form reduced matrix (w=0)", err, tol))
 
-        products = extract_products(cfg_im, sol_im)
         err = np.abs(products[:, 0] - products[:, 2]).max()
         checks.append((f"N={n} one-excitation coefficient symmetry (w=0)", err, sym_tol))
 

@@ -16,10 +16,11 @@ first axis.  The routes to it, and what they share:
   (two_qubit._assemble) with the exact |11>-side coefficient D.  Its trace
   power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both, with the full Kronecker Hamiltonian as a real
-  symmetric matrix, its eigendecomposition, evolution in the eigenbasis
-  and partial trace, one time after another.  The oracle of the oracle,
-  memory-guarded at N <= 12.
+  one builder for both on the whole 2^N-dimensional bath space.  The
+  Hamiltonian is block diagonal in the system basis, so each distinct
+  coupling eigenvalue gets one real symmetric 2^N bath block and one
+  eigendecomposition, and each reduced element is one eigenbasis product
+  over all times.  The oracle of the oracle, memory-guarded at N <= 12.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field or a phase overflows.
@@ -45,16 +46,15 @@ from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from .two_qubit import PureState2Q, _assemble
 
-MAX_BATH_SIZE = 12  # 2^(N+2) <= 16384 dense dimensions
+MAX_BATH_SIZE = 12  # dense bath blocks of 2^N <= 4096 dimensions
 
 # total system S^z eigenvalue per basis state |00>, |01>, |10>, |11>
 _LAMBDA = np.array([1.0, 0.0, 0.0, -1.0])
 # H_s = -xi0 S1^z S2^z eigenvalue per basis state, in units of xi0
 _E_OVER_XI0 = np.array([-0.25, 0.25, 0.25, -0.25])
 
-_I2 = np.eye(2)
-_SX = np.array([[0.0, 0.5], [0.5, 0.0]])
-_SZ = np.array([[0.5, 0.0], [0.0, -0.5]])
+# S^z eigenvalue of one qubit per basis state |0>, |1>
+_SZ = np.array([0.5, -0.5])
 
 
 def _finite_times(times: Sequence[float]) -> np.ndarray:
@@ -88,7 +88,7 @@ def _resolve_sol(cfg: OracleConfig, sol: OrderSolution | None) -> OrderSolution:
 def _guard_size(N: int) -> None:
     if N > MAX_BATH_SIZE:
         raise ConfigTooLarge(
-            f"bath size {N} exceeds the 2^(N+2) <= {2 ** (MAX_BATH_SIZE + 2)} guard"
+            f"bath size {N} exceeds the 2^N <= {2 ** MAX_BATH_SIZE} guard"
         )
 
 
@@ -103,8 +103,8 @@ def simulate_exact(
 
     rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
     supplied (or freshly solved) mean-field order parameter.  The
-    "factorized" method exploits the block-diagonal Hamiltonian; "dense"
-    builds the full Kronecker Hamiltonian and eigendecomposes it.
+    "factorized" method exploits the product form of each bath block;
+    "dense" eigendecomposes each 2^N-dimensional bath block whole.
     """
     sol = _resolve_sol(cfg, sol)
     amps = cfg.state.amplitudes()
@@ -112,10 +112,7 @@ def simulate_exact(
     t = np.array(cfg.times)
     if method == "dense":
         return _dense_reduced(
-            -cfg.sys.xi0 * np.kron(_SZ, _SZ),
-            np.kron(_SZ, _I2) + np.kron(_I2, _SZ),
-            outer,
-            cfg.N, cfg.sys.J0, cfg.bath, sol, t,
+            cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, outer, cfg.N, cfg.sys.J0, cfg.bath, sol, t
         )
     if method != "factorized":
         raise InvalidParams(f"unknown method {method!r}")
@@ -135,28 +132,17 @@ def simulate_exact(
     return outer * phase * f**cfg.N
 
 
-def _bath_sum(op: np.ndarray, N: int) -> np.ndarray:
-    total = np.zeros((2**N, 2**N))
-    for k in range(N):
-        term = np.eye(1)
-        for j in range(N):
-            term = np.kron(term, op if j == k else _I2)
-        total += term
-    return total
+def _bath_block(N: int, w: float, field: float) -> np.ndarray:
+    """-w X_B - field Z_B over N bath spins, a real symmetric 2^N matrix.
 
-
-def _dense_hamiltonian(h_s, s_op, N, J0, bath, sol):
-    """H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B over N bath spins,
-    a real symmetric matrix.
-
-    H_B = -w X_B - 2 J m Z_B is the mean-field bath Hamiltonian without its
-    c-number m^2 J N, a global phase that cancels in U rho U^dag.
+    X_B and Z_B sum S^x and S^z over the spins: X_B links the states one
+    spin flip apart, and Z_B is diagonal, 1/2 per up spin (bit 0) and -1/2
+    per down spin (bit 1).
     """
-    zb = _bath_sum(_SZ, N)
-    xb = _bath_sum(_SX, N)
-    h = np.kron(h_s, np.eye(2**N))
-    h += -(J0 / math.sqrt(N)) * np.kron(s_op, zb)
-    h += np.kron(np.eye(len(h_s)), -bath.w * xb - 2.0 * bath.J * sol.m * zb)
+    states = np.arange(2**N)
+    h = np.zeros((2**N, 2**N))
+    h[states[:, None], states[:, None] ^ (1 << np.arange(N))] = -0.5 * w
+    h[states, states] = -field * (0.5 * N - ((states[:, None] >> np.arange(N)) & 1).sum(1))
     return h
 
 
@@ -167,46 +153,48 @@ def _gibbs_product(N: int, g: np.ndarray) -> np.ndarray:
     return rho_b
 
 
-def _dense_reduced(h_s, s_op, op0, N, J0, bath, sol, times):
+def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
     """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt),
-    shaped (T, dim_s, dim_s).
+    shaped (T, dim_s, dim_s), on the full 2^N-dimensional bath space.
 
-    H is _dense_hamiltonian(h_s, s_op, ...), real symmetric, so its
-    eigenvectors V are real.  h_s and s_op are real operators on the system
-    alone, op0 any system operator, and g the per-spin Gibbs state.  With
-    R = V^T rho(0) V fixed, U rho(0) U^dag = V (R * p p^dag) V^T for the
-    phases p = exp(-i evals t); each time costs the elementwise phases, one
-    real-times-complex product with V (two real GEMMs) and the partial
-    trace as a contraction with V.  Every d x d temporary is real.  The one
-    dense route, for one qubit and for two.
+    H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, where the system
+    operators H_s and S are diagonal with entries e_s and lam, op0 is any
+    system operator and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B
+    is the mean-field bath Hamiltonian without its c-number m^2 J N, a global
+    phase that cancels in U rho U^dag.  H is block diagonal: system state i
+    sees the real symmetric bath block H_B - (J0/sqrt(N)) lam_i Z_B, one
+    eigendecomposition (E, V) per distinct lam, shifted by e_i.  With
+    p_i = exp(-i E_i t),
+        rho(t)[i, j] = op0[i, j] p_i^T M_ij p_j^*,
+        M_ij = (V_i^T rho_B V_j) * (V_i^T V_j)  (elementwise),
+    so every time comes out of one (T, n) @ (n, n) product per element, and
+    M_ij, real, depends only on (lam_i, lam_j).  The one dense route, for
+    one qubit and for two.
     """
     _guard_size(N)
-    dim_s = len(h_s)
-    evals, evecs = np.linalg.eigh(_dense_hamiltonian(h_s, s_op, N, J0, bath, sol))
+    levels, block = np.unique(lam, return_inverse=True)
+    evals, evecs = zip(*(
+        np.linalg.eigh(_bath_block(N, bath.w, 2.0 * sol.m * bath.J + J0 / math.sqrt(N) * a))
+        for a in levels
+    ))
+    energies = e_s[:, None] + np.array(evals)[block]
     with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(np.abs(evals).max() * times)
+        overflow = ~np.isfinite(np.abs(energies).max() * times)
     if overflow.any():
         raise InvalidParams(
             f"non-finite coefficients: eigenphase E t overflows at t={times[overflow][0]}"
         )
     rho_b = _gibbs_product(N, single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T))
-    r_re = evecs.T @ np.kron(op0.real, rho_b) @ evecs
-    r_im = evecs.T @ np.kron(op0.imag, rho_b) @ evecs
-    del rho_b
-    # rows (i, b) of V as (dim_s, dim_b * d): tr_B[V m V^T] is then one product
-    v_rows = evecs.reshape(dim_s, -1)
-
-    def traced(m):
-        return (evecs @ m).reshape(dim_s, -1) @ v_rows.T
-
-    out = np.empty((len(times), dim_s, dim_s), dtype=complex)
-    for k, t in enumerate(times):
-        c, s = np.cos(evals * t), np.sin(evals * t)
-        # p p^dag = p_re + i p_im for p = c - i s
-        p_re = np.outer(c, c) + np.outer(s, s)
-        p_im = np.outer(c, s) - np.outer(s, c)
-        out[k] = traced(r_re * p_re - r_im * p_im)
-        out[k] += 1j * traced(r_re * p_im + r_im * p_re)
+    elements = list(zip(*np.nonzero(op0)))
+    m = {
+        (a, b): (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
+        for a, b in {(block[i], block[j]) for i, j in elements}
+    }
+    p = np.exp(-1j * times[:, None, None] * energies)
+    out = np.zeros((len(times), len(e_s), len(e_s)), dtype=complex)
+    for i, j in elements:
+        f = np.einsum("tk,tk->t", p[:, i] @ m[block[i], block[j]], p[:, j].conj())
+        out[:, i, j] = op0[i, j] * f
     return out
 
 
@@ -273,7 +261,7 @@ def single_qubit_coherence_exact(
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
     "trace" evaluates the per-spin triple-trace product in closed form;
-    "dense" evolves |0><1| (x) rho_B on the full 2^(N+1)-dimensional space.
+    "dense" evolves |0><1| (x) rho_B on the full 2^N-dimensional bath space.
     Both include the free phase exp(i mu0 t).
     """
     if not isinstance(N, int) or N < 1:

@@ -16,8 +16,7 @@ from isingbath.errors import ConfigTooLarge, InvalidParams
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
     OracleConfig,
-    _SZ,
-    _dense_hamiltonian,
+    _bath_block,
     _gibbs_product,
     extract_products,
     reconstruct_reduced,
@@ -26,6 +25,7 @@ from isingbath.oracle import (
 )
 from isingbath.su2 import _SMALL_Q, TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
+import dense_reference
 
 BATH_TIM = BathParams(J=2.0, w=0.1, T=0.5)
 BATH_IM = BathParams(J=2.0, w=0.0, T=0.5)
@@ -62,11 +62,11 @@ def test_case1_state_keeps_constant_concurrence():
 
 
 def test_factorized_matches_dense():
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in (1, 2, 3, 4, 5, 6, 9):
         cfg = make_cfg(n, BATH_TIM, state=random_state(n))
         fac = simulate_exact(cfg)
         den = simulate_exact(cfg, method="dense")
-        assert np.abs(fac - den).max() < 1e-11
+        assert np.abs(fac - den).max() <= 1e-12
 
 
 def test_factorized_matches_trace_identity_reconstruction():
@@ -174,11 +174,10 @@ def test_bath_state_stationary_without_coupling():
     sys_p = SystemParams(J0=0.0, xi0=0.4)
     st = case_state(4)
     sol = solve_order(BATH_TIM)
-    h = _dense_hamiltonian(
-        -sys_p.xi0 * np.kron(_SZ, _SZ), np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ),
-        3, sys_p.J0, BATH_TIM, sol,
+    h = dense_reference.dense_hamiltonian(
+        *dense_reference.two_qubit_operators(sys_p.xi0), 3, sys_p.J0, BATH_TIM, sol
     )
-    rho_b = _gibbs_product(3, single_spin_gibbs(BATH_TIM.w, 2 * sol.m * BATH_TIM.J, BATH_TIM.T))
+    rho_b = dense_reference.gibbs_product(3, BATH_TIM, sol)
     rho0 = np.kron(np.outer(st.amplitudes(), st.amplitudes().conj()), rho_b)
     evals, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(-1j * evals * 1.3)) @ evecs.conj().T
@@ -367,11 +366,61 @@ def test_batched_routes_match_per_time_scalar_reference(w):
 
 
 def test_dense_hamiltonian_is_real_symmetric():
+    # the block of system level lam is H_B - (J0/sqrt(N)) lam Z_B, which the
+    # full Kronecker reference builds from one-spin operators
     sol = solve_order(BATH_TIM)
-    h = _dense_hamiltonian(
-        -SYS.xi0 * np.kron(_SZ, _SZ), np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ),
-        3, SYS.J0, BATH_TIM, sol,
-    )
+    coupling = -SYS.J0 / math.sqrt(3)  # (J0/sqrt(N)) lam at the |11> level, lam = -1
+    h = _bath_block(3, BATH_TIM.w, 2.0 * sol.m * BATH_TIM.J + coupling)
     assert h.dtype == np.float64
-    assert h.shape == (32, 32)
+    assert h.shape == (8, 8)
     assert np.array_equal(h, h.T)
+    ref = dense_reference.bath_hamiltonian(3, BATH_TIM, sol)
+    ref -= coupling * dense_reference.bath_sum(dense_reference.SZ, 3)
+    assert np.abs(h - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("w", [0.0, 0.2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dense_route_matches_full_hilbert_space_reference(n, w):
+    rng = np.random.default_rng([n, int(10 * w)])
+    J = rng.uniform(1.0, 3.0)
+    bath = BathParams(J=J, w=w, T=rng.uniform(0.1, 0.9) * critical_temperature(J))
+    sys_p = SystemParams(J0=rng.uniform(0.5, 2.0), mu0=rng.uniform(0.0, 1.0),
+                         xi0=rng.uniform(0.0, 0.5))
+    sol = solve_order(bath)
+    times = np.array([0.0, *rng.uniform(0.0, 5.0, size=5)])
+    st = random_state(n)
+    amps = st.amplitudes()
+    ref = dense_reference.reduced_matrices(
+        *dense_reference.two_qubit_operators(sys_p.xi0), np.outer(amps, amps.conj()),
+        n, sys_p.J0, bath, sol, times,
+    )
+    got = simulate_exact(make_cfg(n, bath, state=st, times=times, sys_p=sys_p), sol,
+                         method="dense")
+    assert np.abs(got - ref).max() <= 1e-13
+
+    sz = dense_reference.SZ
+    ref1 = dense_reference.reduced_matrices(
+        -sys_p.mu0 * sz, sz, np.array([[0.0, 1.0], [0.0, 0.0]]), n, sys_p.J0, bath, sol, times
+    )[:, 0, 1]
+    got1 = single_qubit_coherence_exact(n, bath, sys_p, times, sol, method="dense")
+    assert np.abs(got1 - ref1).max() <= 1e-13
+
+
+def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
+    # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = solve_order(BATH_TIM)
+    simulate_exact(make_cfg(4, BATH_TIM), sol, method="dense")
+    assert calls == [(16, 16)] * 3
+    calls.clear()
+    single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, sol, method="dense")
+    assert calls == [(16, 16)] * 2
+
