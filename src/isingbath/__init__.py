@@ -31,7 +31,6 @@ from .errors import (
     IsingBathError,
     NoConvergence,
     NotADensityMatrix,
-    RangeError,
 )
 from .mean_field import (
     PHASE_DISORDERED,

@@ -345,17 +345,14 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
         err = np.abs(fac - rec).max()
         checks.append((f"N={n} propagator vs trace-identity route (w={cfg.w})", err, tol))
 
-        if n <= 6:
-            den = simulate_exact(cfg_tim, sol_tim, method="dense")
-            err = np.abs(fac - den).max()
-            checks.append((f"N={n} factorized vs dense evolution (w={cfg.w})", err, tol))
+        den = simulate_exact(cfg_tim, sol_tim, method="dense")
+        err = np.abs(fac - den).max()
+        checks.append((f"N={n} factorized vs dense evolution (w={cfg.w})", err, tol))
 
-            r_tr = single_qubit_coherence_exact(n, bath_tim, sys_p, times, sol_tim)
-            r_de = single_qubit_coherence_exact(
-                n, bath_tim, sys_p, times, sol_tim, method="dense"
-            )
-            err = np.abs(r_tr - r_de).max()
-            checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
+        r_tr = single_qubit_coherence_exact(n, bath_tim, sys_p, times, sol_tim)
+        r_de = single_qubit_coherence_exact(n, bath_tim, sys_p, times, sol_tim, method="dense")
+        err = np.abs(r_tr - r_de).max()
+        checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
 
         products = extract_products(cfg_im, sol_im)
         A, B, _ = products.conj().T

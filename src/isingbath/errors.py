@@ -13,10 +13,6 @@ class NoConvergence(IsingBathError, RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class RangeError(IsingBathError, OverflowError):
-    """An intermediate quantity would overflow double precision."""
-
-
 class InvalidState(IsingBathError, ValueError):
     """A pure-state amplitude vector is not normalized (or not finite)."""
 

@@ -13,6 +13,7 @@ solve_order_grid runs the same bisection over a temperature grid at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -102,7 +103,7 @@ def solve_order(p: BathParams, tol: float = _DEFAULT_TOL) -> OrderSolution:
 
     Raises NoConvergence if the residual |f| < tol is not reached within
     _MAX_BISECTIONS bisections, and InvalidParams naming J where Theta^2
-    overflows.
+    overflows or underflows below the smallest normal float.
     """
     if tol <= 0:
         raise InvalidParams(f"tol must be > 0, got {tol}")
@@ -146,10 +147,16 @@ def _theta_overflow(J: float) -> InvalidParams:
     return InvalidParams(f"J={J!r} is too large: Theta^2 overflows")
 
 
+def _theta_underflow(J: float) -> InvalidParams:
+    return InvalidParams(f"J={J!r} is too small: Theta^2 underflows")
+
+
 def _order_parameter(theta: float, w: float, J: float) -> float:
     theta2 = theta * theta
     if theta2 == math.inf:
         raise _theta_overflow(J)
+    if 0.0 < theta and theta2 < sys.float_info.min:
+        raise _theta_underflow(J)
     return math.sqrt(max(theta2 - w * w, 0.0)) / (2.0 * J)
 
 
@@ -205,8 +212,10 @@ def solve_order_grid(
     unconverged[idx] = True
     overflow = np.zeros(T.size, dtype=bool)
     overflow[ordered] = theta2 == math.inf
+    underflow = np.zeros(T.size, dtype=bool)
+    underflow[ordered] = (th > 0.0) & (theta2 < sys.float_info.min)
     # OrderSolution's range check on m, which a nan fails too
-    failed = ~valid | unconverged | overflow | ~(m <= 0.5 + 1e-12)
+    failed = ~valid | unconverged | overflow | underflow | ~(m <= 0.5 + 1e-12)
     if failed.any():
         k = int(np.argmax(failed))
         if not valid[k]:
@@ -215,6 +224,8 @@ def solve_order_grid(
             raise _no_convergence(tol)
         if overflow[k]:
             raise _theta_overflow(J)
+        if underflow[k]:
+            raise _theta_underflow(J)
         OrderSolution(theta=float(theta[k]), m=float(m[k]), phase=PHASE_ORDERED)
     return theta, m, ordered
 

@@ -16,11 +16,13 @@ first axis.  The routes to it, and what they share:
   (two_qubit._assemble) with the exact |11>-side coefficient D.  Its trace
   power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both on the whole 2^N-dimensional bath space.  The
-  Hamiltonian is block diagonal in the system basis, so each distinct
-  coupling eigenvalue gets one real symmetric 2^N bath block and one
+  one builder for both, in the collective-spin basis |S, M> of the bath
+  (floor((N+2)^2/4) states, each sector S weighted by its multiplicity).
+  The Hamiltonian is block diagonal in the system basis, so each distinct
+  coupling eigenvalue gets one real symmetric bath block and one
   eigendecomposition, and each reduced element is one eigenbasis product
-  over all times.  The oracle of the oracle, memory-guarded at N <= 12.
+  over all times.  Free of the per-spin factorization: the oracle of the
+  oracle.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field or a phase overflows.
@@ -46,7 +48,7 @@ from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from .two_qubit import PureState2Q, _assemble
 
-MAX_BATH_SIZE = 12  # dense bath blocks of 2^N <= 4096 dimensions
+MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
 
 # total system S^z eigenvalue per basis state |00>, |01>, |10>, |11>
 _LAMBDA = np.array([1.0, 0.0, 0.0, -1.0])
@@ -104,7 +106,7 @@ def simulate_exact(
     rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
     supplied (or freshly solved) mean-field order parameter.  The
     "factorized" method exploits the product form of each bath block;
-    "dense" eigendecomposes each 2^N-dimensional bath block whole.
+    "dense" eigendecomposes each in the bath's collective-spin basis.
     """
     sol = _resolve_sol(cfg, sol)
     amps = cfg.state.amplitudes()
@@ -132,51 +134,58 @@ def simulate_exact(
     return outer * phase * f**cfg.N
 
 
-def _bath_block(N: int, w: float, field: float) -> np.ndarray:
-    """-w X_B - field Z_B over N bath spins, a real symmetric 2^N matrix.
+def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X_B, the diagonal of Z_B and the multiplicity of each state, in the
+    collective-spin basis |S, M> of N bath spins.
 
-    X_B and Z_B sum S^x and S^z over the spins: X_B links the states one
-    spin flip apart, and Z_B is diagonal, 1/2 per up spin (bit 0) and -1/2
-    per down spin (bit 1).
+    The states run over the sectors S = N/2, N/2 - 1, ... and, in each, over
+    M = S, S - 1, ..., -S: floor((N + 2)^2 / 4) states in all.  Z_B is M, and
+    X_B links M to M - 1 with sqrt(S(S+1) - M(M-1))/2, which is 0 where one
+    sector ends and the next begins.  Sector S occurs
+    d_S = C(N, k) - C(N, k - 1) times in the 2^N product space, k = N/2 - S.
     """
-    states = np.arange(2**N)
-    h = np.zeros((2**N, 2**N))
-    h[states[:, None], states[:, None] ^ (1 << np.arange(N))] = -0.5 * w
-    h[states, states] = -field * (0.5 * N - ((states[:, None] >> np.arange(N)) & 1).sum(1))
-    return h
-
-
-def _gibbs_product(N: int, g: np.ndarray) -> np.ndarray:
-    rho_b = np.eye(1)
-    for _ in range(N):
-        rho_b = np.kron(rho_b, g)
-    return rho_b
+    k = np.arange(N // 2 + 1)
+    dims = N + 1 - 2 * k  # 2S + 1
+    mult = [math.comb(N, j) - (math.comb(N, j - 1) if j else 0) for j in k.tolist()]
+    s = np.repeat(0.5 * N - k, dims)
+    m = s - (np.arange(s.size) - np.repeat(np.cumsum(dims) - dims, dims))
+    x = np.diag(0.5 * np.sqrt(s[:-1] * (s[:-1] + 1.0) - m[:-1] * (m[:-1] - 1.0)), 1)
+    return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
 def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
     """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt),
-    shaped (T, dim_s, dim_s), on the full 2^N-dimensional bath space.
+    shaped (T, dim_s, dim_s), in the collective-spin basis of the bath.
 
     H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, where the system
     operators H_s and S are diagonal with entries e_s and lam, op0 is any
     system operator and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B
     is the mean-field bath Hamiltonian without its c-number m^2 J N, a global
     phase that cancels in U rho U^dag.  H is block diagonal: system state i
-    sees the real symmetric bath block H_B - (J0/sqrt(N)) lam_i Z_B, one
-    eigendecomposition (E, V) per distinct lam, shifted by e_i.  With
-    p_i = exp(-i E_i t),
+    sees the real symmetric bath block H_B - (J0/sqrt(N)) lam_i Z_B, and so
+    does g^(x N) = exp(-H_B/T)/Z, all functions of the collective X_B and
+    Z_B.  Each spin sector S of the 2^N bath space then repeats d_S times,
+    and the bath trace counts it d_S times: in the stacked sector basis the
+    bath state is rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d)
+    commutes with every operator that keeps S.  One eigendecomposition
+    (E, V) per distinct lam, shifted by e_i; with p_i = exp(-i E_i t),
         rho(t)[i, j] = op0[i, j] p_i^T M_ij p_j^*,
         M_ij = (V_i^T rho_B V_j) * (V_i^T V_j)  (elementwise),
     so every time comes out of one (T, n) @ (n, n) product per element, and
-    M_ij, real, depends only on (lam_i, lam_j).  The one dense route, for
-    one qubit and for two.
+    M_ij, real, depends only on (lam_i, lam_j).  An eigenvector may mix
+    sectors of one energy (at w = 0, say); V_i exp(-i E_i t) V_i^T is exact
+    all the same.  The one dense route, for one qubit and for two.
     """
     _guard_size(N)
-    levels, block = np.unique(lam, return_inverse=True)
+    x_b, z_b, mult = _collective_spin(N)
+    h0 = 2.0 * sol.m * bath.J
+    # level 0 is H_B itself, whose eigendecomposition gives rho_B
+    levels = np.unique(np.append(lam, 0.0))
     evals, evecs = zip(*(
-        np.linalg.eigh(_bath_block(N, bath.w, 2.0 * sol.m * bath.J + J0 / math.sqrt(N) * a))
+        np.linalg.eigh(-bath.w * x_b - np.diag((h0 + J0 / math.sqrt(N) * a) * z_b))
         for a in levels
     ))
+    block = np.searchsorted(levels, lam)
     energies = e_s[:, None] + np.array(evals)[block]
     with np.errstate(over="ignore"):
         overflow = ~np.isfinite(np.abs(energies).max() * times)
@@ -184,7 +193,12 @@ def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
         raise InvalidParams(
             f"non-finite coefficients: eigenphase E t overflows at t={times[overflow][0]}"
         )
-    rho_b = _gibbs_product(N, single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T))
+    zero = levels.searchsorted(0.0)
+    e_b, v_b = evals[zero], evecs[zero]
+    # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
+    half = np.sqrt(mult)[:, None] * v_b * np.exp(-(e_b - e_b[0]) / (2.0 * bath.T))
+    rho_b = half @ half.T
+    rho_b /= np.trace(rho_b)
     elements = list(zip(*np.nonzero(op0)))
     m = {
         (a, b): (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
@@ -199,19 +213,18 @@ def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
 
 
 def _trace_power(bath, sol, N, t, left_nu, right_nu):
-    """(tr[exp(i I1) exp(R) exp(i I2)] / Z)^N, broadcast over the shapes of
-    t, left_nu and right_nu.
+    """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N, broadcast over the
+    shapes of t, left_nu and right_nu.
 
     The left exponent I1 carries the bra-side bath field left_nu, the right
     exponent I2 the ket-side field right_nu; exp(R) is the unnormalized
-    per-spin Gibbs weight and Z its trace.
+    per-spin Gibbs weight, which trace_triple normalizes.
     """
     r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=2.0 * sol.m * bath.J / (2.0 * bath.T))
     with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
         i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left_nu)
         i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right_nu)
-    per_spin = trace_triple(i1, r, i2) / (2.0 * math.cosh(r.q))
-    return per_spin**N
+    return trace_triple(i1, r, i2) ** N
 
 
 def extract_products(
@@ -261,7 +274,7 @@ def single_qubit_coherence_exact(
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
     "trace" evaluates the per-spin triple-trace product in closed form;
-    "dense" evolves |0><1| (x) rho_B on the full 2^N-dimensional bath space.
+    "dense" evolves |0><1| (x) rho_B in the bath's collective-spin basis.
     Both include the free phase exp(i mu0 t).
     """
     if not isinstance(N, int) or N < 1:

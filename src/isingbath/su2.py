@@ -3,10 +3,11 @@
 Every bath operator in the mean-field model is a real combination
 a*sigma_x + b*sigma_z, i.e. a traceless real-symmetric 2x2 matrix.  For this
 two-parameter family the unitary exponential and the trace of a triple
-product exp(i*I1) exp(R) exp(i*I2) have closed forms in terms of
-q = sqrt(a^2 + b^2).  The triple-product trace is exact (not a commuting
-approximation): the product of any three family members has a traceless
-sigma_x/sigma_z part, so the naive four-term expansion loses nothing.
+product exp(i*I1) exp(R) exp(i*I2), normalized by tr exp(R), have closed
+forms in terms of q = sqrt(a^2 + b^2).  The triple-product trace is exact
+(not a commuting approximation): the product of any three family members
+has a traceless sigma_x/sigma_z part, so the naive four-term expansion
+loses nothing.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, RangeError
+from .errors import InvalidParams
 
-# cosh/sinh overflow just above 710; stay clear of it
-_OVERFLOW_Q = 700.0
 # below this, evaluate sinc-like ratios by series to avoid 0/0
 _SMALL_Q = 1e-4
 
@@ -66,11 +65,6 @@ def _series_or_ratio(q, series, ratio):
     )[()]
 
 
-def _sinch(q):
-    """sinh(q)/q with the q -> 0 limit."""
-    return _series_or_ratio(q, lambda x: 1.0 + x * x / 6.0, lambda x: np.sinh(x) / x)
-
-
 def _sinc(q):
     """sin(q)/q with the q -> 0 limit."""
     return _series_or_ratio(q, lambda x: 1.0 - x * x / 6.0, lambda x: np.sin(x) / x)
@@ -94,23 +88,22 @@ def pair_trace(X: TracelessXZ, Y: TracelessXZ) -> float:
 
 
 def trace_triple(I1: TracelessXZ, R: TracelessXZ, I2: TracelessXZ) -> complex:
-    """tr[exp(i I1) exp(R) exp(i I2)] in closed form.
+    """tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R) in closed form.
 
     Expanding each factor as (cos/cosh) I + (sinc/sinch) M leaves four terms
     with nonzero trace; the triple product I1*R*I2 is traceless for this
-    family, so the formula below is exact.
+    family, so the formula below is exact.  Dividing by tr exp(R) =
+    2 cosh(q_R) turns cosh into 1/2 and sinch into tanhc/2, so the result
+    stays finite for any R, as single_spin_gibbs does.
     """
-    x, y, z = I1.q, R.q, I2.q
-    if np.any(y > _OVERFLOW_Q):
-        raise RangeError(f"q={np.max(y):.3g} overflows cosh; rescale the exponent")
-    cosh_y = np.cosh(y)
-    sinch_y = _sinch(y)
+    x, z = I1.q, I2.q
+    half_tanhc_y = 0.5 * _tanhc(R.q)
     cos_x, cos_z = np.cos(x), np.cos(z)
     sinc_x, sinc_z = _sinc(x), _sinc(z)
-    out = 2.0 * cos_x * cos_z * cosh_y
-    out = out + 1j * sinc_x * sinch_y * cos_z * pair_trace(I1, R)
-    out = out + 1j * cos_x * sinch_y * sinc_z * pair_trace(R, I2)
-    out = out - sinc_x * sinc_z * cosh_y * pair_trace(I1, I2)
+    out = cos_x * cos_z
+    out = out + 1j * sinc_x * half_tanhc_y * cos_z * pair_trace(I1, R)
+    out = out + 1j * cos_x * half_tanhc_y * sinc_z * pair_trace(R, I2)
+    out = out - 0.5 * sinc_x * sinc_z * pair_trace(I1, I2)
     return out
 
 

@@ -1,8 +1,8 @@
 """Independent full-Hilbert-space reference for the dense oracle route.
 
-The package evolves one 2^N bath block per system basis state; the tests
-hold it to the whole Kronecker Hamiltonian on the 2^(n_s + N)-dimensional
-system-plus-bath space, exponentiated through its eigendecomposition one
+The package evolves one collective-spin bath block per system coupling
+level; the tests hold it to the whole Kronecker Hamiltonian on the
+2^(n_s + N)-dimensional system-plus-bath space, exponentiated through its eigendecomposition one
 time after another and partial-traced over the bath.
 """
 

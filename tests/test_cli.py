@@ -398,6 +398,17 @@ def test_overflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["phase", "coherence"])
+def test_underflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, command):
+    # Theta^2 underflows to 0: m read 0.0 as ordered, and |r| = 1
+    out = tmp_path / "o.csv"
+    argv = [command, "--J", "1e-162", "--w", "0", "--T-over-Tc", "0.5", "--out", str(out)]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "J=1e-162 is too small" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("w", "-1"), ("J", "nan")])
 def test_empty_temperature_list_still_checks_the_bath(tmp_path, capsys, flag, value):
     out = tmp_path / "o.csv"

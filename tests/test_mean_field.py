@@ -183,6 +183,10 @@ def _first_scalar_error(J, w, temps):
     (1e308, 0.0, [1.0, 2.0], {}),
     (1e308, 1e300, [1.0], {}),
     (1e155, 0.1, [2.5e154], {}),
+    # Theta^2 underflows below the smallest normal float, after a
+    # disordered temperature and at T -> 0 saturation (Theta = J)
+    (1e-162, 0.0, [1.0, 2.5e-163], {}),
+    (1e-162, 0.0, [1e-170], {}),
 ])
 def test_grid_solver_raises_the_first_scalar_error(J, w, temps, kw, monkeypatch):
     for name, value in kw.items():
@@ -197,6 +201,23 @@ def test_grid_solver_no_convergence_when_cap_too_small(monkeypatch):
     monkeypatch.setattr(mean_field, "_MAX_BISECTIONS", 8)
     with pytest.raises(NoConvergence, match="did not reach tol=1e-12 in 8 iterations"):
         solve_order_grid(2.0, 0.1, [0.5])
+
+
+def test_tiny_J_keeps_the_scale_free_order_parameter():
+    # m depends on T/Tc alone; Theta^2 of J = 1e-150 is still a normal float
+    ref = solve_order(BathParams(J=1.0, w=0.0, T=0.25)).m
+    sol = solve_order(BathParams(J=1e-150, w=0.0, T=0.25e-150))
+    assert sol.m == pytest.approx(ref, rel=1e-12, abs=0)
+    assert solve_order_grid(1e-150, 0.0, [0.25e-150])[1][0] == sol.m
+
+
+@pytest.mark.parametrize("J", [1e-160, 1e-162, 1e-300])
+def test_underflowing_theta_squared_names_J(J):
+    # Theta^2 is subnormal or 0: m read 0.4787969 at J = 1e-160 and 0.0
+    # (ordered) at J = 1e-162, against 0.4787520; the grid solver raises
+    # the same error (test_grid_solver_raises_the_first_scalar_error)
+    with pytest.raises(InvalidParams, match=rf"^J={J!r} is too small: Theta\^2 underflows$"):
+        solve_order(BathParams(J=J, w=0.0, T=0.25 * J))
 
 
 def test_huge_J_near_tc_still_solves():

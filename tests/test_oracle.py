@@ -16,8 +16,7 @@ from isingbath.errors import ConfigTooLarge, InvalidParams
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
     OracleConfig,
-    _bath_block,
-    _gibbs_product,
+    _collective_spin,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
@@ -255,14 +254,6 @@ def test_config_times_coerced():
     assert all(isinstance(t, float) for t in cfg.times)
 
 
-def test_gibbs_product_shape():
-    sol = solve_order(BATH_TIM)
-    g = single_spin_gibbs(BATH_TIM.w, 2 * sol.m * BATH_TIM.J, BATH_TIM.T)
-    rho_b = _gibbs_product(3, g)
-    assert rho_b.shape == (8, 8)
-    np.testing.assert_allclose(rho_b, np.kron(np.kron(g, g), g), atol=1e-15)
-
-
 def _route_calls(n=3, bath=BATH_TIM):
     """Every oracle route as a function of its time list."""
     return {
@@ -334,12 +325,11 @@ def _scalar_products(cfg, sol):
     h0 = 2.0 * sol.m * bath.J
     shift = cfg.sys.J0 / math.sqrt(cfg.N)
     r = TracelessXZ(bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T))
-    z_spin = 2.0 * math.cosh(r.q)
     pairs = ((h0, h0 + shift), (h0 - shift, h0 + shift), (h0 - shift, h0))
     return np.array([
         [
-            (trace_triple(TracelessXZ(0.5 * t * bath.w, 0.5 * t * left), r,
-                          TracelessXZ(-0.5 * t * bath.w, -0.5 * t * right)) / z_spin) ** cfg.N
+            trace_triple(TracelessXZ(0.5 * t * bath.w, 0.5 * t * left), r,
+                         TracelessXZ(-0.5 * t * bath.w, -0.5 * t * right)) ** cfg.N
             for left, right in pairs
         ]
         for t in cfg.times
@@ -365,18 +355,30 @@ def test_batched_routes_match_per_time_scalar_reference(w):
         assert np.abs(extract_products(cfg, sol) - _scalar_products(cfg, sol)).max() <= 1e-14
 
 
-def test_dense_hamiltonian_is_real_symmetric():
-    # the block of system level lam is H_B - (J0/sqrt(N)) lam Z_B, which the
-    # full Kronecker reference builds from one-spin operators
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_collective_block_spectrum_is_the_product_space_spectrum(n):
+    # sector S spans 2S + 1 consecutive states, S = n/2, n/2 - 1, ...; its
+    # eigenvalues, each counted d_S times, are the whole 2^n spectrum of
+    # H_B - (J0/sqrt(n)) lam Z_B that the Kronecker reference builds
     sol = solve_order(BATH_TIM)
-    coupling = -SYS.J0 / math.sqrt(3)  # (J0/sqrt(N)) lam at the |11> level, lam = -1
-    h = _bath_block(3, BATH_TIM.w, 2.0 * sol.m * BATH_TIM.J + coupling)
-    assert h.dtype == np.float64
-    assert h.shape == (8, 8)
-    assert np.array_equal(h, h.T)
-    ref = dense_reference.bath_hamiltonian(3, BATH_TIM, sol)
-    ref -= coupling * dense_reference.bath_sum(dense_reference.SZ, 3)
-    assert np.abs(h - ref).max() <= 1e-15
+    x_b, z_b, mult = _collective_spin(n)
+    assert mult.sum() == 2**n  # sum_S d_S (2S + 1)
+    for lam in (1.0, 0.0, -0.5):
+        field = 2.0 * sol.m * BATH_TIM.J + SYS.J0 / math.sqrt(n) * lam
+        h = -BATH_TIM.w * x_b - np.diag(field * z_b)
+        assert np.array_equal(h, h.T)
+        spectrum, start = [], 0
+        for dim in range(n + 1, 0, -2):
+            sector = slice(start, start + dim)
+            assert np.all(h[sector, start + dim:] == 0.0)
+            assert np.all(mult[sector] == mult[start])
+            spectrum += [np.repeat(np.linalg.eigvalsh(h[sector, sector]), int(mult[start]))]
+            start += dim
+        assert start == len(z_b)
+        ref = dense_reference.bath_hamiltonian(n, BATH_TIM, sol)
+        ref -= SYS.J0 / math.sqrt(n) * lam * dense_reference.bath_sum(dense_reference.SZ, n)
+        got = np.sort(np.concatenate(spectrum))
+        assert np.abs(got - np.linalg.eigvalsh(ref)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("w", [0.0, 0.2])
@@ -408,7 +410,9 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
 
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
-    # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2
+    # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2 and
+    # adds the uncoupled H_B for the bath state; at N = 4 the collective
+    # basis has 5 + 3 + 1 states
     calls = []
     eigh = np.linalg.eigh
 
@@ -419,8 +423,23 @@ def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sol = solve_order(BATH_TIM)
     simulate_exact(make_cfg(4, BATH_TIM), sol, method="dense")
-    assert calls == [(16, 16)] * 3
+    assert calls == [(9, 9)] * 3
     calls.clear()
     single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, sol, method="dense")
-    assert calls == [(16, 16)] * 2
+    assert calls == [(9, 9)] * 3
+
+
+@pytest.mark.parametrize("t_over_tc", [1e-6, 0.5, 0.999, 1.5])
+@pytest.mark.parametrize("w", [0.0, 0.2])
+def test_dense_matches_factorized_at_the_guard_size(w, t_over_tc):
+    # N = 12 is 49 collective states; deep in the ordered phase, next to
+    # Tc and in the disordered phase
+    bath = BathParams(J=2.0, w=w, T=t_over_tc * critical_temperature(2.0))
+    cfg = make_cfg(12, bath, state=random_state(12), times=(0.0, *TIMES, 7.5))
+    sol = solve_order(bath)
+    dense = simulate_exact(cfg, sol, method="dense")
+    assert np.abs(dense - simulate_exact(cfg, sol)).max() <= 1e-12
+    sq = [single_qubit_coherence_exact(12, bath, SYS, cfg.times, sol, method=m)
+          for m in ("dense", "trace")]
+    assert np.abs(sq[0] - sq[1]).max() <= 1e-12
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isingbath.errors import InvalidParams, RangeError
+from isingbath.errors import InvalidParams
 from isingbath.su2 import (
     TracelessXZ,
     exp_imag,
@@ -21,6 +21,14 @@ def series_exp(m, terms=40):
         term = term @ m / k
         out = out + term
     return out
+
+
+def brute_triple(i1, r, i2):
+    """tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R) from series exponentials."""
+    gibbs = series_exp(r.as_matrix())
+    return np.trace(
+        series_exp(1j * i1.as_matrix()) @ gibbs @ series_exp(1j * i2.as_matrix())
+    ) / np.trace(gibbs)
 
 
 def test_exp_of_zero_is_identity():
@@ -47,8 +55,8 @@ def test_traces_closed_form():
     z = TracelessXZ(0.0, 0.0)
     for _ in range(300):
         m = TracelessXZ(*rng.uniform(-4, 4, size=2))
-        # trace_triple with identity outer factors is tr exp(m)
-        assert abs(trace_triple(z, m, z) - 2.0 * math.cosh(m.q)) < 1e-13 * math.cosh(m.q)
+        # trace_triple with identity outer factors is tr exp(m) / tr exp(m)
+        assert trace_triple(z, m, z) == 1.0
         assert abs(np.trace(exp_imag(m)) - 2.0 * math.cos(m.q)) < 1e-13
 
 
@@ -56,17 +64,14 @@ def test_small_q_series_branch():
     # exercise the |q| < 1e-4 series against the generic formula
     m = TracelessXZ(3e-5, -4e-5)
     assert np.abs(exp_imag(m) - series_exp(1j * m.as_matrix())).max() < 1e-15
-    # the real factor's sinh(q)/q series, through the triple trace
+    # the real factor's tanh(q)/q series, through the triple trace
     i1, i2 = TracelessXZ(0.3, -0.2), TracelessXZ(-0.1, 0.4)
-    brute = np.trace(
-        series_exp(1j * i1.as_matrix()) @ series_exp(m.as_matrix()) @ series_exp(1j * i2.as_matrix())
-    )
-    assert abs(trace_triple(i1, m, i2) - brute) < 1e-15
+    assert abs(trace_triple(i1, m, i2) - brute_triple(i1, m, i2)) < 1e-15
 
 
 def test_trace_triple_all_zero():
     z = TracelessXZ(0.0, 0.0)
-    assert trace_triple(z, z, z) == pytest.approx(2.0, abs=1e-15)
+    assert trace_triple(z, z, z) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_trace_triple_degenerate_factor():
@@ -75,7 +80,8 @@ def test_trace_triple_degenerate_factor():
     for _ in range(100):
         r = TracelessXZ(*rng.uniform(-2, 2, size=2))
         i2 = TracelessXZ(*rng.uniform(-2, 2, size=2))
-        direct = np.trace(series_exp(r.as_matrix()) @ exp_imag(i2))
+        gibbs = series_exp(r.as_matrix())
+        direct = np.trace(gibbs @ exp_imag(i2)) / np.trace(gibbs)
         assert abs(trace_triple(z, r, i2) - direct) < 1e-13
 
 
@@ -83,12 +89,7 @@ def test_trace_triple_vs_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         i1, r, i2 = (TracelessXZ(*rng.uniform(-2, 2, size=2)) for _ in range(3))
-        brute = np.trace(
-            series_exp(1j * i1.as_matrix())
-            @ series_exp(r.as_matrix())
-            @ series_exp(1j * i2.as_matrix())
-        )
-        assert abs(trace_triple(i1, r, i2) - brute) < 1e-12
+        assert abs(trace_triple(i1, r, i2) - brute_triple(i1, r, i2)) < 1e-13
 
 
 def test_trace_triple_sigma_x_reflection_symmetry():
@@ -141,11 +142,15 @@ def test_gibbs_is_density_matrix():
         assert np.linalg.eigvalsh(g).min() >= -1e-15
 
 
-def test_overflow_raises_range_error():
-    with pytest.raises(RangeError):
-        trace_triple(
-            TracelessXZ(0.1, 0.1), TracelessXZ(0.0, 800.0), TracelessXZ(0.1, 0.1)
-        )
+@pytest.mark.parametrize("q", [800.0, 1e6, 1e300])
+def test_trace_triple_is_finite_past_cosh_overflow(q):
+    # exp(R) / tr exp(R) tends to the projector onto R's upper eigenvector,
+    # so the normalized trace is <up| exp(i I2) exp(i I1) |up>
+    i1, i2 = TracelessXZ(0.1, 0.3), TracelessXZ(-0.4, 0.2)
+    for a, b, up in ((0.0, q, [1.0, 0.0]), (0.0, -q, [0.0, 1.0]), (q, 0.0, [1.0, 1.0])):
+        up = np.array(up) / np.linalg.norm(up)
+        want = up @ exp_imag(i2) @ exp_imag(i1) @ up
+        assert abs(trace_triple(i1, TracelessXZ(a, b), i2) - want) < 1e-14
 
 
 def test_invalid_inputs():
