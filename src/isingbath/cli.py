@@ -331,8 +331,8 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
     bath_tim = BathParams(J=cfg.J, w=cfg.w, T=T)
     bath_im = BathParams(J=cfg.J, w=0.0, T=T)
     times = np.linspace(0.15, 2.4, 8)
-    sol_tim = solve_order(bath_tim, tol=1e-15)
-    sol_im = solve_order(bath_im, tol=1e-15)
+    sol_tim = solve_order(bath_tim)
+    sol_im = solve_order(bath_im)
     checks: list[tuple[str, float, float]] = []
 
     for n in sizes:

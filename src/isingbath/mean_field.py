@@ -8,6 +8,9 @@ m -> -m branch is physically equivalent).  Above the transition, or when
 the transverse field is too strong (w/J >= tanh(w/2T)), the bath is
 disordered and m = 0.  solve_order solves one temperature;
 solve_order_grid runs the same bisection over a temperature grid at once.
+Both bisect Theta until the bracket collapses, so m carries only the
+residual's rounding over its slope, which vanishes at the ordering
+temperature T_b (Tc at w = 0): within 8 eps/|1 - T/T_b| relative.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ from .errors import InvalidParams, NoConvergence
 PHASE_ORDERED = "ordered"
 PHASE_DISORDERED = "disordered"
 
-# lower bisection bracket at w=0, excludes the trivial root Theta=0
-_BRACKET_EPS = 1e-12
 _DEFAULT_TOL = 1e-12
 _MAX_BISECTIONS = 200
-# np.tanh and math.tanh can differ by an ulp; a residual this close to a
-# threshold it is compared with is recomputed with math.tanh
-_TANH_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,17 @@ def is_ordered(p: BathParams) -> bool:
 def solve_order(p: BathParams, tol: float = _DEFAULT_TOL) -> OrderSolution:
     """Solve Theta/J = tanh(Theta/(2T)) for the ordered branch.
 
-    Bisects f(Theta) = tanh(Theta/2T) - Theta/J on [max(w, 1e-12 J), J]:
-    the bracket is valid because f(lower) > 0 exactly when the ordering
-    condition holds and f(J) <= 0 for any T > 0 (tanh < 1).  Returns the
-    disordered solution (m = 0, Theta = w) outside the ordered phase.
+    Bisects Theta on [w, J], keeping tanh(Theta/2T) > Theta/J at the lower
+    end: the bracket is valid because this holds just above w exactly when
+    the ordering condition holds and fails at J for any T > 0 (tanh < 1).
+    Stops when the midpoint equals an end of the bracket and returns the
+    upper end, the tightest root doubles hold; where tanh saturates to 1
+    (T -> 0) that is Theta = J.  Returns the disordered solution (m = 0,
+    Theta = w) outside the ordered phase.
 
-    Raises NoConvergence if the residual |f| < tol is not reached within
-    _MAX_BISECTIONS bisections, and InvalidParams naming J where Theta^2
+    Raises NoConvergence if the residual |tanh(Theta/2T) - Theta/J| of the
+    returned root is not below tol (the bracket collapses well within
+    _MAX_BISECTIONS bisections), and InvalidParams naming J where Theta^2
     overflows or underflows below the smallest normal float.
     """
     if tol <= 0:
@@ -110,31 +112,19 @@ def solve_order(p: BathParams, tol: float = _DEFAULT_TOL) -> OrderSolution:
     if not is_ordered(p):
         return OrderSolution(theta=p.w, m=0.0, phase=PHASE_DISORDERED)
 
-    J, w, T = p.J, p.w, p.T
-
-    def f(theta: float) -> float:
-        return math.tanh(theta / (2.0 * T)) - theta / J
-
-    lo = max(w, _BRACKET_EPS * J)
-    hi = J
-    if abs(f(hi)) < tol:
-        # tanh saturates to 1 in double precision: T -> 0 limit, Theta = J
-        return OrderSolution(theta=hi, m=_order_parameter(hi, w, J), phase=PHASE_ORDERED)
-
-    theta = None
+    J, w, T2 = p.J, p.w, 2.0 * p.T
+    lo, hi = w, J
     for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) < tol:
-            theta = mid
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows near J = 1e308
+        if not lo < mid < hi:
             break
-        if fmid > 0.0:
+        if math.tanh(mid / T2) > mid / J:
             lo = mid
         else:
             hi = mid
-    if theta is None:
+    if not abs(math.tanh(hi / T2) - hi / J) < tol:
         raise _no_convergence(tol)
-    return OrderSolution(theta=theta, m=_order_parameter(theta, w, J), phase=PHASE_ORDERED)
+    return OrderSolution(theta=hi, m=_order_parameter(hi, w, J), phase=PHASE_ORDERED)
 
 
 def _no_convergence(tol: float) -> NoConvergence:
@@ -166,10 +156,11 @@ def solve_order_grid(
     """solve_order at each temperature of a 1-D grid, as one array pass.
 
     Returns the arrays (theta, m, ordered), in input order.  Every
-    temperature runs the midpoint sequence of solve_order at its default
-    tol step for step, so theta and m equal solve_order's bitwise.  Raises
-    what solve_order (or BathParams) raises at the first temperature that
-    fails.
+    temperature runs solve_order's bisection, stopping rule and default-tol
+    check, with np.tanh for math.tanh: theta and m agree with solve_order's
+    to the precision bound of the module docstring, and so does the phase
+    but within a relative 1e-12 of T_b.  Raises what solve_order (or
+    BathParams) raises at the first temperature that fails.
     """
     tol = _DEFAULT_TOL
     BathParams(J=J, w=w, T=1.0)  # J and w, checked as every BathParams checks them
@@ -187,33 +178,28 @@ def solve_order_grid(
             if w == 0:
                 ordered = valid & (safe_T < critical_temperature(J))
             else:
-                ordered = valid & (_residual(np.full(T.size, float(w)), safe_T, J, 0.0) > 0.0)
-        idx = np.flatnonzero(ordered)
-        # tanh saturates to 1 in double precision: T -> 0 limit, Theta = J
-        saturated = np.abs(_residual(np.full(idx.size, float(J)), T[idx], J, tol)) < tol
-        theta[idx[saturated]] = J
-        idx = idx[~saturated]
-        lo = np.full(idx.size, max(w, _BRACKET_EPS * J))
-        hi = np.full(idx.size, float(J))
+                ordered = valid & (np.tanh(w / (2.0 * safe_T)) > w / J)
+        T2 = 2.0 * T[ordered]
+        lo = np.full(T2.size, float(w))
+        hi = np.full(T2.size, float(J))
         for _ in range(_MAX_BISECTIONS):
-            if idx.size == 0:
+            mid = 0.5 * lo + 0.5 * hi
+            open_ = (lo < mid) & (mid < hi)
+            if not open_.any():
                 break
-            mid = 0.5 * (lo + hi)
-            fmid = _residual(mid, T[idx], J, tol)
-            done = np.abs(fmid) < tol
-            theta[idx[done]] = mid[done]
-            up = fmid > 0.0
-            lo, hi = np.where(up, mid, lo)[~done], np.where(up, hi, mid)[~done]
-            idx = idx[~done]
-        th = theta[ordered]
-        theta2 = th * th
+            up = np.tanh(mid / T2) > mid / J
+            lo = np.where(open_ & up, mid, lo)
+            hi = np.where(open_ & ~up, mid, hi)
+        converged = np.abs(np.tanh(hi / T2) - hi / J) < tol
+        theta[ordered] = hi
+        theta2 = hi * hi
         m[ordered] = np.sqrt(np.maximum(theta2 - w * w, 0.0)) / (2.0 * J)
     unconverged = np.zeros(T.size, dtype=bool)
-    unconverged[idx] = True
+    unconverged[ordered] = ~converged
     overflow = np.zeros(T.size, dtype=bool)
     overflow[ordered] = theta2 == math.inf
     underflow = np.zeros(T.size, dtype=bool)
-    underflow[ordered] = (th > 0.0) & (theta2 < sys.float_info.min)
+    underflow[ordered] = (hi > 0.0) & (theta2 < sys.float_info.min)
     # OrderSolution's range check on m, which a nan fails too
     failed = ~valid | unconverged | overflow | underflow | ~(m <= 0.5 + 1e-12)
     if failed.any():
@@ -228,14 +214,3 @@ def solve_order_grid(
             raise _theta_underflow(J)
         OrderSolution(theta=float(theta[k]), m=float(m[k]), phase=PHASE_ORDERED)
     return theta, m, ordered
-
-
-def _residual(theta: np.ndarray, T: np.ndarray, J: float, level: float) -> np.ndarray:
-    """solve_order's f(theta) = tanh(theta/2T) - theta/J over arrays, exact
-    (math.tanh) wherever |f| lies within _TANH_SLACK of level."""
-    x = theta / (2.0 * T)
-    f = np.tanh(x) - theta / J
-    redo = np.abs(np.abs(f) - level) < _TANH_SLACK
-    if redo.any():
-        f[redo] = np.array([math.tanh(v) for v in x[redo].tolist()]) - theta[redo] / J
-    return f

@@ -89,9 +89,7 @@ def _resolve_sol(cfg: OracleConfig, sol: OrderSolution | None) -> OrderSolution:
 
 def _guard_size(N: int) -> None:
     if N > MAX_BATH_SIZE:
-        raise ConfigTooLarge(
-            f"bath size {N} exceeds the 2^N <= {2 ** MAX_BATH_SIZE} guard"
-        )
+        raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
 
 
 def simulate_exact(

@@ -1,9 +1,15 @@
+import functools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingbath import mean_field
+from isingbath.dephasing import SystemParams, coherence_time
 from isingbath.errors import InvalidParams, IsingBathError, NoConvergence
 from isingbath.mean_field import (
     PHASE_DISORDERED,
@@ -15,6 +21,8 @@ from isingbath.mean_field import (
     solve_order,
     solve_order_grid,
 )
+
+EPS = sys.float_info.epsilon
 
 
 def test_critical_temperature():
@@ -36,10 +44,11 @@ def test_is_ordered_examples():
 
 
 def test_zero_temperature_limit():
-    sol = solve_order(BathParams(J=2.0, w=0.0, T=0.01))
-    assert sol.ordered
-    assert sol.theta == pytest.approx(2.0, abs=1e-12)
-    assert sol.m > 0.499
+    # tanh(Theta/2T) rounds to 1 below J, so the bracket collapses onto J
+    for J in (2.0, 1e150, 1e-100):
+        for solve in (_solve_scalar, _solve_grid):
+            theta, m, ordered = solve(J, 0.0, 0.01 * critical_temperature(J))
+            assert ordered and theta == J and m == 0.5
 
 
 def test_at_critical_temperature_disordered():
@@ -54,8 +63,8 @@ def test_bisection_against_fixed_point_iteration():
     theta = 1.5
     for _ in range(200):
         theta = 2.0 * math.tanh(theta)
-    # |theta_bisect - root| <= tol/|f'| with |f'| ~ 0.42 here, so solve
-    # tighter than the comparison tolerance
+    # the collapsed bracket leaves a residual of a few eps, so a tol far
+    # below the default passes its check too
     sol = solve_order(BathParams(J=2.0, w=0.0, T=0.5), tol=1e-14)
     assert sol.theta == pytest.approx(theta, abs=1e-12)
     assert sol.theta == pytest.approx(1.915, abs=1e-3)
@@ -115,8 +124,25 @@ def test_grid_solver_sweep():
 
 
 def _boundary_temperature(J, w):
-    """The w > 0 ordering boundary w/J = tanh(w/2T)."""
+    """T_b: Tc at w = 0, else the w > 0 ordering boundary w/J = tanh(w/2T)."""
+    if w == 0:
+        return critical_temperature(J)
     return w / (2.0 * math.atanh(w / J))
+
+
+def _gap(J, w, T):
+    return abs(1.0 - T / _boundary_temperature(J, w))
+
+
+def _m_precision(J, w, T):
+    """Relative precision of m from either solver, 8 eps/|1 - T/T_b|: the
+    residual's rounding over its slope, which vanishes at T_b."""
+    gap = _gap(J, w, T)
+    return 8.0 * EPS / gap if gap else math.inf
+
+
+def _close(a, b, rel):
+    return a == b or abs(a - b) <= rel * max(a, b)
 
 
 def _grid(J, w):
@@ -125,7 +151,7 @@ def _grid(J, w):
     temps = [
         np.linspace(0.01, 1.3, 400) * tc,
         tc * (1.0 - near), tc * (1.0 + near),
-        np.logspace(-6, -2, 60) * tc,  # tanh saturates: the |f(J)| < tol branch
+        np.logspace(-6, -2, 60) * tc,  # tanh saturates: Theta = J
     ]
     if w > 0:
         tb = _boundary_temperature(J, w)
@@ -137,11 +163,101 @@ def _grid(J, w):
     (2.0, 0.1), (2.0, 0.0), (1.0, 0.5), (0.37, 0.037), (10.0, 9.0), (2.0, 1e-9),
 ])
 def test_grid_solver_equals_solve_order_bitwise(J, w):
-    temps = _grid(J, w)
-    theta, m, ordered = solve_order_grid(J, w, temps)
-    for k, T in enumerate(temps.tolist()):
+    # named for the bitwise twin it once checked; np.tanh and math.tanh may
+    # differ in the last bit, which moves the root by a few ulps and flips
+    # the phase only within ~1e-16 of T_b
+    _assert_drivers_agree(J, w, _grid(J, w).tolist())
+
+
+def _assert_drivers_agree(J, w, temps):
+    """The grid's m against solve_order's at each temperature; returns m."""
+    _, m, ordered = solve_order_grid(J, w, temps)
+    for k, T in enumerate(temps):
         sol = solve_order(BathParams(J=J, w=w, T=T))
-        assert (theta[k], m[k], bool(ordered[k])) == (sol.theta, sol.m, sol.ordered), T
+        assert _close(m[k], sol.m, _m_precision(J, w, T)), T
+        if _gap(J, w, T) >= 1e-12:
+            assert bool(ordered[k]) == sol.ordered, T
+    return m
+
+
+def _solve_scalar(J, w, T):
+    sol = solve_order(BathParams(J=J, w=w, T=T))
+    return sol.theta, sol.m, sol.ordered
+
+
+def _solve_grid(J, w, T):
+    theta, m, ordered = solve_order_grid(J, w, [T])
+    return float(theta[0]), float(m[0]), bool(ordered[0])
+
+
+DRIVERS = pytest.mark.parametrize("solve", [_solve_scalar, _solve_grid], ids=["scalar", "grid"])
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_order_parameter(J, w, T):
+    """m from a 60-digit bisection of tanh(Theta/2T) = Theta/J on [w, J],
+    at the exact double T the solvers see."""
+    with mpmath.workdps(60):
+        J, w, T = mpmath.mpf(J), mpmath.mpf(w), mpmath.mpf(T)
+        lo, hi = w, J
+        for _ in range(260):
+            mid = (lo + hi) / 2
+            if mpmath.tanh(mid / (2 * T)) > mid / J:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.sqrt(hi * hi - w * w) / (2 * J))
+
+
+@DRIVERS
+@pytest.mark.parametrize("J, w", [
+    (2.0, 0.0), (2.0, 0.1), (1e150, 0.0), (1e150, 5e148), (1e-100, 0.0), (1e-100, 5e-102),
+])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_order_parameter_matches_mpmath_up_to_the_boundary(solve, J, w, gap):
+    # the residual's slope vanishes at T_b: a stop on |f| < 1e-12 is 0.295
+    # relative off at gap 1e-8
+    T = (1.0 - gap) * _boundary_temperature(J, w)
+    _, m, ordered = solve(J, w, T)
+    assert ordered
+    assert m == pytest.approx(_mp_order_parameter(J, w, T), rel=_m_precision(J, w, T), abs=0)
+
+
+@DRIVERS
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_mean_field_exponent_one_half_at_tc(solve, gap):
+    # m = (1/2) sqrt(3 (1 - T/Tc)) (1 - 0.4 (1 - T/Tc) + ...) at w = 0
+    T = (1.0 - gap) * critical_temperature(2.0)
+    _, m, _ = solve(2.0, 0.0, T)
+    law = 0.5 * math.sqrt(3.0 * gap)
+    assert m == pytest.approx(law, rel=0.5 * gap + _m_precision(2.0, 0.0, T), abs=0)
+
+
+@DRIVERS
+def test_coherence_time_at_a_low_temperature(solve):
+    # tau ~ 1/sqrt(J - Theta) with J - Theta = 8.5e-12, so a stop on
+    # |f| < 1e-12 is 10.7% high; 972,652.49 is the 60-digit value
+    J, w = 2.0, 0.1
+    bath = BathParams(J=J, w=w, T=0.074405 * critical_temperature(J))
+    theta, m, _ = solve(J, w, bath.T)
+    sol = OrderSolution(theta=theta, m=m, phase=PHASE_ORDERED)
+    tau = coherence_time(sol, bath, SystemParams(J0=1.0))
+    assert tau == pytest.approx(972652.49, rel=1e-5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    J=st.sampled_from([2.0, 0.37, 1e150, 1e-100]),
+    w_over_J=st.one_of(st.just(0.0), st.floats(1e-9, 0.99)),
+    t=st.lists(st.floats(1e-3, 1.5), min_size=2, max_size=2),
+)
+def test_order_parameter_bounded_monotone_and_driver_independent(J, w_over_J, t):
+    w = w_over_J * J
+    temps = sorted(x * critical_temperature(J) for x in t)
+    m = _assert_drivers_agree(J, w, temps)
+    assert ((0.0 <= m) & (m <= 0.5)).all()
+    slack = _m_precision(J, w, temps[0]) * m[0] + _m_precision(J, w, temps[1]) * m[1]
+    assert m[0] >= m[1] - slack
 
 
 def test_grid_solver_zero_coupling_with_absolute_temperatures():
@@ -208,7 +324,8 @@ def test_tiny_J_keeps_the_scale_free_order_parameter():
     ref = solve_order(BathParams(J=1.0, w=0.0, T=0.25)).m
     sol = solve_order(BathParams(J=1e-150, w=0.0, T=0.25e-150))
     assert sol.m == pytest.approx(ref, rel=1e-12, abs=0)
-    assert solve_order_grid(1e-150, 0.0, [0.25e-150])[1][0] == sol.m
+    m = solve_order_grid(1e-150, 0.0, [0.25e-150])[1][0]
+    assert m == pytest.approx(sol.m, rel=_m_precision(1e-150, 0.0, 0.25e-150), abs=0)
 
 
 @pytest.mark.parametrize("J", [1e-160, 1e-162, 1e-300])
@@ -227,8 +344,8 @@ def test_huge_J_near_tc_still_solves():
     sol = solve_order(BathParams(J=J, w=0.1, T=T))
     assert sol.ordered and math.isfinite(sol.theta * sol.theta)
     assert 0.0 < sol.m < 0.01
-    theta, m, _ = solve_order_grid(J, 0.1, [T])
-    assert (theta[0], m[0]) == (sol.theta, sol.m)
+    m = solve_order_grid(J, 0.1, [T])[1][0]
+    assert m == pytest.approx(sol.m, rel=_m_precision(J, 0.1, T), abs=0)
 
 
 def test_zero_coupling_disordered():

@@ -229,7 +229,7 @@ def test_disordered_bath_still_dephases_exactly():
 
 def test_size_guards():
     cfg = make_cfg(13, BATH_TIM)
-    with pytest.raises(ConfigTooLarge):
+    with pytest.raises(ConfigTooLarge, match=r"^bath size 13 exceeds MAX_BATH_SIZE = 12$"):
         simulate_exact(cfg)
     with pytest.raises(ConfigTooLarge):
         simulate_exact(cfg, method="dense")
