@@ -14,8 +14,6 @@ from .dephasing import (
     coherence_magnitude_asymptotic,
     coherence_time,
     dephasing_coeffs,
-    im_coherence_time,
-    im_limit_magnitude,
 )
 from .entanglement import (
     ConcurrenceValue,

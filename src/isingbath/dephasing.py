@@ -4,11 +4,14 @@ The interaction commutes with the system z-operators, so populations are
 conserved and each coherence is multiplied by a complex factor.  For a bath
 of N spins the finite-N factor is
 
-    r(t) = [cos(phi) + i (Theta/J) sin(phi)]^N,   phi = t m J J0 / (Theta sqrt(N)),
+    r(t) = [cos(cu) + i m u sinc(cu)]^N,   u = J0 t / sqrt(N),  c = mJ/Theta,
 
-evaluated in the log domain for a scalar or array `t`, so N up to 1e8 cannot
-overflow and a whole time grid is one numpy call.  For large N the
-magnitude tends to the Gaussian |r| = exp[-J0^2 m^2 t^2/2 (J^2/Theta^2 - 1)].
+which is [cos(phi) + i (Theta/J) sin(phi)]^N with phi = cu, evaluated in the
+log domain for a scalar or array `t`, so N up to 1e8 cannot overflow and a
+whole time grid is one numpy call.  For large N the magnitude tends to the
+Gaussian |r| = exp[-kappa (J0 t)^2 / 2], kappa = m^2 (J^2/Theta^2 - 1).
+At w = 0, Theta = 2mJ makes c = 1/2 and kappa = 1/4 - m^2 at every
+temperature, so the forms hold on both sides of Tc.
 The two-qubit coefficients are A(t) = r(t) (one-excitation coherences) and
 B(t) = A(2t) (the two-excitation coherence), so entanglement in the
 two-excitation channel decays exactly twice as fast as single-qubit coherence.
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .mean_field import BathParams, OrderSolution
+from .su2 import _sinc
 
 MODE_FINITE = "finite"
 MODE_ASYMPTOTIC = "asymptotic"
@@ -63,14 +67,25 @@ class DephasingCoeffs:
             raise InvalidParams(f"max |A|, |B| = {worst} exceeds 1 beyond tolerance")
 
 
-def _log_per_spin(phi: np.ndarray, ratio: float) -> np.ndarray:
-    # log[cos(phi) + i*ratio*sin(phi)] on the principal branch, written so
-    # the magnitude part stays accurate when |z| is within eps of 1
-    s = 1.0 - ratio * ratio
-    sin_phi = np.sin(phi)
-    return 0.5 * np.log1p(-s * sin_phi * sin_phi) + 1j * np.arctan2(
-        ratio * sin_phi, np.cos(phi)
-    )
+def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, float]:
+    """c = mJ/Theta and the factors c - m, c + m of the Gaussian rate
+    kappa = m^2 (J^2/Theta^2 - 1) = (c - m)(c + m).
+
+    The Ising limit is decided here alone.  At w = 0, Theta = 2mJ makes
+    c = 1/2 at every temperature, the disordered bath (m = Theta = 0)
+    included: its free spins still dephase the qubit, at rate 1/4.  At w > 0
+    a disordered bath has c = 0 and dephases nothing.  c - m is formed as
+    m (J - Theta)/Theta, an exact subtraction near saturation, so kappa
+    keeps its relative precision as T -> 0 and nothing squares J.
+    """
+    if not sol.ordered:
+        c = 0.5 if bath.w == 0.0 else 0.0
+        return c, c, c
+    if sol.theta <= 0.0:
+        raise InvalidParams("ordered solution with Theta = 0 is inconsistent")
+    ratio = sol.m / sol.theta
+    c = 0.5 if bath.w == 0.0 else ratio * bath.J
+    return c, ratio * (bath.J - sol.theta), c + sol.m
 
 
 def coherence_factor_finite(
@@ -82,9 +97,10 @@ def coherence_factor_finite(
 ) -> complex | np.ndarray:
     """Finite-N coherence factor r(t) multiplying the <0|rho|1> element.
 
-    Computed as exp(N log z) with z the per-spin factor; for integer N the
-    principal branch is exact even when z crosses the negative real axis.
-    A disordered bath (m = 0) dephases nothing: r = 1 for all t.
+    Computed as exp(N log z) with z = cos(cu) + i m u sinc(cu) the per-spin
+    factor, u = J0 t / sqrt(N); for integer N the principal branch is exact
+    even when z crosses the negative real axis.  log|z| is taken as
+    log1p(-kappa u^2 sinc^2(cu))/2, accurate where |z| is within eps of 1.
 
     The free single-qubit phase exp(i mu0 t) is excluded: it cannot change
     |r| or any concurrence.  Multiply by it to recover the full
@@ -95,78 +111,46 @@ def coherence_factor_finite(
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise InvalidParams("coherence factor needs finite times")
-    if sol.m == 0.0:
-        return np.ones_like(t, dtype=complex)[()]
-    if sol.theta <= 0.0:
-        raise InvalidParams("ordered solution with Theta = 0 is inconsistent")
-    phi = t * sol.m * bath.J * sys.J0 / (sol.theta * math.sqrt(N))
-    return np.exp(N * _log_per_spin(phi, sol.theta / bath.J))
+    c, lo, hi = _rate_factors(sol, bath)
+    u = t * (sys.J0 / math.sqrt(N))
+    cu = c * u
+    s = u * _sinc(cu)  # sin(cu)/c, and u at c = 0
+    # 1 - |z|^2 = kappa s^2 reaches 1 where m = 0 and cos(cu) rounds to 0:
+    # log1p(-1) = -inf there, and r = 0
+    with np.errstate(divide="ignore"):
+        log_abs = (0.5 * N) * np.log1p(-(lo * s) * (hi * s))
+    return np.exp(log_abs + 1j * (N * np.arctan2(sol.m * s, np.cos(cu))))
 
 
 def coherence_magnitude_asymptotic(
     t: float | np.ndarray, sol: OrderSolution, bath: BathParams, sys: SystemParams
 ) -> float | np.ndarray:
-    """Large-N Gaussian |r(t)| = exp[-J0^2 m^2 t^2/2 (J^2/Theta^2 - 1)].
+    """Large-N Gaussian |r(t)| = exp[-kappa (J0 t)^2 / 2].
 
-    The rate factor is evaluated as (J^2 - Theta^2)/Theta^2, the same
-    expression coherence_time uses, so substituting t = tau reproduces
-    exp(-1) to roundoff even close to saturation where J^2 - Theta^2
-    nearly cancels.
+    kappa = m^2 (J^2/Theta^2 - 1) is the product (c - m)(c + m) that
+    coherence_time uses, so substituting t = tau reproduces exp(-1) to
+    roundoff even close to saturation, where kappa -> 0.
     """
-    t = np.asarray(t, dtype=float)
-    if sol.m == 0.0 or (gap := _gap(sol, bath)) <= 0.0:
-        # no order, or Theta -> J (T -> 0): no decay
-        return np.ones_like(t)[()]
-    # an overflowing (J0 m t)^2 gap gives exp(-inf) = 0, the exact underflow
+    _, lo, hi = _rate_factors(sol, bath)
+    x = sys.J0 * np.asarray(t, dtype=float)
+    # multiplied left to right, kappa = 0 gives 0, and an overflowing
+    # exponent gives exp(-inf) = 0, the exact underflow
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * (sys.J0 * sol.m * t) ** 2 * gap / sol.theta**2)
+        return np.exp((-0.5 * (lo * hi)) * x * x)
 
 
 def coherence_time(sol: OrderSolution, bath: BathParams, sys: SystemParams) -> float:
-    """Gaussian 1/e time tau = (Theta/(J0 m)) sqrt(2/(J^2 - Theta^2)).
+    """Gaussian 1/e time tau = sqrt(2/kappa)/J0.
 
-    Infinite when the bath does not dephase (m = 0) or at saturation
-    (Theta = J, i.e. T -> 0).
+    Infinite where nothing dephases: no coupling (J0 = 0), a disordered
+    bath at w > 0, or saturation (Theta = J, i.e. T -> 0).  At w = 0 this is
+    (2/J0) sqrt(2/(1 - 4 m^2)), finite at and above Tc.
     """
-    if sys.J0 <= 0:
-        raise InvalidParams("coherence time needs J0 > 0")
-    if sol.m == 0.0 or sol.theta >= bath.J:
+    _, lo, hi = _rate_factors(sol, bath)
+    kappa = lo * hi
+    if kappa <= 0.0 or sys.J0 == 0.0:
         return math.inf
-    return (sol.theta / (sys.J0 * sol.m)) * math.sqrt(2.0 / _gap(sol, bath))
-
-
-def _gap(sol: OrderSolution, bath: BathParams) -> float:
-    # J^2 - Theta^2 of an ordered bath, the Gaussian rate's numerator
-    try:
-        return bath.J**2 - sol.theta**2
-    except OverflowError:
-        raise InvalidParams(f"J={bath.J!r} is too large: J^2 overflows") from None
-
-
-def im_coherence_time(m: float, J0: float) -> float:
-    """Ising-limit 1/e time tau = (2/J0) sqrt(2/(1 - 4 m^2)).
-
-    Unlike the general formula this stays finite as m -> 0 (the Ising bath
-    dephases even at the transition, rate 1/4): tau(m=0) = 2 sqrt(2)/J0.
-    """
-    if J0 <= 0:
-        raise InvalidParams("coherence time needs J0 > 0")
-    if not 0.0 <= m <= 0.5:
-        raise InvalidParams(f"m must lie in [0, 1/2], got {m}")
-    if m == 0.5:
-        return math.inf
-    return (2.0 / J0) * math.sqrt(2.0 / (1.0 - 4.0 * m * m))
-
-
-def im_limit_magnitude(t: float, m: float, J0: float) -> float:
-    """Ising-limit magnitude exp[-J0^2 t^2/2 (1/4 - m^2)].
-
-    Identical to the general Gaussian with Theta = 2 m J substituted:
-    m^2 (J^2/Theta^2 - 1) = 1/4 - m^2.
-    """
-    if not 0.0 <= m <= 0.5:
-        raise InvalidParams(f"m must lie in [0, 1/2], got {m}")
-    return math.exp(-0.5 * (J0 * t) ** 2 * (0.25 - m * m))
+    return math.sqrt(2.0 / kappa) / sys.J0
 
 
 def dephasing_coeffs(

@@ -133,20 +133,12 @@ def _no_convergence(tol: float) -> NoConvergence:
     )
 
 
-def _theta_overflow(J: float) -> InvalidParams:
-    return InvalidParams(f"J={J!r} is too large: Theta^2 overflows")
-
-
-def _theta_underflow(J: float) -> InvalidParams:
-    return InvalidParams(f"J={J!r} is too small: Theta^2 underflows")
-
-
 def _order_parameter(theta: float, w: float, J: float) -> float:
     theta2 = theta * theta
     if theta2 == math.inf:
-        raise _theta_overflow(J)
+        raise InvalidParams(f"J={J!r} is too large: Theta^2 overflows")
     if 0.0 < theta and theta2 < sys.float_info.min:
-        raise _theta_underflow(J)
+        raise InvalidParams(f"J={J!r} is too small: Theta^2 underflows")
     return math.sqrt(max(theta2 - w * w, 0.0)) / (2.0 * J)
 
 
@@ -190,27 +182,18 @@ def solve_order_grid(
             up = np.tanh(mid / T2) > mid / J
             lo = np.where(open_ & up, mid, lo)
             hi = np.where(open_ & ~up, mid, hi)
-        converged = np.abs(np.tanh(hi / T2) - hi / J) < tol
         theta[ordered] = hi
         theta2 = hi * hi
         m[ordered] = np.sqrt(np.maximum(theta2 - w * w, 0.0)) / (2.0 * J)
-    unconverged = np.zeros(T.size, dtype=bool)
-    unconverged[ordered] = ~converged
-    overflow = np.zeros(T.size, dtype=bool)
-    overflow[ordered] = theta2 == math.inf
-    underflow = np.zeros(T.size, dtype=bool)
-    underflow[ordered] = (hi > 0.0) & (theta2 < sys.float_info.min)
-    # OrderSolution's range check on m, which a nan fails too
-    failed = ~valid | unconverged | overflow | underflow | ~(m <= 0.5 + 1e-12)
+        unsolved = ~(np.abs(np.tanh(hi / T2) - hi / J) < tol) | (
+            (hi > 0.0) & (theta2 < sys.float_info.min)
+        )
+    # OrderSolution's range check on m, which the inf or nan m of an
+    # overflowing Theta^2 fails too
+    failed = ~valid | ~(m <= 0.5 + 1e-12)
+    failed[ordered] |= unsolved
     if failed.any():
-        k = int(np.argmax(failed))
-        if not valid[k]:
-            BathParams(J=J, w=w, T=float(T[k]))
-        if unconverged[k]:
-            raise _no_convergence(tol)
-        if overflow[k]:
-            raise _theta_overflow(J)
-        if underflow[k]:
-            raise _theta_underflow(J)
-        OrderSolution(theta=float(theta[k]), m=float(m[k]), phase=PHASE_ORDERED)
+        # the scalar solver raises this temperature's own error
+        solve_order(BathParams(J=J, w=w, T=float(T[int(np.argmax(failed))])), tol)
+        raise _no_convergence(tol)
     return theta, m, ordered

@@ -26,8 +26,6 @@ from isingbath.dephasing import (
     coherence_magnitude_asymptotic,
     coherence_time,
     dephasing_coeffs,
-    im_coherence_time,
-    im_limit_magnitude,
 )
 from isingbath.entanglement import case2_concurrence, concurrence
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
@@ -240,10 +238,14 @@ def test_criterion_06_coherence_time_identity():
             abs(coherence_magnitude_asymptotic(tau, sol, bath, sys_p) - math.exp(-1.0)),
         )
     assert worst < 1e-12
+    bath_c = BathParams(J=J, w=0.0, T=TC)  # Ising bath at Tc: m = 0, rate 1/4
+    sol_c = solve_order(bath_c)
     for j0 in (0.5, 1.0, 2.5):
-        tau_c = im_coherence_time(0.0, j0)
+        sys_p = SystemParams(J0=j0)
+        tau_c = coherence_time(sol_c, bath_c, sys_p)
         assert abs(tau_c - 2.0 * math.sqrt(2.0) / j0) < 1e-12
-        assert abs(im_limit_magnitude(tau_c, 0.0, j0) - math.exp(-1.0)) < 1e-12
+        assert abs(coherence_magnitude_asymptotic(tau_c, sol_c, bath_c, sys_p)
+                   - math.exp(-1.0)) < 1e-12
     report(6, f"|r(tau)| = 1/e over 100 ordered draws, max err {worst:.2e}; "
               f"Ising tau(Tc) = 2*sqrt(2)/J0")
 

@@ -93,6 +93,27 @@ def test_coherence_tau_cells_are_the_coherence_time_repr(tmp_path):
     assert data["tau"] == [repr(tau)] * 25
 
 
+def test_coherence_of_an_ising_bath_above_tc(tmp_path):
+    out = tmp_path / "coh.csv"
+    assert main(["coherence", "--w", "0", "--T-over-Tc", "1.5", "--N", "8",
+                 "--points", "41", "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    want = np.abs(np.cos(floats(data, "J0_t") / (2.0 * math.sqrt(8.0))) ** 8)
+    assert np.abs(floats(data, "abs_r") - want).max() <= 1e-13
+    assert data["tau"][0] == repr(2.0 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--J0", "0"],  # no coupling; the grid is raw t
+    ["--J", "0", "--w", "0.1", "--T", "1"],  # a disordered bath in a field
+])
+def test_coherence_that_never_decays(tmp_path, argv):
+    out = tmp_path / "coh.csv"
+    assert main(["coherence", *argv, "--points", "5", "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    assert set(data["abs_r"]) == {"1.0"} and set(data["tau"]) == {"inf"}
+
+
 def _help_text(capsys, parse):
     with pytest.raises(SystemExit) as info:
         parse()
@@ -214,6 +235,16 @@ def test_verify_rejects_an_empty_bath_range(capsys, n_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "N-max" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--T-over-Tc", "1.5"],
+    ["--w", "0", "--T-over-Tc", "1.0"],
+])
+def test_verify_passes_at_and_above_tc(capsys, argv):
+    # the Ising bath's free spins dephase: the closed forms stay exact above Tc
+    assert main(["verify", *argv]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_verify_negative_control(capsys):
@@ -374,7 +405,7 @@ def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
     ["coherence", "--J", "1e200", "--T-over-Tc", "2"],
 ])
 def test_huge_field_of_a_disordered_bath_runs(tmp_path, capsys, argv):
-    # a disordered bath (m = 0) never dephases: no J^2 or Theta^2 is formed
+    # a disordered bath in a field (m = 0, w > 0) never dephases: no Theta^2 is formed
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""
@@ -384,13 +415,25 @@ def test_huge_field_of_a_disordered_bath_runs(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["phase", "--J", "1e308", "--T", "1,2"],
-    ["coherence", "--J", "1e155", "--T-over-Tc", "0.5"],
     ["coherence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
     ["concurrence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
 ])
+def test_huge_bath_scale_near_tc_runs(tmp_path, capsys, argv):
+    # Theta is small near Tc, so Theta^2 stays finite, and no J^2 is formed
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    columns, data = read_csv(out)
+    for name in columns:
+        assert all(math.isfinite(float(v)) for v in data[name]), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase", "--J", "1e308", "--T", "1,2"],
+    ["coherence", "--J", "1e155", "--T-over-Tc", "0.5"],
+])
 def test_overflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, argv):
-    # Theta^2 (first two) or J^2 (last two, Theta small near Tc) overflows
+    # Theta^2 overflows
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,6 @@ from isingbath.dephasing import (
     coherence_magnitude_asymptotic,
     coherence_time,
     dephasing_coeffs,
-    im_coherence_time,
-    im_limit_magnitude,
 )
 from isingbath.errors import InvalidParams
 from isingbath.mean_field import (
@@ -25,6 +24,7 @@ from isingbath.mean_field import (
     critical_temperature,
     solve_order,
 )
+from isingbath.su2 import _SMALL_Q
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
@@ -35,26 +35,31 @@ def per_spin_factor(phi, ratio):
     return complex(math.cos(phi), ratio * math.sin(phi))
 
 
+def reference_numbers(sol, bath):
+    """c = mJ/Theta, c - m and c + m, formed as the kernels form them."""
+    if sol.theta == 0.0:  # free Ising spins: w = 0 above Tc
+        return 0.5, 0.5, 0.5
+    ratio = sol.m / sol.theta
+    c = 0.5 if bath.w == 0.0 else ratio * bath.J
+    return c, ratio * (bath.J - sol.theta), c + sol.m
+
+
 def reference_factor(t, N, sol, bath, sys_p):
     """r(t) at one point with math/cmath: the log-domain formula of
     coherence_factor_finite, evaluated without numpy."""
-    if sol.m == 0.0:
-        return 1.0 + 0.0j
-    phi = t * sol.m * bath.J * sys_p.J0 / (sol.theta * math.sqrt(N))
-    ratio = sol.theta / bath.J
-    sin_phi = math.sin(phi)
-    log_z = 0.5 * math.log1p(-(1.0 - ratio * ratio) * sin_phi * sin_phi) + 1j * math.atan2(
-        ratio * sin_phi, math.cos(phi)
-    )
-    return cmath.exp(N * log_z)
+    c, lo, hi = reference_numbers(sol, bath)
+    u = t * (sys_p.J0 / math.sqrt(N))
+    cu = c * u
+    s = u * (1.0 - cu * cu / 6.0 if abs(cu) < _SMALL_Q else math.sin(cu) / cu)
+    log_abs = 0.5 * N * math.log1p(-(lo * s) * (hi * s))
+    return cmath.exp(complex(log_abs, N * math.atan2(sol.m * s, math.cos(cu))))
 
 
 def reference_gaussian(t, sol, bath, sys_p):
     """The large-N |r(t)| at one point with math."""
-    gap = bath.J**2 - sol.theta**2
-    if sol.m == 0.0 or gap <= 0.0:
-        return 1.0
-    return math.exp(-0.5 * (sys_p.J0 * sol.m * t) ** 2 * gap / sol.theta**2)
+    _, lo, hi = reference_numbers(sol, bath)
+    x = sys_p.J0 * t
+    return math.exp((-0.5 * (lo * hi)) * x * x)
 
 
 def test_unity_at_t_zero():
@@ -63,13 +68,36 @@ def test_unity_at_t_zero():
 
 
 def test_disordered_bath_never_dephases():
-    bath = BathParams(J=2.0, w=0.0, T=1.5)
+    # w > 0: the disordered bath's spins align with the field and c = mJ/Theta = 0
+    bath = BathParams(J=2.0, w=0.3, T=1.5)
     sol = solve_order(bath)
     assert sol.phase == PHASE_DISORDERED
     for t in (0.0, 1.0, 50.0):
         assert coherence_factor_finite(t, 4, sol, bath, SYS) == 1.0
         assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == 1.0
     assert coherence_time(sol, bath, SYS) == math.inf
+
+
+@pytest.mark.parametrize("N", [1, 4, 8, 12])
+def test_free_ising_spins_dephase_above_tc(N):
+    # w = 0, T/Tc = 1.5: m = 0 but c = 1/2, so r = cos(J0 t / (2 sqrt N))^N
+    bath = BathParams(J=2.0, w=0.0, T=1.5 * critical_temperature(2.0))
+    sol = solve_order(bath)
+    assert sol.phase == PHASE_DISORDERED
+    ts = np.linspace(0.0, 7.0, 29)
+    want = np.cos(SYS.J0 * ts / (2.0 * math.sqrt(N))) ** N
+    assert np.abs(coherence_factor_finite(ts, N, sol, bath, SYS) - want).max() <= 1e-13
+    assert coherence_time(sol, bath, SYS) == 2.0 * math.sqrt(2.0) / SYS.J0
+    gauss = coherence_magnitude_asymptotic(ts, sol, bath, SYS)
+    assert np.abs(gauss - np.exp(-0.125 * (SYS.J0 * ts) ** 2)).max() <= 1e-15
+
+
+def test_zero_of_a_free_spin_factor_is_an_exact_zero():
+    # |z| = |cos(u/2)| vanishes at u = pi; the kernel returns 0, not nan
+    bath = BathParams(J=2.0, w=0.0, T=2.0)
+    sol = solve_order(bath)
+    r = coherence_factor_finite(np.array([math.pi, 1.0]), 1, sol, bath, SYS)
+    assert np.isfinite(r).all() and abs(r[0]) <= 1e-16
 
 
 def test_log_domain_matches_direct_power():
@@ -187,22 +215,30 @@ def test_coherence_time_ising_formula():
     bath = BathParams(J=2.0, w=0.0, T=0.5)
     sol = solve_order(bath)
     expected = (2.0 / SYS.J0) * math.sqrt(2.0 / (1.0 - 4.0 * sol.m**2))
-    assert coherence_time(sol, bath, SYS) == pytest.approx(expected, rel=1e-12)
-    assert im_coherence_time(sol.m, SYS.J0) == pytest.approx(expected, rel=1e-15)
+    assert coherence_time(sol, bath, SYS) == pytest.approx(expected, rel=1e-14)
 
 
 def test_ising_limit_values():
-    J0 = 1.0
-    assert im_coherence_time(0.0, J0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-    assert im_coherence_time(0.5, J0) == math.inf
-    assert im_limit_magnitude(2.0 * math.sqrt(2.0) / J0, 0.0, J0) == pytest.approx(
-        math.exp(-1.0), rel=1e-14
-    )
+    # w = 0 at and above Tc: m = 0, rate 1/4, tau = 2 sqrt(2)/J0
+    for T_over_Tc, J0 in zip((1.0, 1.5, 3.0), (0.5, 1.0, 2.5)):
+        sys_p = SystemParams(J0=J0)
+        bath = BathParams(J=2.0, w=0.0, T=T_over_Tc * critical_temperature(2.0))
+        sol = solve_order(bath)
+        tau = coherence_time(sol, bath, sys_p)
+        assert tau == pytest.approx(2.0 * math.sqrt(2.0) / J0, rel=1e-15)
+        assert coherence_magnitude_asymptotic(tau, sol, bath, sys_p) == pytest.approx(
+            math.exp(-1.0), rel=1e-14
+        )
+    # saturated order, Theta = J: no decay
+    sol = OrderSolution(theta=2.0, m=0.5, phase=PHASE_ORDERED)
+    bath = BathParams(J=2.0, w=0.0, T=1e-6)
+    assert coherence_time(sol, bath, SYS) == math.inf
     for t in (0.0, 1.0, 17.0):
-        assert im_limit_magnitude(t, 0.5, J0) == 1.0
+        assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == 1.0
 
 
 def test_ising_limit_is_tim_gaussian_with_theta_substituted():
+    # Theta = 2 m J turns m^2 (J^2/Theta^2 - 1) into 1/4 - m^2
     rng = np.random.default_rng(11)
     J = 2.0
     for _ in range(100):
@@ -210,9 +246,42 @@ def test_ising_limit_is_tim_gaussian_with_theta_substituted():
         t = rng.uniform(0.0, 5.0)
         sol = OrderSolution(theta=2.0 * m * J, m=m, phase=PHASE_ORDERED)
         bath = BathParams(J=J, w=0.0, T=1.0)
-        assert im_limit_magnitude(t, m, SYS.J0) == pytest.approx(
-            coherence_magnitude_asymptotic(t, sol, bath, SYS), abs=1e-13
+        want = math.exp(-0.5 * (SYS.J0 * t) ** 2 * (0.25 - m * m))
+        assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == pytest.approx(
+            want, abs=1e-13
         )
+        tau = (2.0 / SYS.J0) * math.sqrt(2.0 / (1.0 - 4.0 * m * m))
+        assert coherence_time(sol, bath, SYS) == pytest.approx(tau, rel=1e-13)
+
+
+def _mp_tau_and_rate(theta, J, w, J0):
+    """tau and kappa = m^2 (J^2/Theta^2 - 1) in 50 digits at the given Theta."""
+    with mpmath.workdps(50):
+        theta, J, w = mpmath.mpf(theta), mpmath.mpf(J), mpmath.mpf(w)
+        m = mpmath.sqrt(theta**2 - w**2) / (2 * J)
+        kappa = m**2 * (J**2 / theta**2 - 1)
+        return mpmath.sqrt(2 / kappa) / J0, kappa
+
+
+@pytest.mark.parametrize("J", [2.0, 1e10])
+@pytest.mark.parametrize("w_over_J", [0.0, 0.05])
+@pytest.mark.parametrize("T_over_Tc", [0.06, 0.1, 0.5])
+def test_tau_and_gaussian_match_mpmath_at_the_solver_root(J, w_over_J, T_over_Tc):
+    # the rate m^2 (J^2/Theta^2 - 1) cancels as Theta -> J; (c - m)(c + m)
+    # with c - m = m (J - Theta)/Theta keeps its relative precision
+    bath = BathParams(J=J, w=w_over_J * J, T=T_over_Tc * critical_temperature(J))
+    sol = solve_order(bath)
+    assert sol.ordered and sol.theta < J
+    sys_p = SystemParams(J0=0.7)
+    tau_mp, kappa = _mp_tau_and_rate(sol.theta, J, bath.w, sys_p.J0)
+    tau = coherence_time(sol, bath, sys_p)
+    assert abs(tau - tau_mp) <= 1e-13 * tau_mp
+    for scale in (0.3, 1.0, 2.5):
+        t = scale * float(tau_mp)
+        with mpmath.workdps(50):
+            want = mpmath.exp(-kappa * (sys_p.J0 * mpmath.mpf(t)) ** 2 / 2)
+        got = coherence_magnitude_asymptotic(t, sol, bath, sys_p)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_asymptotic_matches_finite_at_large_N():
@@ -241,10 +310,7 @@ def test_validation():
         dephasing_coeffs(1.0, SOL, BATH, SYS, mode="exactish")
     with pytest.raises(InvalidParams):
         DephasingCoeffs(A=1.5, B=0.0)
-    with pytest.raises(InvalidParams):
-        coherence_time(SOL, BATH, SystemParams(J0=0.0))
-    with pytest.raises(InvalidParams):
-        im_limit_magnitude(1.0, 0.7, 1.0)
+    assert coherence_time(SOL, BATH, SystemParams(J0=0.0)) == math.inf  # nothing couples
     with pytest.raises(InvalidParams):
         SystemParams(J0=-1.0)
     bad = OrderSolution(theta=0.0, m=0.3, phase=PHASE_ORDERED)

@@ -205,9 +205,9 @@ def test_reconstruction_shares_the_closed_form_assembly(bath):
 
 
 def test_disordered_bath_still_dephases_exactly():
-    # above Tc with w=0 the mean-field closed form degenerates to r=1, but
-    # the exact dynamics keeps H_sB: each spin of the maximally mixed bath
-    # contributes cos(t J0 dlambda / (2 sqrt(N))) per unit z-distance
+    # above Tc with w=0 the bath is maximally mixed but the exact dynamics
+    # keeps H_sB: each spin contributes cos(t J0 dlambda / (2 sqrt(N))) per
+    # unit z-distance
     n = 3
     bath = BathParams(J=2.0, w=0.0, T=1.5)
     cfg = make_cfg(n, bath)
@@ -222,9 +222,29 @@ def test_disordered_bath_still_dephases_exactly():
                 dlam = lam[i] - lam[j]
                 expected[i, j] *= math.cos(t * SYS.J0 * dlam / (2 * math.sqrt(n))) ** n
         np.testing.assert_allclose(rho, expected, atol=1e-13)
-        # while the mean-field factor reports no decay at m=0
+        # and the closed form, with c = mJ/Theta = 1/2 at w = 0, says the same
         sol = solve_order(bath)
-        assert coherence_factor_finite(t, n, sol, bath, SYS) == 1.0
+        want = math.cos(t * SYS.J0 / (2 * math.sqrt(n))) ** n
+        assert abs(coherence_factor_finite(t, n, sol, bath, SYS) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("J", [2.0, 0.0])
+@pytest.mark.parametrize("T_over_Tc", [0.5, 1.0, 1.5, 3.0])
+def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
+    # temperatures in units of Tc(J=2) = 1, so J = 0 (never ordered) gets the same T
+    bath = BathParams(J=J, w=0.0, T=T_over_Tc * critical_temperature(2.0))
+    sol = solve_order(bath)
+    sys_p = SystemParams(J0=1.0, mu0=0.4, xi0=0.3)
+    times = np.linspace(0.0, 9.0, 7)
+    for n in range(1, 13):
+        r_exact = single_qubit_coherence_exact(n, bath, sys_p, times, sol)
+        r_closed = coherence_factor_finite(times, n, sol, bath, sys_p)
+        free_phase = np.exp(1j * sys_p.mu0 * times)
+        assert np.abs(r_exact / free_phase - r_closed).max() <= 1e-12
+        cfg = make_cfg(n, bath, times=times, sys_p=sys_p)
+        A, B, _ = extract_products(cfg, sol).conj().T
+        assert np.abs(A - r_closed).max() <= 1e-12
+        assert np.abs(B - coherence_factor_finite(2.0 * times, n, sol, bath, sys_p)).max() <= 1e-12
 
 
 def test_size_guards():
