@@ -9,6 +9,7 @@ from isingbath.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     RunConfig,
+    _COMMANDS,
     build_parser,
     main,
     read_csv_config,
@@ -123,9 +124,11 @@ def _help_text(capsys, parse):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_prints_the_full_parsers_help(capsys, command):
-    # main builds only the named command's subparser; its help is unchanged
+    # main builds only the named command's subparser; its help is unchanged,
+    # also when a later run reuses that parser
     full = _help_text(capsys, lambda: build_parser().parse_args([command, "--help"]))
-    assert _help_text(capsys, lambda: main([command, "--help"])) == full
+    for _ in range(2):
+        assert _help_text(capsys, lambda: main([command, "--help"])) == full
     assert full.startswith(f"usage: isingbath {command} ")
 
 
@@ -134,6 +137,42 @@ def test_top_level_help_lists_every_command(capsys):
     assert "{" + ",".join(COMMANDS) + "}" in text
     for command in COMMANDS:
         assert f"    {command} " in text
+
+
+def test_unknown_commands_share_one_cached_parser():
+    build_parser.cache_clear()
+    for k in range(100):
+        assert main([f"junk{k}", "--J", "2"]) == EXIT_BAD_INPUT
+    assert main([]) == EXIT_BAD_INPUT
+    assert build_parser.cache_info().currsize == 1
+    for command in COMMANDS:
+        assert main([command, "--bogus"]) == EXIT_BAD_INPUT
+    assert build_parser.cache_info().currsize <= len(_COMMANDS) + 1
+
+
+def test_a_reused_parser_carries_nothing_between_runs(tmp_path, capsys):
+    runs = [
+        ["concurrence", "--case", "4", "--xi0", "0.5", "--points", "5"],
+        ["concurrence", "--points", "5"],
+        ["fig1", "--points", "3"],
+    ]
+
+    def outputs(directory, fresh):
+        directory.mkdir()
+        for k, argv in enumerate(runs):
+            if fresh:
+                build_parser.cache_clear()
+            assert main(argv + ["--out", str(directory / f"run{k}")]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    build_parser.cache_clear()
+    reused = outputs(tmp_path / "reused", fresh=False)
+    assert main(["concurrence", "--bogus", "1"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.count("\n") == 1
+    assert main(runs[1] + ["--out", str(tmp_path / "after_error")]) == EXIT_OK
+    fresh = outputs(tmp_path / "fresh", fresh=True)
+    assert len(reused) == 6 and reused == fresh
+    assert (tmp_path / "after_error").read_bytes() == fresh["run1"]
 
 
 def test_concurrence_case1_constant(tmp_path):
@@ -384,12 +423,12 @@ def test_time_grid_overflow_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["coherence", "--t-max", "1e200", "--points", "3"],
-    ["concurrence", "--t-max", "1e200", "--points", "3"],
+    ["coherence", "--t-max", "1e308", "--points", "3"],
+    ["concurrence", "--t-max", "1e308", "--J0", "0", "--points", "3"],
     ["concurrence", "--t-max", "1e308", "--mode", "finite", "--points", "3"],
 ])
 def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
-    # B(t) = A(2t) doubles the last time and the Gaussian squares J0 m t
+    # B(t) = A(2t) doubles the last time t-max / J0 (raw t-max when J0 = 0)
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -397,6 +436,23 @@ def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "t-max" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--t-max", "1e200", "--points", "3"],
+    ["concurrence", "--t-max", "1e200", "--points", "3"],
+    ["concurrence", "--t-max", "1e307", "--mode", "finite", "--points", "3"],
+])
+def test_time_grid_far_inside_the_float_range_runs(tmp_path, capsys, argv):
+    # only the doubled last time bounds t-max: the Gaussian reads 0 where x^2 overflows
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    columns, data = read_csv(out)
+    for name in columns:
+        assert all(math.isfinite(float(v)) for v in data[name]), name
 
 
 @pytest.mark.parametrize("argv", [
