@@ -34,6 +34,7 @@ from .mean_field import (
     PHASE_DISORDERED,
     PHASE_ORDERED,
     BathParams,
+    OrderSolution,
     critical_temperature,
     solve_order,
     solve_order_grid,
@@ -91,6 +92,15 @@ class RunConfig:
             raise InvalidParams("T/Tc temperatures need J > 0")
         return tuple(r * tc for r in self.T_over_Tc)
 
+    def physics(self, w: float | None = None) -> tuple[BathParams, OrderSolution, SystemParams]:
+        """The bath at the run's one temperature (in field w when given), its
+        order parameter and the qubit couplings."""
+        temps = self.temperatures()
+        if len(temps) != 1:
+            raise InvalidParams(f"{self.command} takes exactly one temperature, got {len(temps)}")
+        bath = BathParams(J=self.J, w=self.w if w is None else w, T=temps[0])
+        return bath, solve_order(bath), SystemParams(J0=self.J0, mu0=self.mu0, xi0=self.xi0)
+
     def state(self) -> PureState2Q:
         if self.amplitudes is not None:
             return PureState2Q.normalized(*self.amplitudes)
@@ -122,16 +132,19 @@ class RunConfig:
         CSV headers all come through here."""
         kwargs = {}
         for key, text in mapping.items():
-            if key not in _PARSERS:
+            if key == "command":
+                kwargs[key] = text
+            elif key in _KEYS:
+                kwargs[key] = _parse_text(key, _KEYS[key][0], text)
+            else:
                 raise InvalidParams(f"unknown key {key!r}")
-            kwargs[key] = _parse_text(key, _PARSERS[key], text)
         if "command" not in kwargs:
             raise InvalidParams("configuration is missing the command")
         return cls(**kwargs)
 
 
 def _format_value(v) -> str:
-    """Header text of one RunConfig value, as _PARSERS reads it back."""
+    """Header text of one RunConfig value, as its _KEYS parser reads it back."""
     if v is None:
         return "none"
     if isinstance(v, tuple):
@@ -175,22 +188,26 @@ def _parse_optional_str(s: str) -> str | None:
     return None if s == "none" else s
 
 
-_PARSERS = {
-    "command": str,
-    "J": float,
-    "w": float,
-    "T": _parse_float_tuple,
-    "T_over_Tc": _parse_float_tuple,
-    "J0": float,
-    "xi0": float,
-    "mu0": float,
-    "case": int,
-    "amplitudes": _parse_amplitudes,
-    "mode": str,
-    "N": int,
-    "t_max": float,
-    "points": int,
-    "out": _parse_optional_str,
+# RunConfig field -> (parser of its text, help of its flag); the flag is the
+# field name with "_" -> "-", and flags, --config lines and CSV headers stay
+# text until RunConfig.from_key_values parses them
+_KEYS = {
+    "J": (float, "bath exchange coupling"),
+    "w": (float, "bath transverse field"),
+    "T": (_parse_float_tuple, "temperature(s), absolute"),
+    "T_over_Tc": (_parse_float_tuple, "temperature(s) as a fraction of Tc = J/2"),
+    "J0": (float, "system-bath coupling"),
+    "xi0": (float, "qubit-qubit coupling"),
+    "mu0": (float, "single-qubit field (free phase)"),
+    "case": (int, "paradigmatic initial state: 1, 2, 3 or 4"),
+    "amplitudes": (_parse_amplitudes,
+                   "four comma-separated complex amplitudes, normalized after parsing"),
+    "mode": (str, f"{MODE_FINITE} (finite-N coefficients) or "
+                  f"{MODE_ASYMPTOTIC} (large-N magnitudes)"),
+    "N": (int, "bath size for finite mode"),
+    "t_max": (float, "maximum scaled time J0*t (raw t when J0=0)"),
+    "points": (int, "number of time-grid points"),
+    "out": (_parse_optional_str, "output CSV path (fig1: path prefix); stdout if omitted"),
 }
 
 
@@ -257,10 +274,7 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 
 def cmd_coherence(cfg: RunConfig) -> int:
-    T = cfg.temperatures()[0]
-    bath = BathParams(J=cfg.J, w=cfg.w, T=T)
-    sol = solve_order(bath)
-    sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0)
+    bath, sol, sys_p = cfg.physics()
     tau = coherence_time(sol, bath, sys_p)
     times = cfg.time_grid()
     r = coherence_factor_finite(times, cfg.N, sol, bath, sys_p)
@@ -278,9 +292,7 @@ def cmd_coherence(cfg: RunConfig) -> int:
 
 
 def cmd_concurrence(cfg: RunConfig) -> int:
-    bath = BathParams(J=cfg.J, w=cfg.w, T=cfg.temperatures()[0])
-    sol = solve_order(bath)
-    sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0)
+    bath, sol, sys_p = cfg.physics()
     state = cfg.state()
     times = cfg.time_grid()
     coeffs = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
@@ -325,13 +337,9 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
     sym_tol = 1e-12
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
     rng = np.random.default_rng(20240809)
-    sys_p = SystemParams(J0=cfg.J0, mu0=cfg.mu0, xi0=cfg.xi0 if cfg.xi0 > 0 else 0.3)
-    T = cfg.temperatures()[0]
-    bath_tim = BathParams(J=cfg.J, w=cfg.w, T=T)
-    bath_im = BathParams(J=cfg.J, w=0.0, T=T)
+    bath_tim, sol_tim, sys_p = cfg.physics()
+    bath_im, sol_im, _ = cfg.physics(w=0.0)
     times = np.linspace(0.15, 2.4, 8)
-    sol_tim = solve_order(bath_tim)
-    sol_im = solve_order(bath_im)
     checks: list[tuple[str, float, float]] = []
 
     for n in sizes:
@@ -391,26 +399,6 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
 # ---------------------------------------------------------------- parsing
 
 
-# RunConfig field -> help of its flag, which is the field name with "_" -> "-";
-# flag values stay text until RunConfig.from_key_values parses them
-_FLAG_HELP = {
-    "J": "bath exchange coupling",
-    "w": "bath transverse field",
-    "T": "temperature(s), absolute",
-    "T_over_Tc": "temperature(s) as a fraction of Tc = J/2",
-    "J0": "system-bath coupling",
-    "xi0": "qubit-qubit coupling",
-    "mu0": "single-qubit field (free phase)",
-    "case": "paradigmatic initial state: 1, 2, 3 or 4",
-    "amplitudes": "four comma-separated complex amplitudes, normalized after parsing",
-    "mode": f"{MODE_FINITE} (finite-N coefficients) or {MODE_ASYMPTOTIC} (large-N magnitudes)",
-    "N": "bath size for finite mode",
-    "t_max": "maximum scaled time J0*t (raw t when J0=0)",
-    "points": "number of time-grid points",
-    "out": "output CSV path (fig1: path prefix); stdout if omitted",
-}
-
-
 # command -> (handler, help); handlers take the RunConfig plus any
 # command-specific flags as keywords
 _COMMANDS = {
@@ -445,7 +433,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         p = sub.add_parser(name, help=_COMMANDS[name][1])
         p.add_argument("--config", help="key=value file; explicit flags win")
-        for key, text in _FLAG_HELP.items():
+        for key, (_, text) in _KEYS.items():
             p.add_argument("--" + key.replace("_", "-"), help=text)
         if name == "verify":
             p.add_argument("--N-max", dest="n_max", default="6",
@@ -476,7 +464,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     from_file = {}
     if args.config:
         from_file = _parse_key_values(Path(args.config).read_text().splitlines(), args.config)
-    flags = {k: v for k, v in vars(args).items() if k in _FLAG_HELP and v is not None}
+    flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
     cfg = RunConfig.from_key_values(
         {**_COMMAND_DEFAULTS.get(args.command, {}), **from_file, **flags,
          "command": args.command}
@@ -492,6 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         handler, _ = _COMMANDS[args.command]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
         return handler(cfg, **extra)
+    except SystemExit as exc:  # --help printed its text
+        return exc.code
     except (IsingBathError, OSError, ValueError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

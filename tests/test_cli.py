@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from isingbath import cli
 from isingbath.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    FIG1_T_OVER_TC,
     RunConfig,
     _COMMANDS,
     build_parser,
@@ -17,6 +19,7 @@ from isingbath.cli import (
 from isingbath.dephasing import SystemParams, coherence_time
 from isingbath.errors import InvalidParams
 from isingbath.mean_field import BathParams, solve_order
+from isingbath.oracle import simulate_exact
 
 COMMANDS = ["phase", "coherence", "concurrence", "fig1", "fig2", "verify"]
 
@@ -115,10 +118,9 @@ def test_coherence_that_never_decays(tmp_path, argv):
     assert set(data["abs_r"]) == {"1.0"} and set(data["tau"]) == {"inf"}
 
 
-def _help_text(capsys, parse):
-    with pytest.raises(SystemExit) as info:
-        parse()
-    assert info.value.code == 0
+def _help_text(capsys, argv):
+    # main returns --help's exit code like every other outcome
+    assert main(argv) == EXIT_OK
     return capsys.readouterr().out
 
 
@@ -126,14 +128,17 @@ def _help_text(capsys, parse):
 def test_one_command_parser_prints_the_full_parsers_help(capsys, command):
     # main builds only the named command's subparser; its help is unchanged,
     # also when a later run reuses that parser
-    full = _help_text(capsys, lambda: build_parser().parse_args([command, "--help"]))
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, "--help"])
+    assert info.value.code == 0
+    full = capsys.readouterr().out
     for _ in range(2):
-        assert _help_text(capsys, lambda: main([command, "--help"])) == full
+        assert _help_text(capsys, [command, "--help"]) == full
     assert full.startswith(f"usage: isingbath {command} ")
 
 
 def test_top_level_help_lists_every_command(capsys):
-    text = _help_text(capsys, lambda: main(["--help"]))
+    text = _help_text(capsys, ["--help"])
     assert "{" + ",".join(COMMANDS) + "}" in text
     for command in COMMANDS:
         assert f"    {command} " in text
@@ -286,6 +291,31 @@ def test_verify_passes_at_and_above_tc(capsys, argv):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def _verify_run(capsys, monkeypatch, argv):
+    """verify's stdout and the qubit coupling of every oracle evolution it ran."""
+    seen = set()
+
+    def spy(cfg, *args, **kwargs):
+        seen.add(cfg.sys.xi0)
+        return simulate_exact(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_exact", spy)
+    assert main(["verify", *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.endswith("verify: all checks passed\n")
+    return out, seen
+
+
+def test_verify_honours_a_zero_qubit_coupling(capsys, monkeypatch):
+    # 0.3 is verify's default, not an override of --xi0 0
+    plain, plain_xi0 = _verify_run(capsys, monkeypatch, ["--N-max", "4"])
+    explicit, explicit_xi0 = _verify_run(capsys, monkeypatch, ["--N-max", "4", "--xi0", "0.3"])
+    _, zero_xi0 = _verify_run(capsys, monkeypatch, ["--N-max", "4", "--xi0", "0"])
+    assert plain == explicit
+    assert plain_xi0 == explicit_xi0 == {0.3}
+    assert zero_xi0 == {0.0}
+
+
 def test_verify_negative_control(capsys):
     assert main(["verify", "--N-max", "2", "--inject-error"]) == EXIT_VERIFY_FAILED
     assert "FAIL" in capsys.readouterr().out
@@ -332,16 +362,63 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def _round_trip(path):
+    cfg = read_csv_config(str(path))
+    assert RunConfig.from_key_values(cfg.key_values()) == cfg
+    return cfg
+
+
 def test_run_config_round_trip(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["concurrence", "--case", "2", "--T-over-Tc", "0.35,0.5",
+    phase, conc = tmp_path / "p.csv", tmp_path / "c.csv"
+    assert main(["phase", "--T-over-Tc", "0.35,0.5", "--out", str(phase)]) == EXIT_OK
+    assert _round_trip(phase).T_over_Tc == (0.35, 0.5)
+    assert main(["concurrence", "--case", "2", "--T-over-Tc", "0.35",
                  "--amplitudes", "0.6,0,0,0.8", "--mode", "finite", "--N", "777",
-                 "--t-max", "3.5", "--points", "9", "--out", str(out)]) == EXIT_OK
-    cfg = read_csv_config(str(out))
-    rebuilt = RunConfig.from_key_values(cfg.key_values())
-    assert rebuilt == cfg
+                 "--t-max", "3.5", "--points", "9", "--out", str(conc)]) == EXIT_OK
+    cfg = _round_trip(conc)
+    assert cfg.T_over_Tc == (0.35,)
     assert cfg.amplitudes == (0.6 + 0j, 0j, 0j, 0.8 + 0j)
     assert cfg.N == 777
+
+
+@pytest.mark.parametrize("temperatures", [
+    ["--T-over-Tc", ","], ["--T-over-Tc", "0.25,0.5"], ["--T", "0.1,0.2"],
+])
+@pytest.mark.parametrize("command", ["coherence", "concurrence", "fig2", "verify"])
+def test_one_curve_commands_take_exactly_one_temperature(tmp_path, capsys, command,
+                                                         temperatures):
+    out = tmp_path / "o.csv"
+    assert main([command, *temperatures, "--points", "3", "--out", str(out)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"isingbath: error: {command} takes exactly one temperature")
+    assert not out.exists()
+
+
+def _body(path):
+    """A CSV without its command name, which is the only header word that
+    tells a preset from the command it runs."""
+    header, rest = path.read_text().split("\n", 1)
+    return header.split(" ", 2)[2], rest
+
+
+def test_phase_and_fig1_keep_their_temperature_lists(tmp_path):
+    ratios = ["0.25", "0.5", "1.5"]
+    assert main(["phase", "--T-over-Tc", ",".join(ratios),
+                 "--out", str(tmp_path / "all.csv")]) == EXIT_OK
+    rows = (tmp_path / "all.csv").read_text().splitlines()[2:]
+    for k, ratio in enumerate(ratios):
+        one = tmp_path / f"one{k}.csv"
+        assert main(["phase", "--T-over-Tc", ratio, "--out", str(one)]) == EXIT_OK
+        assert one.read_text().splitlines()[2:] == [rows[k]]
+    # each fig1 curve is a case-2 concurrence run at one of its temperatures
+    assert main(["fig1", "--points", "7", "--out", str(tmp_path / "f")]) == EXIT_OK
+    for ratio in FIG1_T_OVER_TC:
+        curve = tmp_path / f"c{ratio}.csv"
+        assert main(["concurrence", "--case", "2", "--T-over-Tc", repr(ratio),
+                     "--points", "7", "--out", str(curve)]) == EXIT_OK
+        assert _body(tmp_path / f"f_TTc{ratio:.2f}.csv") == _body(curve)
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):
