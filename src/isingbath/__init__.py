@@ -15,13 +15,7 @@ from .dephasing import (
     coherence_time,
     dephasing_coeffs,
 )
-from .entanglement import (
-    ConcurrenceValue,
-    case1_concurrence,
-    case2_concurrence,
-    concurrence,
-    concurrences,
-)
+from .entanglement import ConcurrenceValue, concurrence, concurrences
 from .errors import (
     ConfigTooLarge,
     InvalidParams,

@@ -224,7 +224,11 @@ def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]], path: 
         for col in columns.values()
     ]
     rows = map(",".join, zip(*cells))
-    text = "\n".join([header, ",".join(columns), *rows]) + "\n"
+    _write_text("\n".join([header, ",".join(columns), *rows]) + "\n", path)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """text to the file at path, or to stdout when there is none."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -313,7 +317,7 @@ def cmd_fig1(cfg: RunConfig) -> int:
     """One CSV per temperature curve, coldest decaying slowest."""
     prefix = cfg.out if cfg.out is not None else "fig1"
     for ratio in FIG1_T_OVER_TC:
-        curve = replace(cfg, T=(), T_over_Tc=(ratio,), out=f"{prefix}_TTc{ratio:.2f}.csv")
+        curve = replace(cfg, T_over_Tc=(ratio,), out=f"{prefix}_TTc{ratio:.2f}.csv")
         cmd_concurrence(curve)
     return EXIT_OK
 
@@ -328,7 +332,7 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
     the working transverse field; closed-form equivalence checks run in the
     Ising limit w = 0, the regime where the finite-N formulas are exact
     identities rather than large-N asymptotics.  n_max is the text of the
-    --N-max flag.
+    --N-max flag.  The report goes to cfg.out, or to stdout.
     """
     n_max = _parse_text("N-max", int, n_max)
     if n_max < 1:
@@ -386,28 +390,39 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
         err = np.abs(r_cl - r_ex).max()
         checks.append((f"N={n} single-qubit closed form vs exact (w=0)", err, tol))
 
-    failed = False
-    for name, err, bound in checks:
-        status = "ok" if err < bound else "FAIL"
-        if err >= bound:
-            failed = True
-        print(f"{status:4s} {name}: max error {err:.3e} (tol {bound:g})")
-    print("verify:", "FAILED" if failed else "all checks passed")
+    failed = any(err >= bound for _, err, bound in checks)
+    lines = [
+        f"{'ok' if err < bound else 'FAIL':4s} {name}: max error {err:.3e} (tol {bound:g})"
+        for name, err, bound in checks
+    ]
+    lines.append(f"verify: {'FAILED' if failed else 'all checks passed'}")
+    _write_text("\n".join(lines) + "\n", cfg.out)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------- parsing
 
 
-# command -> (handler, help); handlers take the RunConfig plus any
-# command-specific flags as keywords
+# the keys RunConfig.physics() reads
+_PHYSICS = ("J", "w", "T", "T_over_Tc", "J0", "xi0", "mu0")
+
+# command -> (handler, help, the _KEYS it reads in _KEYS order); a command
+# reads a key its handler uses directly or through physics(), state() or
+# time_grid(), and it has a flag and a --config line for those keys alone;
+# handlers take the RunConfig plus any command-specific flags as keywords
 _COMMANDS = {
-    "phase": (cmd_phase, "order-parameter sweep over temperature"),
-    "coherence": (cmd_coherence, "single-qubit coherence factor, finite and asymptotic"),
-    "concurrence": (cmd_concurrence, "two-qubit concurrence for a case or custom state"),
-    "fig1": (cmd_fig1, "case-2 concurrence curves at T/Tc = 0.75, 0.50, 0.35, 0.25"),
-    "fig2": (cmd_concurrence, "case-4 entangling oscillations damped by the bath"),
-    "verify": (cmd_verify, "cross-check the exact oracle against the closed forms"),
+    "phase": (cmd_phase, "order-parameter sweep over temperature",
+              ("J", "w", "T", "T_over_Tc", "out")),
+    "coherence": (cmd_coherence, "single-qubit coherence factor, finite and asymptotic",
+                  (*_PHYSICS, "N", "t_max", "points", "out")),
+    "concurrence": (cmd_concurrence, "two-qubit concurrence for a case or custom state",
+                    (*_PHYSICS, "case", "amplitudes", "mode", "N", "t_max", "points", "out")),
+    "fig1": (cmd_fig1, "case-2 concurrence curves at T/Tc = 0.75, 0.50, 0.35, 0.25",
+             ("J0", "xi0", "mu0", "mode", "N", "t_max", "points", "out")),
+    "fig2": (cmd_concurrence, "case-4 entangling oscillations damped by the bath",
+             ("T", "T_over_Tc", "J0", "mu0", "mode", "N", "t_max", "points", "out")),
+    "verify": (cmd_verify, "cross-check the exact oracle against the closed forms",
+               (*_PHYSICS, "out")),
 }
 _RUN_KEYS = {f.name for f in fields(RunConfig)} | {"config"}
 
@@ -431,10 +446,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     for name in names:
-        p = sub.add_parser(name, help=_COMMANDS[name][1])
+        _, text, keys = _COMMANDS[name]
+        # no abbreviations: verify --N must not pass for --N-max
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; explicit flags win")
-        for key, (_, text) in _KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), help=text)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key][1])
         if name == "verify":
             p.add_argument("--N-max", dest="n_max", default="6",
                            help="largest bath size to verify (default 6)")
@@ -443,33 +460,32 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# per-command text values where they differ from the RunConfig defaults
+# per-command text values where they differ from the RunConfig defaults; a
+# figure's caption parameters are among them (fig1 and fig2 take J = 2 and
+# w = 0.1 from RunConfig), and the figure commands do not read those keys
 _COMMAND_DEFAULTS: dict[str, dict[str, str]] = {
     "phase": {"T_over_Tc": ",".join(str(round(0.05 * k, 2)) for k in range(1, 25))},
     "coherence": {"mode": MODE_FINITE},
-    "fig2": {"t_max": "64.0", "out": "fig2.csv"},
+    "fig2": {"case": "4", "xi0": "0.3", "t_max": "64.0", "out": "fig2.csv"},
     "verify": {"T_over_Tc": "0.5", "xi0": "0.3"},
-}
-
-# fig presets pin the caption parameters; user flags cannot unpin these
-_PRESET_LOCKED: dict[str, dict] = {
-    "fig1": {"J": 2.0, "w": 0.1, "case": 2, "amplitudes": None},
-    "fig2": {"J": 2.0, "w": 0.1, "case": 4, "xi0": 0.3, "amplitudes": None},
 }
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Command defaults < --config < flags, parsed and checked as one
-    mapping, then the locked preset values."""
+    mapping; a --config key must be one the command reads."""
     from_file = {}
     if args.config:
         from_file = _parse_key_values(Path(args.config).read_text().splitlines(), args.config)
+        keys = _COMMANDS[args.command][2]
+        for key in from_file:
+            if key not in keys:
+                raise InvalidParams(f"{args.command} does not read key {key!r} ({args.config})")
     flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
-    cfg = RunConfig.from_key_values(
+    return RunConfig.from_key_values(
         {**_COMMAND_DEFAULTS.get(args.command, {}), **from_file, **flags,
          "command": args.command}
     )
-    return replace(cfg, **_PRESET_LOCKED.get(args.command, {}))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         cfg = build_run_config(args)
-        handler, _ = _COMMANDS[args.command]
+        handler = _COMMANDS[args.command][0]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text

@@ -1,4 +1,4 @@
-"""Wootters concurrence and the closed-form case concurrences.
+"""Wootters concurrence of two-qubit density matrices.
 
 The concurrence of a two-qubit density matrix is
 C = max(l1 - l2 - l3 - l4, 0) where l_i are the square roots of the
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingCoeffs
-from .errors import InvalidParams, NotADensityMatrix
+from .errors import NotADensityMatrix
 from .two_qubit import SIGMA_YY, validate_density
 
 _PSD_CLAMP = -1e-10  # eigenvalues of rho below this are a genuine violation
@@ -80,31 +79,4 @@ def concurrence(rho: np.ndarray) -> ConcurrenceValue:
     return ConcurrenceValue(
         c=float(_from_lambdas(lambdas)[0]), lambdas=tuple(lambdas[0].tolist())
     )
-
-
-def _check_pair_norm(x: complex, y: complex) -> None:
-    norm2 = abs(complex(x)) ** 2 + abs(complex(y)) ** 2
-    if abs(norm2 - 1.0) > 1e-12:
-        raise InvalidParams(f"amplitude pair norm^2 = {norm2!r} is not 1")
-
-
-def case1_concurrence(beta: complex, gamma: complex) -> float:
-    """beta|01> + gamma|10>: C = 2|beta||gamma| for all t.
-
-    The state is an eigenstate of the interaction, so the bath never sees
-    it: the entanglement is decoherence-free and time independent.
-    """
-    _check_pair_norm(beta, gamma)
-    return 2.0 * abs(complex(beta)) * abs(complex(gamma))
-
-
-def case2_concurrence(alpha: complex, delta: complex, coeffs: DephasingCoeffs) -> float:
-    """alpha|00> + delta|11>: C(t) = 2|alpha||delta||B(t)|.
-
-    The time dependence rides entirely on the two-excitation coefficient,
-    so disentanglement runs exactly twice as fast as single-qubit
-    decoherence (|B(t)| = |A(2t)|).
-    """
-    _check_pair_norm(alpha, delta)
-    return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * np.abs(coeffs.B)
 

@@ -45,9 +45,6 @@ class TracelessXZ:
     def q(self) -> float | np.ndarray:
         return np.hypot(self.a, self.b)
 
-    def as_matrix(self) -> np.ndarray:
-        return _xz_matrix(0.0, self.a, self.b)
-
 
 def _xz_matrix(c, a, b) -> np.ndarray:
     """c I + a sigma_x + b sigma_z, shaped (..., 2, 2) over the broadcast

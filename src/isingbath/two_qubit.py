@@ -11,6 +11,7 @@ interaction eigenspace, a decoherence-free direction).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,23 @@ class PureState2Q:
 
     @classmethod
     def normalized(cls, alpha, beta, gamma, delta) -> "PureState2Q":
-        """Build a state from unnormalized amplitudes."""
-        norm = math.sqrt(sum(abs(complex(a)) ** 2 for a in (alpha, beta, gamma, delta)))
-        if norm == 0.0:
+        """Build a state from unnormalized amplitudes of any finite scale."""
+        amps = (alpha, beta, gamma, delta)
+        mags = [abs(complex(a)) for a in amps]
+        try:
+            norm2 = sum(x**2 for x in mags)
+        except OverflowError:
+            norm2 = math.inf
+        if not sys.float_info.min <= norm2 < math.inf and 0.0 < max(mags) < math.inf:
+            # an exact power-of-two rescale brings the largest magnitude near 1,
+            # so its square neither overflows nor underflows
+            scale = 2.0 ** min(-math.frexp(max(mags))[1], 1023)
+            amps = tuple(a * scale for a in amps)
+            norm2 = sum((x * scale) ** 2 for x in mags)
+        if norm2 == 0.0:
             raise InvalidState("cannot normalize the zero vector")
-        return cls(alpha / norm, beta / norm, gamma / norm, delta / norm)
+        norm = math.sqrt(norm2)
+        return cls(*(a / norm for a in amps))
 
     def amplitudes(self) -> np.ndarray:
         return np.array(

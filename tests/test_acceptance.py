@@ -27,7 +27,7 @@ from isingbath.dephasing import (
     coherence_time,
     dephasing_coeffs,
 )
-from isingbath.entanglement import case2_concurrence, concurrence
+from isingbath.entanglement import concurrence
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
     OracleConfig,
@@ -37,7 +37,8 @@ from isingbath.oracle import (
 )
 from isingbath.su2 import TracelessXZ, exp_imag, trace_triple
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
-from wootters_reference import r_matrix
+from su2_reference import series_exp, xz_matrix
+from wootters_reference import case2_concurrence, r_matrix
 
 J, W = 2.0, 0.1
 TC = critical_temperature(J)
@@ -342,27 +343,19 @@ def test_criterion_10_fig2_reproduction(tmp_path):
 def test_criterion_11_exponential_identities():
     start = time.perf_counter()
 
-    def series_exp(m, terms=40):
-        out = np.eye(2, dtype=complex)
-        term = np.eye(2, dtype=complex)
-        for k in range(1, terms):
-            term = term @ m / k
-            out = out + term
-        return out
-
     rng = np.random.default_rng(1111)
     worst_exp = 0.0
     for _ in range(1000):
         m = TracelessXZ(*rng.uniform(-3, 3, size=2))
-        worst_exp = max(worst_exp, np.abs(exp_imag(m) - series_exp(1j * m.as_matrix())).max())
+        worst_exp = max(worst_exp, np.abs(exp_imag(m) - series_exp(1j * xz_matrix(m))).max())
     assert worst_exp < 1e-12
 
     worst_tr = 0.0
     for _ in range(1000):
         i1, r, i2 = (TracelessXZ(*rng.uniform(-2, 2, size=2)) for _ in range(3))
-        gibbs = series_exp(r.as_matrix())
+        gibbs = series_exp(xz_matrix(r))
         brute = np.trace(
-            series_exp(1j * i1.as_matrix()) @ gibbs @ series_exp(1j * i2.as_matrix())
+            series_exp(1j * xz_matrix(i1)) @ gibbs @ series_exp(1j * xz_matrix(i2))
         ) / np.trace(gibbs)
         worst_tr = max(worst_tr, abs(trace_triple(i1, r, i2) - brute))
     assert worst_tr < 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -180,6 +181,85 @@ def test_a_reused_parser_carries_nothing_between_runs(tmp_path, capsys):
     assert (tmp_path / "after_error").read_bytes() == fresh["run1"]
 
 
+# the keys each command reads, in _KEYS order: its flags and its --config lines
+PHYSICS = ["J", "w", "T", "T_over_Tc", "J0", "xi0", "mu0"]
+READS = {
+    "phase": ["J", "w", "T", "T_over_Tc", "out"],
+    "coherence": PHYSICS + ["N", "t_max", "points", "out"],
+    "concurrence": PHYSICS + ["case", "amplitudes", "mode", "N", "t_max", "points", "out"],
+    "fig1": ["J0", "xi0", "mu0", "mode", "N", "t_max", "points", "out"],
+    "fig2": ["T", "T_over_Tc", "J0", "mu0", "mode", "N", "t_max", "points", "out"],
+    "verify": PHYSICS + ["out"],
+}
+# a valid value of every key, so that only the command can refuse it
+SAMPLE = {"J": "2", "w": "0.1", "T": "0.5", "T_over_Tc": "0.5", "J0": "1", "xi0": "0.3",
+          "mu0": "0", "case": "2", "amplitudes": "1,0,0,1", "mode": "finite", "N": "100",
+          "t_max": "8", "points": "3"}
+UNREAD = [(c, k) for c in COMMANDS for k in SAMPLE if k not in READS[c]]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_keys_the_command_reads(capsys, command):
+    text = _help_text(capsys, [command, "--help"])
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.MULTILINE)
+    extra = ["--N-max"] if command == "verify" else []  # --inject-error is hidden
+    assert listed == ["--help", "--config", *map(_flag, READS[command]), *extra]
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    assert main([command, _flag(key), SAMPLE[key], "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and _flag(key) in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_a_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={SAMPLE[key]}\n")
+    argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{command} does not read key {key!r}" in captured.err
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fig1", "--T-over-Tc", "0.9"], None),
+    (["fig1", "--T", "0.1"], None),
+    (["fig2", "--case", "2"], None),
+    (["fig2"], "xi0=0.5"),
+    (["fig1"], "J=3"),
+])
+def test_presets_do_not_take_the_caption_parameters_they_fix(tmp_path, capsys, argv, config):
+    # fig1 and fig2 draw their caption's curves; a changed caption value
+    # exits 2 instead of being dropped
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--points", "3", "--out", str(tmp_path / "f")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(tmp_path.glob("f*"))
+
+
+def test_verify_writes_its_report_to_out(tmp_path, capsys):
+    assert main(["verify", "--N-max", "2"]) == EXIT_OK
+    report = capsys.readouterr().out
+    assert report.endswith("verify: all checks passed\n")
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--N-max", "2", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == report
+
+
 def test_concurrence_case1_constant(tmp_path):
     out = tmp_path / "c1.csv"
     assert main(["concurrence", "--case", "1", "--points", "30", "--out", str(out)]) == EXIT_OK
@@ -321,6 +401,18 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("amplitudes", ["1e200,1e200,0,0", "1e-170,1e-170,0,0"])
+def test_concurrence_amplitudes_at_extreme_scales(tmp_path, amplitudes):
+    # the squared norm overflows or underflows; the state is the same as at scale 1
+    def rows(text):
+        out = tmp_path / "o.csv"
+        assert main(["concurrence", "--amplitudes", text, "--points", "9",
+                     "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()[1:]
+
+    assert rows(amplitudes) == rows("1,1,0,0")
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["concurrence", "--case", "2", "--T-over-Tc", "0.35", "--points", "50"]
@@ -341,14 +433,14 @@ def test_values_in_range(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("J=2.0\nw=0.0\nT_over_Tc=0.5\npoints=7\n# comment\n")
+    cfg_file.write_text("J=3.0\nw=0.0\nT_over_Tc=0.5\n# comment\n")
     out = tmp_path / "o.csv"
     assert main(["phase", "--config", str(cfg_file), "--w", "0.1",
                  "--out", str(out)]) == EXIT_OK
     cfg = read_csv_config(str(out))
     assert cfg.w == 0.1  # flag wins
     assert cfg.T_over_Tc == (0.5,)  # from file
-    assert cfg.points == 7
+    assert cfg.J == 3.0
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -388,7 +480,8 @@ def test_run_config_round_trip(tmp_path):
 def test_one_curve_commands_take_exactly_one_temperature(tmp_path, capsys, command,
                                                          temperatures):
     out = tmp_path / "o.csv"
-    assert main([command, *temperatures, "--points", "3", "--out", str(out)]) == EXIT_BAD_INPUT
+    grid = [] if command == "verify" else ["--points", "3"]
+    assert main([command, *temperatures, *grid, "--out", str(out)]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -459,7 +552,7 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, route, key, value):
         cfg_file.write_text(f"{key}={value}\n")
         args = ["--config", str(cfg_file)]
     out = tmp_path / "o.csv"
-    assert main(["phase", *args, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert main(["concurrence", *args, "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {key}" in err
     assert not out.exists()

@@ -11,16 +11,11 @@ from isingbath.dephasing import (
     coherence_magnitude_asymptotic,
     dephasing_coeffs,
 )
-from isingbath.entanglement import (
-    case1_concurrence,
-    case2_concurrence,
-    concurrence,
-    concurrences,
-)
-from isingbath.errors import InvalidParams, NotADensityMatrix
+from isingbath.entanglement import concurrence, concurrences
+from isingbath.errors import NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
-from wootters_reference import r_matrix
+from wootters_reference import case1_concurrence, case2_concurrence, r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
@@ -189,13 +184,6 @@ def test_case2_ising_limit_closed_form():
         co = dephasing_coeffs(t, sol, bath, SYS, mode=MODE_ASYMPTOTIC)
         want = 2 * alpha * delta * math.exp(-2 * SYS.J0**2 * t**2 * (0.25 - sol.m**2))
         assert case2_concurrence(alpha, delta, co) == pytest.approx(want, abs=1e-12)
-
-
-def test_closed_form_norm_validation():
-    with pytest.raises(InvalidParams):
-        case1_concurrence(1.0, 0.5)
-    with pytest.raises(InvalidParams):
-        case2_concurrence(0.9, 0.9, DephasingCoeffs(A=1.0, B=1.0))
 
 
 def test_rejects_invalid_density():

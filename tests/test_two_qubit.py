@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ def test_state_validation():
     st = PureState2Q.normalized(3.0, 0.0, 4.0, 0.0)
     assert st.alpha == pytest.approx(0.6)
     assert st.gamma == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-600, 2.0**-1074, 2.0**1023,
+                                   1e200, 1e-170, 1e308, 1e-320])
+def test_normalized_at_any_finite_scale(scale):
+    # the squared norm overflows or underflows; the rescale is by an exact
+    # power of two, so a power-of-two scale gives the bits of scale 1
+    unit = PureState2Q.normalized(1.0, 1.0, 0.0, 1j).amplitudes()
+    got = PureState2Q.normalized(scale, scale, 0.0, scale * 1j).amplitudes()
+    if math.frexp(scale)[0] == 0.5:
+        assert got.tolist() == unit.tolist()
+    np.testing.assert_allclose(got, unit, rtol=1e-15)
 
 
 def test_case_state_validation():
