@@ -92,13 +92,12 @@ class RunConfig:
             raise InvalidParams("T/Tc temperatures need J > 0")
         return tuple(r * tc for r in self.T_over_Tc)
 
-    def physics(self, w: float | None = None) -> tuple[BathParams, OrderSolution, SystemParams]:
-        """The bath at the run's one temperature (in field w when given), its
-        order parameter and the qubit couplings."""
+    def physics(self) -> tuple[BathParams, OrderSolution, SystemParams]:
+        """The bath at the run's one temperature, its order parameter, the qubit couplings."""
         temps = self.temperatures()
         if len(temps) != 1:
             raise InvalidParams(f"{self.command} takes exactly one temperature, got {len(temps)}")
-        bath = BathParams(J=self.J, w=self.w if w is None else w, T=temps[0])
+        bath = BathParams(J=self.J, w=self.w, T=temps[0])
         return bath, solve_order(bath), SystemParams(J0=self.J0, mu0=self.mu0, xi0=self.xi0)
 
     def state(self) -> PureState2Q:
@@ -154,7 +153,7 @@ def _format_value(v) -> str:
         return f"{v.real!r}{sign}{abs(v.imag)!r}j"
     if isinstance(v, float):
         return repr(float(v))
-    if isinstance(v, (str, int, np.integer)):
+    if isinstance(v, (str, int)):
         return str(v)
     raise TypeError(f"cannot serialize {v!r}")
 
@@ -207,12 +206,13 @@ _KEYS = {
     "N": (int, "bath size for finite mode"),
     "t_max": (float, "maximum scaled time J0*t (raw t when J0=0)"),
     "points": (int, "number of time-grid points"),
-    "out": (_parse_optional_str, "output CSV path (fig1: path prefix); stdout if omitted"),
+    "out": (_parse_optional_str,
+            "output path (fig1: path prefix; verify: text report); stdout if omitted"),
 }
 
 
-def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]], path: str | None) -> None:
-    """Header, column-name line, then one row per entry of the columns.
+def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]]) -> None:
+    """Header, column-name line, then one row per column entry, to cfg.out or stdout.
 
     A numpy column is written as Python's shortest round-trip repr of each
     value; a list column must already hold strings.
@@ -224,7 +224,7 @@ def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]], path: 
         for col in columns.values()
     ]
     rows = map(",".join, zip(*cells))
-    _write_text("\n".join([header, ",".join(columns), *rows]) + "\n", path)
+    _write_text("\n".join([header, ",".join(columns), *rows]) + "\n", cfg.out)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -273,7 +273,7 @@ def cmd_phase(cfg: RunConfig) -> int:
         "m": m,
         "phase": np.where(ordered, PHASE_ORDERED, PHASE_DISORDERED).tolist(),
     }
-    write_csv(cfg, columns, cfg.out)
+    write_csv(cfg, columns)
     return EXIT_OK
 
 
@@ -291,7 +291,7 @@ def cmd_coherence(cfg: RunConfig) -> int:
         "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
         "tau": [repr(tau)] * len(times),
     }
-    write_csv(cfg, columns, cfg.out)
+    write_csv(cfg, columns)
     return EXIT_OK
 
 
@@ -309,7 +309,7 @@ def cmd_concurrence(cfg: RunConfig) -> int:
     }
     if cfg.amplitudes is None and cfg.case == 4:
         columns["no_bath_C"] = np.abs(np.sin(0.5 * cfg.xi0 * times))
-    write_csv(cfg, columns, cfg.out)
+    write_csv(cfg, columns)
     return EXIT_OK
 
 
@@ -325,7 +325,7 @@ def cmd_fig1(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     """Cross-check the exact oracle against the closed forms.
 
     Structural checks (factorized vs dense vs trace-identity routes) run at
@@ -342,7 +342,7 @@ def cmd_verify(cfg: RunConfig, n_max: str = "6", inject_error: bool = False) -> 
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
     rng = np.random.default_rng(20240809)
     bath_tim, sol_tim, sys_p = cfg.physics()
-    bath_im, sol_im, _ = cfg.physics(w=0.0)
+    bath_im, sol_im, _ = replace(cfg, w=0.0).physics()
     times = np.linspace(0.15, 2.4, 8)
     checks: list[tuple[str, float, float]] = []
 
@@ -436,17 +436,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, built once per argument and shared, so callers must not
-    mutate it; a known command gets only its own subparser (same help and errors)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared: callers must not mutate it."""
     parser = _ArgumentParser(
         prog="isingbath",
         description="Qubit dephasing and entanglement in a mean-field transverse-Ising bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    for name in names:
-        _, text, keys = _COMMANDS[name]
+    for name, (_, text, keys) in _COMMANDS.items():
         # no abbreviations: verify --N must not pass for --N-max
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; explicit flags win")
@@ -473,7 +470,8 @@ _COMMAND_DEFAULTS: dict[str, dict[str, str]] = {
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Command defaults < --config < flags, parsed and checked as one
-    mapping; a --config key must be one the command reads."""
+    mapping; a --config key must be one the command reads, and --config and
+    flags together set at most one key of each pair that sets one quantity."""
     from_file = {}
     if args.config:
         from_file = _parse_key_values(Path(args.config).read_text().splitlines(), args.config)
@@ -481,17 +479,19 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         for key in from_file:
             if key not in keys:
                 raise InvalidParams(f"{args.command} does not read key {key!r} ({args.config})")
-    flags = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+    given = {**from_file, **{k: v for k, v in vars(args).items() if k in _KEYS and v is not None}}
+    for a, b in (("T", "T_over_Tc"), ("case", "amplitudes")):
+        if a in given and b in given:
+            raise InvalidParams(f"{args.command} takes {a!r} or {b!r}, not both")
     return RunConfig.from_key_values(
-        {**_COMMAND_DEFAULTS.get(args.command, {}), **from_file, **flags,
-         "command": args.command}
+        {**_COMMAND_DEFAULTS.get(args.command, {}), **given, "command": args.command}
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = build_run_config(args)
         handler = _COMMANDS[args.command][0]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}

@@ -81,8 +81,6 @@ def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, f
     if not sol.ordered:
         c = 0.5 if bath.w == 0.0 else 0.0
         return c, c, c
-    if sol.theta <= 0.0:
-        raise InvalidParams("ordered solution with Theta = 0 is inconsistent")
     ratio = sol.m / sol.theta
     c = 0.5 if bath.w == 0.0 else ratio * bath.J
     return c, ratio * (bath.J - sol.theta), c + sol.m

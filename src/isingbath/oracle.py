@@ -83,10 +83,6 @@ class OracleConfig:
         object.__setattr__(self, "times", tuple(_finite_times(self.times).tolist()))
 
 
-def _resolve_sol(cfg: OracleConfig, sol: OrderSolution | None) -> OrderSolution:
-    return sol if sol is not None else solve_order(cfg.bath)
-
-
 def _guard_size(N: int) -> None:
     if N > MAX_BATH_SIZE:
         raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
@@ -106,7 +102,7 @@ def simulate_exact(
     "factorized" method exploits the product form of each bath block;
     "dense" eigendecomposes each in the bath's collective-spin basis.
     """
-    sol = _resolve_sol(cfg, sol)
+    sol = sol if sol is not None else solve_order(cfg.bath)
     amps = cfg.state.amplitudes()
     outer = np.outer(amps, amps.conj())
     t = np.array(cfg.times)
@@ -237,7 +233,7 @@ def extract_products(
     weight.  A*: 0 -> +1 transition; B*: -1 -> +1; D*: -1 -> 0.
     """
     _guard_size(cfg.N)
-    sol = _resolve_sol(cfg, sol)
+    sol = sol if sol is not None else solve_order(cfg.bath)
     h0 = 2.0 * sol.m * cfg.bath.J
     shift = cfg.sys.J0 / math.sqrt(cfg.N)
     left = np.array([h0, h0 - shift, h0 - shift])
@@ -278,8 +274,7 @@ def single_qubit_coherence_exact(
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = _finite_times(times)
-    if sol is None:
-        sol = solve_order(bath)
+    sol = sol if sol is not None else solve_order(bath)
     if method == "dense":
         op0 = np.array([[0.0, 1.0], [0.0, 0.0]])
         return _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, sol, t)[:, 0, 1]

@@ -12,7 +12,6 @@ from isingbath.cli import (
     EXIT_VERIFY_FAILED,
     FIG1_T_OVER_TC,
     RunConfig,
-    _COMMANDS,
     build_parser,
     main,
     read_csv_config,
@@ -127,8 +126,8 @@ def _help_text(capsys, argv):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_prints_the_full_parsers_help(capsys, command):
-    # main builds only the named command's subparser; its help is unchanged,
-    # also when a later run reuses that parser
+    # main parses with the one cached parser: its help matches a direct
+    # parse, also when a later run reuses that parser
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args([command, "--help"])
     assert info.value.code == 0
@@ -153,7 +152,7 @@ def test_unknown_commands_share_one_cached_parser():
     assert build_parser.cache_info().currsize == 1
     for command in COMMANDS:
         assert main([command, "--bogus"]) == EXIT_BAD_INPUT
-    assert build_parser.cache_info().currsize <= len(_COMMANDS) + 1
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_a_reused_parser_carries_nothing_between_runs(tmp_path, capsys):
@@ -230,6 +229,32 @@ def test_a_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, comman
     assert captured.err.count("\n") == 1
     assert f"{command} does not read key {key!r}" in captured.err
     assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+# keys that set one quantity two ways, with each command that reads both
+EXCLUSIVE = [(c, a, b) for a, b in [("T", "T_over_Tc"), ("case", "amplitudes")]
+             for c in COMMANDS if a in READS[c] and b in READS[c]]
+
+
+@pytest.mark.parametrize("route", ["flags", "config", "config and flag"])
+@pytest.mark.parametrize("command, a, b", EXCLUSIVE)
+def test_both_keys_of_one_quantity_exit_2(tmp_path, capsys, command, a, b, route):
+    argv = [command, "--out", str(tmp_path / "o")]
+    in_file = {"flags": [], "config": [a, b], "config and flag": [a]}[route]
+    for key in (a, b):
+        if key not in in_file:
+            argv += [_flag(key), SAMPLE[key]]
+    made = []
+    if in_file:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{key}={SAMPLE[key]}\n" for key in in_file))
+        argv += ["--config", str(cfg_file)]
+        made = [cfg_file]
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"isingbath: error: {command} takes {a!r} or {b!r}, not both\n"
+    assert list(tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -464,7 +489,7 @@ def test_run_config_round_trip(tmp_path):
     phase, conc = tmp_path / "p.csv", tmp_path / "c.csv"
     assert main(["phase", "--T-over-Tc", "0.35,0.5", "--out", str(phase)]) == EXIT_OK
     assert _round_trip(phase).T_over_Tc == (0.35, 0.5)
-    assert main(["concurrence", "--case", "2", "--T-over-Tc", "0.35",
+    assert main(["concurrence", "--T-over-Tc", "0.35",
                  "--amplitudes", "0.6,0,0,0.8", "--mode", "finite", "--N", "777",
                  "--t-max", "3.5", "--points", "9", "--out", str(conc)]) == EXIT_OK
     cfg = _round_trip(conc)

@@ -17,8 +17,6 @@ from isingbath.dephasing import (
 )
 from isingbath.errors import InvalidParams
 from isingbath.mean_field import (
-    PHASE_DISORDERED,
-    PHASE_ORDERED,
     BathParams,
     OrderSolution,
     critical_temperature,
@@ -71,7 +69,7 @@ def test_disordered_bath_never_dephases():
     # w > 0: the disordered bath's spins align with the field and c = mJ/Theta = 0
     bath = BathParams(J=2.0, w=0.3, T=1.5)
     sol = solve_order(bath)
-    assert sol.phase == PHASE_DISORDERED
+    assert not sol.ordered
     for t in (0.0, 1.0, 50.0):
         assert coherence_factor_finite(t, 4, sol, bath, SYS) == 1.0
         assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == 1.0
@@ -83,7 +81,7 @@ def test_free_ising_spins_dephase_above_tc(N):
     # w = 0, T/Tc = 1.5: m = 0 but c = 1/2, so r = cos(J0 t / (2 sqrt N))^N
     bath = BathParams(J=2.0, w=0.0, T=1.5 * critical_temperature(2.0))
     sol = solve_order(bath)
-    assert sol.phase == PHASE_DISORDERED
+    assert not sol.ordered
     ts = np.linspace(0.0, 7.0, 29)
     want = np.cos(SYS.J0 * ts / (2.0 * math.sqrt(N))) ** N
     assert np.abs(coherence_factor_finite(ts, N, sol, bath, SYS) - want).max() <= 1e-13
@@ -114,7 +112,7 @@ def test_log_domain_matches_direct_power():
 
 
 def test_saturated_order_never_decays():
-    sol = OrderSolution(theta=2.0, m=0.5, phase=PHASE_ORDERED)  # w=0, T->0
+    sol = OrderSolution(theta=2.0, m=0.5, ordered=True)  # w=0, T->0
     bath = BathParams(J=2.0, w=0.0, T=1e-6)
     for t in (0.5, 3.0, 40.0):
         assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == 1.0
@@ -177,7 +175,7 @@ def test_array_kernels_match_the_pointwise_reference(w, T_over_Tc):
     # N amplifies that in the phase, hence the absolute budget on re and im
     if T_over_Tc == "saturated":  # J^2 - Theta^2 <= 0
         bath = BathParams(J=2.0, w=w, T=1e-6)
-        sol = OrderSolution(theta=2.0, m=0.5, phase=PHASE_ORDERED)
+        sol = OrderSolution(theta=2.0, m=0.5, ordered=True)
     else:
         bath = BathParams(J=2.0, w=w, T=T_over_Tc * critical_temperature(2.0))
         sol = solve_order(bath)
@@ -230,7 +228,7 @@ def test_ising_limit_values():
             math.exp(-1.0), rel=1e-14
         )
     # saturated order, Theta = J: no decay
-    sol = OrderSolution(theta=2.0, m=0.5, phase=PHASE_ORDERED)
+    sol = OrderSolution(theta=2.0, m=0.5, ordered=True)
     bath = BathParams(J=2.0, w=0.0, T=1e-6)
     assert coherence_time(sol, bath, SYS) == math.inf
     for t in (0.0, 1.0, 17.0):
@@ -244,7 +242,7 @@ def test_ising_limit_is_tim_gaussian_with_theta_substituted():
     for _ in range(100):
         m = rng.uniform(0.01, 0.49)
         t = rng.uniform(0.0, 5.0)
-        sol = OrderSolution(theta=2.0 * m * J, m=m, phase=PHASE_ORDERED)
+        sol = OrderSolution(theta=2.0 * m * J, m=m, ordered=True)
         bath = BathParams(J=J, w=0.0, T=1.0)
         want = math.exp(-0.5 * (SYS.J0 * t) ** 2 * (0.25 - m * m))
         assert coherence_magnitude_asymptotic(t, sol, bath, SYS) == pytest.approx(
@@ -313,6 +311,5 @@ def test_validation():
     assert coherence_time(SOL, BATH, SystemParams(J0=0.0)) == math.inf  # nothing couples
     with pytest.raises(InvalidParams):
         SystemParams(J0=-1.0)
-    bad = OrderSolution(theta=0.0, m=0.3, phase=PHASE_ORDERED)
-    with pytest.raises(InvalidParams):
-        coherence_factor_finite(1.0, 4, bad, BATH, SYS)
+    with pytest.raises(InvalidParams, match="Theta = 0"):
+        OrderSolution(theta=0.0, m=0.3, ordered=True)

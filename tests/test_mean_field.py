@@ -12,8 +12,6 @@ from isingbath import mean_field
 from isingbath.dephasing import SystemParams, coherence_time
 from isingbath.errors import InvalidParams, IsingBathError, NoConvergence
 from isingbath.mean_field import (
-    PHASE_DISORDERED,
-    PHASE_ORDERED,
     BathParams,
     OrderSolution,
     critical_temperature,
@@ -53,7 +51,7 @@ def test_zero_temperature_limit():
 
 def test_at_critical_temperature_disordered():
     sol = solve_order(BathParams(J=2.0, w=0.0, T=1.0))
-    assert sol.phase == PHASE_DISORDERED
+    assert not sol.ordered
     assert sol.m == 0.0
 
 
@@ -240,7 +238,7 @@ def test_coherence_time_at_a_low_temperature(solve):
     J, w = 2.0, 0.1
     bath = BathParams(J=J, w=w, T=0.074405 * critical_temperature(J))
     theta, m, _ = solve(J, w, bath.T)
-    sol = OrderSolution(theta=theta, m=m, phase=PHASE_ORDERED)
+    sol = OrderSolution(theta=theta, m=m, ordered=True)
     tau = coherence_time(sol, bath, SystemParams(J0=1.0))
     assert tau == pytest.approx(972652.49, rel=1e-5)
 
@@ -350,7 +348,7 @@ def test_huge_J_near_tc_still_solves():
 
 def test_zero_coupling_disordered():
     sol = solve_order(BathParams(J=0.0, w=0.5, T=1.0))
-    assert sol.phase == PHASE_DISORDERED
+    assert not sol.ordered
     assert sol.theta == 0.5  # sqrt(w^2) at m=0
 
 
@@ -374,10 +372,8 @@ def test_invalid_params():
 
 def test_order_solution_validation():
     with pytest.raises(InvalidParams):
-        OrderSolution(theta=1.0, m=0.6, phase=PHASE_ORDERED)
+        OrderSolution(theta=1.0, m=0.6, ordered=True)
     with pytest.raises(InvalidParams):
-        OrderSolution(theta=1.0, m=0.1, phase=PHASE_DISORDERED)
+        OrderSolution(theta=1.0, m=0.1, ordered=False)
     with pytest.raises(InvalidParams):
-        OrderSolution(theta=-1.0, m=0.0, phase=PHASE_DISORDERED)
-    with pytest.raises(InvalidParams):
-        OrderSolution(theta=1.0, m=0.0, phase="melted")
+        OrderSolution(theta=-1.0, m=0.0, ordered=False)
