@@ -390,7 +390,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         err = np.abs(r_cl - r_ex).max()
         checks.append((f"N={n} single-qubit closed form vs exact (w=0)", err, tol))
 
-    failed = any(err >= bound for _, err, bound in checks)
+    failed = any(not err < bound for _, err, bound in checks)  # a nan error fails
     lines = [
         f"{'ok' if err < bound else 'FAIL':4s} {name}: max error {err:.3e} (tol {bound:g})"
         for name, err, bound in checks

@@ -46,7 +46,7 @@ from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, OrderSolution, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, _assemble
+from .two_qubit import PureState2Q, _assemble, coupling_phase
 
 MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
 
@@ -122,9 +122,8 @@ def simulate_exact(
     props = exp_imag(fields)
     # per-spin bath traces tr[U_i g U_j^dag], not yet ^N
     f = np.einsum("itab,bc,jtac->tij", props, g, props.conj())
-    phase = np.exp(
-        -1j * cfg.sys.xi0 * t[:, None, None] * (_E_OVER_XI0[:, None] - _E_OVER_XI0[None, :])
-    )
+    gaps = _E_OVER_XI0[:, None] - _E_OVER_XI0[None, :]
+    phase = np.exp(-1j * coupling_phase(cfg.sys.xi0, t)[:, None, None] * gaps)
     return outer * phase * f**cfg.N
 
 

@@ -21,17 +21,6 @@ from .errors import InvalidParams, InvalidState, NotADensityMatrix
 
 _TOL = 1e-12  # state norm^2, Hermiticity and trace
 
-# sigma_y (x) sigma_y in the standard basis
-SIGMA_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
-
 
 @dataclass(frozen=True)
 class PureState2Q:
@@ -129,7 +118,7 @@ def _assemble(
     shape of t.  The closed forms share one coefficient (D = A); the exact
     finite-field products of the oracle do not.
     """
-    p = np.exp(0.5j * xi0 * t)[..., None]
+    p = np.exp(0.5j * coupling_phase(xi0, t))[..., None]
     amps = state.amplitudes()
     # scalar products: numpy's vectorised complex multiply rounds differently,
     # and the decoherence-free |01><10| entry must stay beta gamma^* exactly
@@ -146,6 +135,17 @@ def _assemble(
     rho = rho + np.swapaxes(rho, -1, -2).conj()
     rho[..., range(4), range(4)] = np.abs(amps) ** 2
     return rho
+
+
+def coupling_phase(xi0: float, t: np.ndarray) -> np.ndarray:
+    """xi0 t, the qubit-qubit phase by times t; InvalidParams where it overflows."""
+    with np.errstate(over="ignore"):
+        phase = xi0 * t
+    if (overflow := np.isinf(phase)).any():
+        raise InvalidParams(
+            f"non-finite coefficients: qubit-qubit phase xi0 t overflows at t={t[overflow][0]}"
+        )
+    return phase
 
 
 def validate_density(rho: np.ndarray) -> None:

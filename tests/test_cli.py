@@ -426,6 +426,16 @@ def test_verify_negative_control(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_fails_a_nan_error(capsys, monkeypatch):
+    # a nan compares false with every bound; its check must still fail
+    monkeypatch.setattr(
+        cli, "simulate_exact", lambda *args, **kwargs: np.full((8, 4, 4), np.nan)
+    )
+    assert main(["verify", "--N-max", "1"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.endswith("verify: FAILED\n")
+
+
 @pytest.mark.parametrize("amplitudes", ["1e200,1e200,0,0", "1e-170,1e-170,0,0"])
 def test_concurrence_amplitudes_at_extreme_scales(tmp_path, amplitudes):
     # the squared norm overflows or underflows; the state is the same as at scale 1
@@ -644,6 +654,35 @@ def test_time_grid_far_inside_the_float_range_runs(tmp_path, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    columns, data = read_csv(out)
+    for name in columns:
+        assert all(math.isfinite(float(v)) for v in data[name]), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
+    ["concurrence", "--case", "4", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
+    ["fig1", "--xi0", "1e308", "--points", "3"],
+    ["verify", "--xi0", "1e308", "--N-max", "2"],
+])
+def test_an_overflowing_qubit_coupling_phase_exits_2(tmp_path, capsys, argv):
+    # xi0 t overflows within the time grid: one line, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "xi0 t overflows" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_huge_qubit_coupling_inside_the_float_range_runs(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["concurrence", "--case", "4", "--xi0", "1e307", "--t-max", "8",
+                     "--points", "3", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     columns, data = read_csv(out)
     for name in columns:

@@ -11,19 +11,20 @@ from isingbath.dephasing import (
     coherence_magnitude_asymptotic,
     dephasing_coeffs,
 )
-from isingbath.entanglement import concurrence, concurrences
+from isingbath.cli import RunConfig
+from isingbath.entanglement import _spin_flip_rows, _wootters_lambdas, concurrence, concurrences
 from isingbath.errors import NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
-from wootters_reference import case1_concurrence, case2_concurrence, r_matrix
+from wootters_reference import SIGMA_YY, case1_concurrence, case2_concurrence, r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
 SYS = SystemParams(J0=1.0, xi0=0.3)
 
 
-def random_density(rng):
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_density(rng, rank=4):
+    x = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
 
@@ -225,6 +226,8 @@ def test_batched_matches_scalar_on_case_states_over_time():
             assert np.abs(got - [concurrence(r).c for r in per_point]).max() < 1e-13
             if case == 3:
                 assert (got == 0.0).all()
+            if case == 4:
+                assert got[0] == 0.0  # a product state at t = 0
 
 
 def test_clip_at_one_hides_only_roundoff():
@@ -241,6 +244,7 @@ def test_clip_at_one_hides_only_roundoff():
         lam = concurrence(rho).lambdas
         assert lam[0] - lam[1] - lam[2] - lam[3] - 1.0 <= 1e-14
         assert concurrence(rho).c <= 1.0
+    assert (concurrences(np.array(rhos)) <= 1.0).all()
 
 
 def test_rejects_any_bad_matrix_in_a_stack():
@@ -256,3 +260,39 @@ def test_rejects_any_bad_matrix_in_a_stack():
     for stack in (bad_trace, not_hermitian, negative):
         with pytest.raises(NotADensityMatrix):
             concurrences(stack)
+
+
+def test_signed_row_reversal_is_sigma_yy():
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    np.testing.assert_array_equal(_spin_flip_rows(w), SIGMA_YY @ w)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_lambdas_match_direct_route_on_rank_deficient_states(rank):
+    # full rank is test_hermitian_route_matches_direct_route
+    rng = np.random.default_rng(12 + rank)
+    stack = np.array([random_density(rng, rank) for _ in range(100)])
+    got = _wootters_lambdas(stack)
+    want = np.array([direct_lambdas(rho) for rho in stack])
+    # R = rho rho~ has rank <= rank(rho).  Past it the reference
+    # square-roots roundoff, a residue near 1e-8, and the kernel reads 0
+    assert np.abs(got[:, :rank] - want[:, :rank]).max() < 1e-8
+    assert (got[:, rank:] == 0.0).all()
+
+
+def test_case2_concurrence_tracks_b_where_b_vanishes():
+    # a finite-mode curve whose |B| falls below 1e-12: C = |B| there to
+    # roundoff, with no eps-sized residue of the kernel left on C
+    cfg = RunConfig(
+        command="concurrence", J=1.364775, w=0.076162, T_over_Tc=(0.88394,), J0=1.381838,
+        xi0=0.121942, mode=MODE_FINITE, N=1563665, t_max=15.959448, points=104,
+    )
+    bath, sol, sys_p = cfg.physics()
+    times = cfg.time_grid()
+    coeffs = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
+    c = concurrences(evolve_reduced(case_state(2), times, cfg.xi0, coeffs))
+    b = np.abs(coeffs.B)
+    tiny = b < 1e-12
+    assert tiny.sum() > 10
+    assert np.abs(c - b)[tiny].max() <= 1e-15

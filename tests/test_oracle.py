@@ -306,6 +306,19 @@ def test_field_overflow_at_a_finite_time_is_invalid_params(route):
         _route_calls(bath=bath)[route]((1e308,))
 
 
+@pytest.mark.parametrize("route", ["factorized", "reconstruct"])
+def test_qubit_phase_overflow_at_a_finite_time_is_invalid_params(route):
+    # xi0 t overflows at t = 4 with xi0 = 1e308; no RuntimeWarning.  The
+    # dense route forms E t, not xi0 t, and checks that itself
+    cfg = make_cfg(3, BATH_TIM, times=(1.0, 4.0), sys_p=SystemParams(J0=1.0, xi0=1e308))
+    call = {
+        "factorized": lambda: simulate_exact(cfg),
+        "reconstruct": lambda: reconstruct_reduced(cfg),
+    }[route]
+    with pytest.raises(InvalidParams, match="non-finite coefficients.*at t=4.0"):
+        call()
+
+
 _ROUTE_SHAPES = {
     "factorized": (4, 4), "dense": (4, 4), "trace": (3,), "reconstruct": (4, 4),
     "single_qubit": (), "single_qubit_dense": (),

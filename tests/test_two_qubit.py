@@ -8,13 +8,12 @@ from isingbath.dephasing import MODE_FINITE, DephasingCoeffs
 from isingbath.entanglement import concurrence
 from isingbath.errors import InvalidParams, InvalidState, NotADensityMatrix
 from isingbath.two_qubit import (
-    SIGMA_YY,
     PureState2Q,
     case_state,
     evolve_reduced,
     validate_density,
 )
-from wootters_reference import r_matrix, spin_flip
+from wootters_reference import SIGMA_YY, r_matrix, spin_flip
 
 NO_DECAY = DephasingCoeffs(A=1.0, B=1.0)
 
@@ -268,6 +267,15 @@ def test_case_state_validation():
 def test_evolve_rejects_oversized_coefficients():
     with pytest.raises(InvalidParams):
         evolve_reduced(case_state(2), 1.0, 0.0, DephasingCoeffs(A=1.0, B=1.0 + 1e-6))
+
+
+def test_evolve_rejects_an_overflowing_qubit_phase():
+    # xi0 t overflows at t = 2 but not at t = 1
+    times = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(InvalidParams, match="xi0 t overflows at t=2.0"):
+        evolve_reduced(case_state(4), times, 1e308, DephasingCoeffs(A=np.ones(3), B=np.ones(3)))
+    head = DephasingCoeffs(A=np.ones(2), B=np.ones(2))
+    assert np.isfinite(evolve_reduced(case_state(4), times[:2], 1e308, head)).all()
 
 
 def test_validate_density():

@@ -1,14 +1,24 @@
 """Independent Wootters reference: the spin flip, R = rho rho~ and the
 closed-form concurrences of the case-1 and case-2 states.
 
-The package computes concurrence through the singular values of
-sqrt(rho) (sigma_y x sigma_y) sqrt(rho)^*; the tests hold it to the square
-roots of the eigenvalues of R from a generic nonsymmetric eigensolver.
+The package computes concurrence as the singular values of
+tau = W^T (sigma_y x sigma_y) W, for the factor rho = W W^dag that its
+eigendecomposition of rho gives; the tests hold them to the square roots
+of the eigenvalues of R from a generic nonsymmetric eigensolver.
 """
 
 import numpy as np
 
-from isingbath.two_qubit import SIGMA_YY
+# sigma_y (x) sigma_y in the standard basis |00>, |01>, |10>, |11>
+SIGMA_YY = np.array(
+    [
+        [0, 0, 0, -1],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [-1, 0, 0, 0],
+    ],
+    dtype=complex,
+)
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
