@@ -83,6 +83,8 @@ class RunConfig:
             raise InvalidParams(
                 f"mode must be {MODE_FINITE!r} or {MODE_ASYMPTOTIC!r}, got {self.mode!r}"
             )
+        if self.N < 1:
+            raise InvalidParams(f"N must be >= 1, got {self.N}")
 
     def temperatures(self) -> tuple[float, ...]:
         if self.T:
@@ -341,7 +343,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     sym_tol = 1e-12
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
     rng = np.random.default_rng(20240809)
-    bath_tim, sol_tim, sys_p = cfg.physics()
+    bath_tim, _, sys_p = cfg.physics()
     bath_im, sol_im, _ = replace(cfg, w=0.0).physics()
     times = np.linspace(0.15, 2.4, 8)
     checks: list[tuple[str, float, float]] = []
@@ -351,21 +353,21 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         cfg_tim = OracleConfig(N=n, bath=bath_tim, sys=sys_p, state=state, times=times)
         cfg_im = OracleConfig(N=n, bath=bath_im, sys=sys_p, state=state, times=times)
 
-        fac = simulate_exact(cfg_tim, sol_tim)
-        rec = reconstruct_reduced(cfg_tim, sol_tim)
+        fac = simulate_exact(cfg_tim)
+        rec = reconstruct_reduced(cfg_tim)
         err = np.abs(fac - rec).max()
         checks.append((f"N={n} propagator vs trace-identity route (w={cfg.w})", err, tol))
 
-        den = simulate_exact(cfg_tim, sol_tim, method="dense")
+        den = simulate_exact(cfg_tim, method="dense")
         err = np.abs(fac - den).max()
         checks.append((f"N={n} factorized vs dense evolution (w={cfg.w})", err, tol))
 
-        r_tr = single_qubit_coherence_exact(n, bath_tim, sys_p, times, sol_tim)
-        r_de = single_qubit_coherence_exact(n, bath_tim, sys_p, times, sol_tim, method="dense")
+        r_tr = single_qubit_coherence_exact(n, bath_tim, sys_p, times)
+        r_de = single_qubit_coherence_exact(n, bath_tim, sys_p, times, method="dense")
         err = np.abs(r_tr - r_de).max()
         checks.append((f"N={n} single-qubit trace vs dense (w={cfg.w})", err, tol))
 
-        products = extract_products(cfg_im, sol_im)
+        products = extract_products(cfg_im)
         A, B, _ = products.conj().T
         exact = DephasingCoeffs(A=A, B=B)  # checks |A|, |B| <= 1
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
@@ -374,7 +376,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
             err += 1e-6
         checks.append((f"N={n} exact coefficients vs closed form (w=0)", err, tol))
 
-        fac_im = simulate_exact(cfg_im, sol_im)
+        fac_im = simulate_exact(cfg_im)
         evolved = evolve_reduced(state, times, sys_p.xi0, closed)
         err = np.abs(fac_im - evolved).max()
         checks.append((f"N={n} oracle vs closed-form reduced matrix (w=0)", err, tol))
@@ -386,7 +388,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         r_cl = np.exp(1j * sys_p.mu0 * times) * coherence_factor_finite(
             times, n, sol_im, bath_im, sys_p
         )
-        r_ex = single_qubit_coherence_exact(n, bath_im, sys_p, times, sol_im)
+        r_ex = single_qubit_coherence_exact(n, bath_im, sys_p, times)
         err = np.abs(r_cl - r_ex).max()
         checks.append((f"N={n} single-qubit closed form vs exact (w=0)", err, tol))
 

@@ -4,9 +4,11 @@ The mean-field Hamiltonian commutes with the system z-operators, so the
 exact reduced matrix factorizes: each element (i, j) of rho_s(t) is the
 initial element times exp(-i(E_i - E_j)t) times the N-th power of a single
 2x2 trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
-conditioned on system state i and g the per-spin Gibbs state.  Every route
-is one array pass over the time axis and returns an array with time as its
-first axis.  The routes to it, and what they share:
+conditioned on system state i and g the per-spin Gibbs state.  Each route
+solves the mean-field root of its own bath (cfg.bath) and takes the z field
+h0 + (J0/sqrt(N)) lam of each coupling eigenvalue lam from _fields.  Every
+route is one array pass over the time axis and returns an array with time
+as its first axis.  The routes to it, and what they share:
 
 * simulate_exact (factorized): a (4, T, 2, 2) stack of per-spin
   propagators from su2.exp_imag, traced against g in one einsum, with its
@@ -25,7 +27,7 @@ first axis.  The routes to it, and what they share:
   oracle.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
-and so does a finite time at which a field or a phase overflows.
+and so does a finite time at which a field, a trace or a phase overflows.
 
 extract_products returns the exact finite-N dephasing coefficients as
 their three conjugate products (A*, B*, D*).  The one-excitation
@@ -44,9 +46,9 @@ import numpy as np
 
 from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
-from .mean_field import BathParams, OrderSolution, solve_order
+from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, _assemble, coupling_phase
+from .two_qubit import PureState2Q, _assemble, coupling_phase, finite_by_time
 
 MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
 
@@ -88,34 +90,35 @@ def _guard_size(N: int) -> None:
         raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
 
 
-def simulate_exact(
-    cfg: OracleConfig,
-    sol: OrderSolution | None = None,
-    *,
-    method: str = "factorized",
-) -> np.ndarray:
+def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray]:
+    """h0 = 2 m J at bath's self-consistent m, and h0 + (J0/sqrt(N)) lam: the z
+    field on each bath spin while the qubits have coupling eigenvalue(s) lam."""
+    h0 = 2.0 * solve_order(bath).m * bath.J
+    return h0, h0 + J0 / math.sqrt(N) * np.asarray(lam)
+
+
+def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarray:
     """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)], shaped
     (T, 4, 4) over the T times of cfg.times.
 
     rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
-    supplied (or freshly solved) mean-field order parameter.  The
+    mean-field order parameter of cfg.bath, solved by _fields.  The
     "factorized" method exploits the product form of each bath block;
     "dense" eigendecomposes each in the bath's collective-spin basis.
     """
-    sol = sol if sol is not None else solve_order(cfg.bath)
     amps = cfg.state.amplitudes()
     outer = np.outer(amps, amps.conj())
     t = np.array(cfg.times)
     if method == "dense":
         return _dense_reduced(
-            cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, outer, cfg.N, cfg.sys.J0, cfg.bath, sol, t
+            cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, outer, cfg.N, cfg.sys.J0, cfg.bath, t
         )
     if method != "factorized":
         raise InvalidParams(f"unknown method {method!r}")
     _guard_size(cfg.N)
     bath = cfg.bath
-    g = single_spin_gibbs(bath.w, 2.0 * sol.m * bath.J, bath.T)
-    nu = 2.0 * sol.m * bath.J + cfg.sys.J0 / math.sqrt(cfg.N) * _LAMBDA
+    h0, nu = _fields(bath, cfg.N, cfg.sys.J0, _LAMBDA)
+    g = single_spin_gibbs(bath.w, h0, bath.T)
     with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
         fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
     # (4, T, 2, 2): the per-spin bath propagator conditioned on each system state
@@ -146,7 +149,7 @@ def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
-def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
+def _dense_reduced(e_s, lam, op0, N, J0, bath, times):
     """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt),
     shaped (T, dim_s, dim_s), in the collective-spin basis of the bath.
 
@@ -171,21 +174,14 @@ def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
     """
     _guard_size(N)
     x_b, z_b, mult = _collective_spin(N)
-    h0 = 2.0 * sol.m * bath.J
     # level 0 is H_B itself, whose eigendecomposition gives rho_B
     levels = np.unique(np.append(lam, 0.0))
-    evals, evecs = zip(*(
-        np.linalg.eigh(-bath.w * x_b - np.diag((h0 + J0 / math.sqrt(N) * a) * z_b))
-        for a in levels
-    ))
+    _, fields = _fields(bath, N, J0, levels)
+    evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
     block = np.searchsorted(levels, lam)
     energies = e_s[:, None] + np.array(evals)[block]
     with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(np.abs(energies).max() * times)
-    if overflow.any():
-        raise InvalidParams(
-            f"non-finite coefficients: eigenphase E t overflows at t={times[overflow][0]}"
-        )
+        finite_by_time(np.abs(energies).max() * times, times, "eigenphase E t")
     zero = levels.searchsorted(0.0)
     e_b, v_b = evals[zero], evecs[zero]
     # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
@@ -205,24 +201,24 @@ def _dense_reduced(e_s, lam, op0, N, J0, bath, sol, times):
     return out
 
 
-def _trace_power(bath, sol, N, t, left_nu, right_nu):
+def _trace_power(bath, J0, N, t, left_lam, right_lam):
     """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N, broadcast over the
-    shapes of t, left_nu and right_nu.
+    shapes of t (time first), left_lam and right_lam.
 
-    The left exponent I1 carries the bra-side bath field left_nu, the right
-    exponent I2 the ket-side field right_nu; exp(R) is the unnormalized
-    per-spin Gibbs weight, which trace_triple normalizes.
+    I1 carries the bath field of the bra-side coupling eigenvalue left_lam,
+    I2 that of the ket-side right_lam; exp(R) is the unnormalized per-spin
+    Gibbs weight, which trace_triple normalizes.
     """
-    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=2.0 * sol.m * bath.J / (2.0 * bath.T))
-    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
-        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left_nu)
-        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right_nu)
-    return trace_triple(i1, r, i2) ** N
+    h0, (left, right) = _fields(bath, N, J0, [left_lam, right_lam])
+    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=h0 / (2.0 * bath.T))
+    # TracelessXZ rejects an overflowed field; |trace| <= 1, so a non-finite one overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
+        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right)
+        return finite_by_time(trace_triple(i1, r, i2), t, "per-spin bath trace") ** N
 
 
-def extract_products(
-    cfg: OracleConfig, sol: OrderSolution | None = None
-) -> np.ndarray:
+def extract_products(cfg: OracleConfig) -> np.ndarray:
     """Exact conjugate coefficients (A*, B*, D*), one row per time: shaped
     (T, 3), via trace_triple.
 
@@ -232,17 +228,11 @@ def extract_products(
     weight.  A*: 0 -> +1 transition; B*: -1 -> +1; D*: -1 -> 0.
     """
     _guard_size(cfg.N)
-    sol = sol if sol is not None else solve_order(cfg.bath)
-    h0 = 2.0 * sol.m * cfg.bath.J
-    shift = cfg.sys.J0 / math.sqrt(cfg.N)
-    left = np.array([h0, h0 - shift, h0 - shift])
-    right = np.array([h0 + shift, h0 + shift, h0])
-    return _trace_power(cfg.bath, sol, cfg.N, np.array(cfg.times)[:, None], left, right)
+    t = np.array(cfg.times)[:, None]
+    return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, (0.0, -1.0, -1.0), (1.0, 1.0, 0.0))
 
 
-def reconstruct_reduced(
-    cfg: OracleConfig, sol: OrderSolution | None = None
-) -> np.ndarray:
+def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
     """Reduced matrices rebuilt from the closed trace identity, shaped
     (T, 4, 4).
 
@@ -251,18 +241,12 @@ def reconstruct_reduced(
     transitions adjacent to |11>, and the matrices from the closed forms'
     4x4 assembly.  Agrees with simulate_exact to roundoff for every w.
     """
-    coef = extract_products(cfg, sol).conj()
+    coef = extract_products(cfg).conj()
     return _assemble(cfg.state, np.array(cfg.times), cfg.sys.xi0, *coef.T)
 
 
 def single_qubit_coherence_exact(
-    N: int,
-    bath: BathParams,
-    sys: SystemParams,
-    times: Sequence[float],
-    sol: OrderSolution | None = None,
-    *,
-    method: str = "trace",
+    N: int, bath: BathParams, sys: SystemParams, times: Sequence[float], *, method: str = "trace"
 ) -> np.ndarray:
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
@@ -273,13 +257,11 @@ def single_qubit_coherence_exact(
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = _finite_times(times)
-    sol = sol if sol is not None else solve_order(bath)
     if method == "dense":
         op0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        return _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, sol, t)[:, 0, 1]
+        return _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, t)[:, 0, 1]
     if method != "trace":
         raise InvalidParams(f"unknown method {method!r}")
-    h0 = 2.0 * sol.m * bath.J
-    half_shift = sys.J0 / (2.0 * math.sqrt(N))
-    product = _trace_power(bath, sol, N, t, h0 + half_shift, h0 - half_shift)
-    return np.exp(1j * sys.mu0 * t) * product
+    product = _trace_power(bath, sys.J0, N, t, *_SZ)  # bra <0| and ket |1>
+    with np.errstate(over="ignore"):
+        return np.exp(1j * finite_by_time(sys.mu0 * t, t, "free phase mu0 t")) * product

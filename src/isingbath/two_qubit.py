@@ -137,15 +137,19 @@ def _assemble(
     return rho
 
 
+def finite_by_time(values: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
+    """values, which broadcast against times t; InvalidParams naming the first
+    time at which one is not finite, where name overflowed."""
+    if not (ok := np.isfinite(values)).all():
+        at = np.broadcast_to(t, ok.shape)[~ok][0]
+        raise InvalidParams(f"non-finite coefficients: {name} overflows at t={at}")
+    return values
+
+
 def coupling_phase(xi0: float, t: np.ndarray) -> np.ndarray:
     """xi0 t, the qubit-qubit phase by times t; InvalidParams where it overflows."""
     with np.errstate(over="ignore"):
-        phase = xi0 * t
-    if (overflow := np.isinf(phase)).any():
-        raise InvalidParams(
-            f"non-finite coefficients: qubit-qubit phase xi0 t overflows at t={t[overflow][0]}"
-        )
-    return phase
+        return finite_by_time(xi0 * t, t, "qubit-qubit phase xi0 t")
 
 
 def validate_density(rho: np.ndarray) -> None:

@@ -143,13 +143,13 @@ def test_criterion_05_oracle_structural_equivalence():
     # propagator route, the dense Kronecker route and the trace-identity
     # reconstruction agree elementwise
     start = time.perf_counter()
-    bath, sol, sys_p, state, times = _oracle_setups(W)
+    bath, _, sys_p, state, times = _oracle_setups(W)
     worst_dense = worst_rec = 0.0
     for n in (1, 2, 4, 6):
         cfg = OracleConfig(N=n, bath=bath, sys=sys_p, state=state, times=times)
-        fac = simulate_exact(cfg, sol)
-        den = simulate_exact(cfg, sol, method="dense")
-        rec = reconstruct_reduced(cfg, sol)
+        fac = simulate_exact(cfg)
+        den = simulate_exact(cfg, method="dense")
+        rec = reconstruct_reduced(cfg)
         worst_dense = max(worst_dense, np.abs(fac - den).max())
         worst_rec = max(worst_rec, np.abs(fac - rec).max())
     assert worst_dense < 1e-10
@@ -169,14 +169,14 @@ def test_criterion_05_closed_forms_exact_in_ising_limit():
         cfg = OracleConfig(N=n, bath=bath, sys=sys_p, state=state, times=times)
         closed = [dephasing_coeffs(t, sol, bath, sys_p, mode=MODE_FINITE, N=n) for t in times]
         evolved = [evolve_reduced(state, t, sys_p.xi0, co) for t, co in zip(times, closed)]
-        exact = simulate_exact(cfg, sol)
+        exact = simulate_exact(cfg)
         worst_rho = max(worst_rho, np.abs(exact - np.array(evolved)).max())
-        A, B, _ = extract_products(cfg, sol).conj().T
+        A, B, _ = extract_products(cfg).conj().T
         worst_co = max(
             worst_co,
             np.abs([A - [co.A for co in closed], B - [co.B for co in closed]]).max(),
         )
-        products = extract_products(cfg, sol)
+        products = extract_products(cfg)
         worst_sym = max(worst_sym, np.abs(products[:, 0] - products[:, 2]).max())
     assert worst_rho < 1e-10
     assert worst_co < 1e-11
@@ -199,14 +199,14 @@ def test_criterion_05_closed_forms_at_figure_field():
         cfg = OracleConfig(N=n, bath=bath, sys=sys_p, state=state, times=times)
         closed = [dephasing_coeffs(t, sol, bath, sys_p, mode=MODE_FINITE, N=n) for t in times]
         evolved = [evolve_reduced(state, t, sys_p.xi0, co) for t, co in zip(times, closed)]
-        exact = simulate_exact(cfg, sol)
+        exact = simulate_exact(cfg)
         worst_rho = max(worst_rho, np.abs(exact - np.array(evolved)).max())
-        A, B, _ = extract_products(cfg, sol).conj().T
+        A, B, _ = extract_products(cfg).conj().T
         worst_co = max(
             worst_co,
             np.abs([A - [co.A for co in closed], B - [co.B for co in closed]]).max(),
         )
-        products = extract_products(cfg, sol)
+        products = extract_products(cfg)
         worst_sym = max(worst_sym, np.abs(products[:, 0] - products[:, 2]).max())
     print(
         f"ACCEPTANCE 5 (w={W} closed-form clauses): measured deviations "

@@ -575,7 +575,7 @@ def test_command_line_errors_exit_2_naming_the_flag(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("J", "abc"), ("case", "9"), ("mode", "foo"), ("amplitudes", "1,2,3"),
+    ("J", "abc"), ("case", "9"), ("mode", "foo"), ("amplitudes", "1,2,3"), ("N", "-5"),
 ])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, route, key, value):
@@ -593,7 +593,9 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, route, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("old, new", [(" case=2 ", " case=9 "), (" xi0=", " xi=")])
+@pytest.mark.parametrize("old, new", [
+    (" case=2 ", " case=9 "), (" xi0=", " xi="), (" N=1000000 ", " N=-5 "),
+])
 def test_csv_header_is_checked_like_flags(tmp_path, old, new):
     out = tmp_path / "c.csv"
     assert main(["concurrence", "--points", "3", "--out", str(out)]) == EXIT_OK
@@ -674,6 +676,38 @@ def test_an_overflowing_qubit_coupling_phase_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "xi0 t overflows" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--J0", "bath trace overflows at t=0.15"),
+    ("--w", "bath trace overflows at t=0.15"),
+    ("--mu0", "mu0 t overflows at t=2.07857"),
+])
+def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
+    # the per-spin bath trace, or the single-qubit free phase mu0 t, overflows
+    # within verify's time grid: one line, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--N-max", "2", flag, "1e308"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--N", "0"],
+    ["concurrence", "--mode", "asymptotic", "--N", "-5"],
+    ["concurrence", "--mode", "finite", "--N", "0"],
+    ["fig1", "--mode", "asymptotic", "--N", "0"],
+    ["fig2", "--N", "-5"],
+])
+def test_a_bath_size_below_1_exits_2(tmp_path, capsys, argv):
+    # rejected in every mode, also where the asymptotic formulas never read N
+    assert main(argv + ["--points", "3", "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"isingbath: error: N must be >= 1, got {argv[-1]}\n"
     assert not any(tmp_path.iterdir())
 
 

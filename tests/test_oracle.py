@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,10 +86,10 @@ def test_oracle_matches_closed_forms_in_ising_limit():
             dephasing_coeffs(t, sol, BATH_IM, SYS, mode=MODE_FINITE, N=n) for t in TIMES
         ]
         evolved = [evolve_reduced(st, t, SYS.xi0, co) for t, co in zip(TIMES, closed)]
-        exact = simulate_exact(cfg, sol)
+        exact = simulate_exact(cfg)
         assert np.abs(exact - np.array(evolved)).max() < 1e-10
 
-        products = extract_products(cfg, sol)
+        products = extract_products(cfg)
         A, B, _ = products.conj().T
         assert np.abs(products[:, 0] - products[:, 2]).max() <= 1e-12
         assert np.abs(A - [co.A for co in closed]).max() < 1e-11
@@ -101,13 +102,13 @@ def test_closed_forms_are_large_N_asymptotics_at_finite_w():
     sol = solve_order(BATH_TIM, tol=1e-15)
     cfg = make_cfg(4, BATH_TIM)
     closed = [dephasing_coeffs(t, sol, BATH_TIM, SYS, mode=MODE_FINITE, N=4) for t in TIMES]
-    A = extract_products(cfg, sol)[:, 0].conj()
+    A = extract_products(cfg)[:, 0].conj()
     dev = np.abs(A - [co.A for co in closed]).max()
     assert 1e-6 < dev < 2e-3
 
     # the one-excitation coefficient symmetry is also only an Ising-limit
     # identity; at w=0.1 the two exact products differ measurably
-    products = extract_products(cfg, sol)
+    products = extract_products(cfg)
     asym = np.abs(products[:, 0] - products[:, 2]).max()
     assert 1e-6 < asym < 1e-2
 
@@ -127,7 +128,7 @@ def test_single_qubit_t_zero_and_closed_form():
     assert single_qubit_coherence_exact(4, BATH_TIM, SYS, (0.0,))[0] == pytest.approx(1.0, abs=1e-14)
     sol = solve_order(BATH_IM, tol=1e-15)
     closed = coherence_factor_finite(np.array(TIMES), 6, sol, BATH_IM, SYS)
-    exact = single_qubit_coherence_exact(6, BATH_IM, SYS, TIMES, sol)
+    exact = single_qubit_coherence_exact(6, BATH_IM, SYS, TIMES)
     assert np.abs(closed - exact).max() < 1e-11
 
 
@@ -136,7 +137,7 @@ def test_single_qubit_free_phase_matches_exact():
     sol = solve_order(BATH_IM, tol=1e-15)
     t = np.array(TIMES)
     closed = np.exp(1j * sys_mu.mu0 * t) * coherence_factor_finite(t, 4, sol, BATH_IM, sys_mu)
-    exact = single_qubit_coherence_exact(4, BATH_IM, sys_mu, TIMES, sol, method="dense")
+    exact = single_qubit_coherence_exact(4, BATH_IM, sys_mu, TIMES, method="dense")
     assert np.abs(closed - exact).max() < 1e-11
 
 
@@ -146,7 +147,7 @@ def test_single_qubit_gaussian_at_large_N():
     sol = solve_order(BATH_TIM, tol=1e-15)
     n = 1000
     times = np.linspace(0.0, 2.0, 9)
-    exact = single_qubit_coherence_exact(n, BATH_TIM, SYS, times, sol)
+    exact = single_qubit_coherence_exact(n, BATH_TIM, SYS, times)
     gauss = coherence_magnitude_asymptotic(times, sol, BATH_TIM, SYS)
     assert np.abs(np.abs(exact) - gauss).max() < 10.0 / n
 
@@ -237,12 +238,12 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
     sys_p = SystemParams(J0=1.0, mu0=0.4, xi0=0.3)
     times = np.linspace(0.0, 9.0, 7)
     for n in range(1, 13):
-        r_exact = single_qubit_coherence_exact(n, bath, sys_p, times, sol)
+        r_exact = single_qubit_coherence_exact(n, bath, sys_p, times)
         r_closed = coherence_factor_finite(times, n, sol, bath, sys_p)
         free_phase = np.exp(1j * sys_p.mu0 * times)
         assert np.abs(r_exact / free_phase - r_closed).max() <= 1e-12
         cfg = make_cfg(n, bath, times=times, sys_p=sys_p)
-        A, B, _ = extract_products(cfg, sol).conj().T
+        A, B, _ = extract_products(cfg).conj().T
         assert np.abs(A - r_closed).max() <= 1e-12
         assert np.abs(B - coherence_factor_finite(2.0 * times, n, sol, bath, sys_p)).max() <= 1e-12
 
@@ -319,6 +320,31 @@ def test_qubit_phase_overflow_at_a_finite_time_is_invalid_params(route):
         call()
 
 
+@pytest.mark.parametrize("route, sys_p, bath", [
+    ("trace", SystemParams(J0=1e308), BATH_TIM),
+    ("trace", SYS, BathParams(J=2.0, w=1e308, T=0.5)),
+    ("reconstruct", SystemParams(J0=1e308), BATH_TIM),
+    ("reconstruct", SYS, BathParams(J=2.0, w=1e308, T=0.5)),
+    ("single_qubit", SystemParams(J0=1e308), BATH_TIM),
+    ("single_qubit", SYS, BathParams(J=2.0, w=1e308, T=0.5)),
+    ("single_qubit", SystemParams(J0=1.0, mu0=1e308), BATH_TIM),
+])
+def test_trace_or_free_phase_overflow_names_the_first_bad_time(route, sys_p, bath):
+    # each field is finite, but a product of two in the per-spin trace
+    # overflows at t = 2.4 and not at t = 0; so does mu0 t
+    times = (0.0, 2.4)
+    cfg = make_cfg(2, bath, times=times, sys_p=sys_p)
+    call = {
+        "trace": lambda: extract_products(cfg),
+        "reconstruct": lambda: reconstruct_reduced(cfg),
+        "single_qubit": lambda: single_qubit_coherence_exact(2, bath, sys_p, times),
+    }[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=r"^non-finite coefficients: .* at t=2\.4$"):
+            call()
+
+
 _ROUTE_SHAPES = {
     "factorized": (4, 4), "dense": (4, 4), "trace": (3,), "reconstruct": (4, 4),
     "single_qubit": (), "single_qubit_dense": (),
@@ -384,8 +410,8 @@ def test_batched_routes_match_per_time_scalar_reference(w):
         t_switch = 2.0 * _SMALL_Q / math.hypot(w, nu)
         times = (0.0, 1e-9, 0.99 * t_switch, 1.01 * t_switch, *rng.uniform(0.0, 5.0, size=6))
         cfg = make_cfg(n, bath, state=random_state(k), times=times, sys_p=sys_p)
-        assert np.abs(simulate_exact(cfg, sol) - _scalar_factorized(cfg, sol)).max() <= 1e-14
-        assert np.abs(extract_products(cfg, sol) - _scalar_products(cfg, sol)).max() <= 1e-14
+        assert np.abs(simulate_exact(cfg) - _scalar_factorized(cfg, sol)).max() <= 1e-14
+        assert np.abs(extract_products(cfg) - _scalar_products(cfg, sol)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -430,15 +456,14 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
         *dense_reference.two_qubit_operators(sys_p.xi0), np.outer(amps, amps.conj()),
         n, sys_p.J0, bath, sol, times,
     )
-    got = simulate_exact(make_cfg(n, bath, state=st, times=times, sys_p=sys_p), sol,
-                         method="dense")
+    got = simulate_exact(make_cfg(n, bath, state=st, times=times, sys_p=sys_p), method="dense")
     assert np.abs(got - ref).max() <= 1e-13
 
     sz = dense_reference.SZ
     ref1 = dense_reference.reduced_matrices(
         -sys_p.mu0 * sz, sz, np.array([[0.0, 1.0], [0.0, 0.0]]), n, sys_p.J0, bath, sol, times
     )[:, 0, 1]
-    got1 = single_qubit_coherence_exact(n, bath, sys_p, times, sol, method="dense")
+    got1 = single_qubit_coherence_exact(n, bath, sys_p, times, method="dense")
     assert np.abs(got1 - ref1).max() <= 1e-13
 
 
@@ -454,11 +479,10 @@ def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    sol = solve_order(BATH_TIM)
-    simulate_exact(make_cfg(4, BATH_TIM), sol, method="dense")
+    simulate_exact(make_cfg(4, BATH_TIM), method="dense")
     assert calls == [(9, 9)] * 3
     calls.clear()
-    single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, sol, method="dense")
+    single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, method="dense")
     assert calls == [(9, 9)] * 3
 
 
@@ -469,10 +493,9 @@ def test_dense_matches_factorized_at_the_guard_size(w, t_over_tc):
     # Tc and in the disordered phase
     bath = BathParams(J=2.0, w=w, T=t_over_tc * critical_temperature(2.0))
     cfg = make_cfg(12, bath, state=random_state(12), times=(0.0, *TIMES, 7.5))
-    sol = solve_order(bath)
-    dense = simulate_exact(cfg, sol, method="dense")
-    assert np.abs(dense - simulate_exact(cfg, sol)).max() <= 1e-12
-    sq = [single_qubit_coherence_exact(12, bath, SYS, cfg.times, sol, method=m)
+    dense = simulate_exact(cfg, method="dense")
+    assert np.abs(dense - simulate_exact(cfg)).max() <= 1e-12
+    sq = [single_qubit_coherence_exact(12, bath, SYS, cfg.times, method=m)
           for m in ("dense", "trace")]
     assert np.abs(sq[0] - sq[1]).max() <= 1e-12
 
