@@ -343,8 +343,8 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     sym_tol = 1e-12
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
     rng = np.random.default_rng(20240809)
-    bath_tim, _, sys_p = cfg.physics()
-    bath_im, sol_im, _ = replace(cfg, w=0.0).physics()
+    bath_im, sol_im, sys_p = replace(cfg, w=0.0).physics()
+    bath_tim = replace(bath_im, w=cfg.w)
     times = np.linspace(0.15, 2.4, 8)
     checks: list[tuple[str, float, float]] = []
 

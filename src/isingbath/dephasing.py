@@ -71,19 +71,20 @@ def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, f
     """c = mJ/Theta and the factors c - m, c + m of the Gaussian rate
     kappa = m^2 (J^2/Theta^2 - 1) = (c - m)(c + m).
 
-    The Ising limit is decided here alone.  At w = 0, Theta = 2mJ makes
-    c = 1/2 at every temperature, the disordered bath (m = Theta = 0)
-    included: its free spins still dephase the qubit, at rate 1/4.  At w > 0
-    a disordered bath has c = 0 and dephases nothing.  c - m is formed as
-    m (J - Theta)/Theta, an exact subtraction near saturation, so kappa
-    keeps its relative precision as T -> 0 and nothing squares J.
+    At w = 0, Theta = 2mJ makes c = 1/2 at every temperature: the solvers'
+    m is exactly Theta/(2J) there, so c = m/(Theta/J) reads 1/2 exactly.
+    A disordered bath is decided here: at w = 0 (m = Theta = 0) its free
+    spins still dephase the qubit, at rate 1/4; at w > 0 it has c = 0 and
+    dephases nothing.  c - m is formed as c (J - Theta)/J, an exact
+    subtraction near saturation, and every factor is a ratio to J, so no
+    bath scale loses precision.  kappa is as precise as the root's J - Theta,
+    which is lost once it falls below the rounding of J (T -> 0).
     """
     if not sol.ordered:
         c = 0.5 if bath.w == 0.0 else 0.0
         return c, c, c
-    ratio = sol.m / sol.theta
-    c = 0.5 if bath.w == 0.0 else ratio * bath.J
-    return c, ratio * (bath.J - sol.theta), c + sol.m
+    c = sol.m / (sol.theta / bath.J)
+    return c, c * ((bath.J - sol.theta) / bath.J), c + sol.m
 
 
 def coherence_factor_finite(

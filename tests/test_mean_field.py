@@ -258,6 +258,24 @@ def test_order_parameter_bounded_monotone_and_driver_independent(J, w_over_J, t)
     assert m[0] >= m[1] - slack
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    k=st.integers(-900, 900),
+    J=st.sampled_from([2.0, 0.37, 10.0]),
+    w_over_J=st.one_of(st.just(0.0), st.floats(1e-9, 0.99)),
+    T_over_Tc=st.floats(1e-3, 1.5),
+)
+def test_both_drivers_are_exactly_scale_invariant(k, J, w_over_J, T_over_Tc):
+    # m and the phase depend on w/J and T/J alone: scaling J, w and T by 2^k
+    # scales Theta by 2^k exactly, and leaves m and the phase bitwise, over
+    # the whole exponent range where every input stays a normal float
+    w, T = w_over_J * J, T_over_Tc * critical_temperature(J)
+    scale = 2.0**k
+    for solve in (_solve_scalar, _solve_grid):
+        theta, m, ordered = solve(J, w, T)
+        assert solve(scale * J, scale * w, scale * T) == (scale * theta, m, ordered)
+
+
 def test_grid_solver_zero_coupling_with_absolute_temperatures():
     temps = [1e-300, 0.3, 1.0, 7.5, 1e300]
     theta, m, ordered = solve_order_grid(0.0, 0.5, temps)
@@ -267,13 +285,25 @@ def test_grid_solver_zero_coupling_with_absolute_temperatures():
 
 
 def _first_scalar_error(J, w, temps):
+    """solve_order's error at the first temperature that fails, or None."""
     # an empty grid still checks J and w, as BathParams does at any T
     for T in temps or [1.0]:
         try:
             solve_order(BathParams(J=J, w=w, T=T))
         except IsingBathError as exc:
             return exc
-    raise AssertionError("no temperature fails")
+    return None
+
+
+def _assert_scale_free(J, w, temps):
+    """The grid at bath scale J: finite columns, and the phase and m of the
+    bath at J = 1 with w and T divided by J."""
+    theta, m, ordered = solve_order_grid(J, w, temps)
+    assert np.isfinite(theta).all() and np.isfinite(m).all()
+    for k, T in enumerate(temps):
+        _, m1, ordered1 = _solve_grid(1.0, w / J, T / J)
+        assert bool(ordered[k]) == ordered1, T
+        assert _close(m[k], m1, _m_precision(1.0, w / J, T / J)), T
 
 
 # kw: mean_field module settings patched for the case
@@ -284,7 +314,7 @@ def _first_scalar_error(J, w, temps):
     (2.0, 0.0, [math.inf], {}),
     (-1.0, 0.1, [0.5], {}),
     (2.0, math.nan, [0.5], {}),
-    # Theta^2 overflows: the J check fails before the bad T
+    # the bad T fails after a saturated root (Theta = J), whichever comes first
     (1e300, 0.1, [0.5, math.nan], {}),
     (1e300, 0.1, [math.nan, 0.5], {}),
     # disordered first, then a bisection that cannot converge
@@ -292,20 +322,25 @@ def _first_scalar_error(J, w, temps):
     # no temperature: J and w are checked all the same
     (2.0, -1.0, [], {}),
     (-1.0, 0.1, [], {}),
-    # Theta^2 overflows to inf (w = 0) and Theta^2 - w^2 to nan (w > 0),
-    # at saturation (Theta = J) and after the bisection
+    # no temperature fails: Theta^2 overflowed here once, to inf (w = 0) and
+    # Theta^2 - w^2 to nan (w > 0), at saturation (Theta = J) and after the
+    # bisection
     (1e308, 0.0, [1.0, 2.0], {}),
     (1e308, 1e300, [1.0], {}),
     (1e155, 0.1, [2.5e154], {}),
-    # Theta^2 underflows below the smallest normal float, after a
-    # disordered temperature and at T -> 0 saturation (Theta = J)
+    # nor here, where Theta^2 underflowed below the smallest normal float,
+    # after a disordered temperature and at T -> 0 saturation (Theta = J)
     (1e-162, 0.0, [1.0, 2.5e-163], {}),
     (1e-162, 0.0, [1e-170], {}),
 ])
 def test_grid_solver_raises_the_first_scalar_error(J, w, temps, kw, monkeypatch):
+    # where no temperature fails, the grid solves as the bath at J = 1 does
     for name, value in kw.items():
         monkeypatch.setattr(mean_field, name, value)
     expected = _first_scalar_error(J, w, temps)
+    if expected is None:
+        _assert_scale_free(J, w, temps)
+        return
     with pytest.raises(type(expected)) as info:
         solve_order_grid(J, w, temps)
     assert str(info.value) == str(expected)
@@ -318,7 +353,7 @@ def test_grid_solver_no_convergence_when_cap_too_small(monkeypatch):
 
 
 def test_tiny_J_keeps_the_scale_free_order_parameter():
-    # m depends on T/Tc alone; Theta^2 of J = 1e-150 is still a normal float
+    # m depends on T/Tc alone
     ref = solve_order(BathParams(J=1.0, w=0.0, T=0.25)).m
     sol = solve_order(BathParams(J=1e-150, w=0.0, T=0.25e-150))
     assert sol.m == pytest.approx(ref, rel=1e-12, abs=0)
@@ -328,11 +363,12 @@ def test_tiny_J_keeps_the_scale_free_order_parameter():
 
 @pytest.mark.parametrize("J", [1e-160, 1e-162, 1e-300])
 def test_underflowing_theta_squared_names_J(J):
-    # Theta^2 is subnormal or 0: m read 0.4787969 at J = 1e-160 and 0.0
-    # (ordered) at J = 1e-162, against 0.4787520; the grid solver raises
-    # the same error (test_grid_solver_raises_the_first_scalar_error)
-    with pytest.raises(InvalidParams, match=rf"^J={J!r} is too small: Theta\^2 underflows$"):
-        solve_order(BathParams(J=J, w=0.0, T=0.25 * J))
+    # named for the error it raised while m was formed from Theta^2, which
+    # is subnormal or 0 here: m read 0.4787969 at J = 1e-160 and 0.0
+    # (ordered) at J = 1e-162, against 0.4787520 at J = 1
+    sol = solve_order(BathParams(J=J, w=0.0, T=0.25 * J))
+    ref = solve_order(BathParams(J=1.0, w=0.0, T=0.25))
+    assert sol.ordered and sol.m == pytest.approx(ref.m, rel=_m_precision(1.0, 0.0, 0.25), abs=0)
 
 
 def test_huge_J_near_tc_still_solves():
