@@ -43,6 +43,6 @@ from .oracle import (
     single_qubit_coherence_exact,
 )
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, case_state, evolve_reduced, validate_density
+from .two_qubit import PureState2Q, case_state, evolve_reduced, multiplier, validate_density
 
 __version__ = "0.1.0"

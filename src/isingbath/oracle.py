@@ -1,30 +1,30 @@
 """Exact small-bath simulator validating the analytic dephasing formulas.
 
 The mean-field Hamiltonian commutes with the system z-operators, so the
-exact reduced matrix factorizes: each element (i, j) of rho_s(t) is the
-initial element times exp(-i(E_i - E_j)t) times the N-th power of a single
-2x2 trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
+exact dynamics is pure dephasing, rho_s(t) = rho_s(0) * M(t) elementwise:
+M(t)[i, j] is exp(-i(E_i - E_j)t) times the N-th power of a single 2x2
+trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
 conditioned on system state i and g the per-spin Gibbs state.  Each route
-solves the mean-field root of its own bath (cfg.bath) and takes the z field
-h0 + (J0/sqrt(N)) lam of each coupling eigenvalue lam from _fields.  Every
-route is one array pass over the time axis and returns an array with time
-as its first axis.  The routes to it, and what they share:
+solves the mean-field root of its own bath (cfg.bath), takes the z field
+h0 + (J0/sqrt(N)) lam of each coupling eigenvalue lam from _fields, builds
+its M for a whole time list in one array pass, and returns an array with
+time as its first axis.  The routes to M:
 
 * simulate_exact (factorized): a (4, T, 2, 2) stack of per-spin
-  propagators from su2.exp_imag, traced against g in one einsum, with its
-  own 4x4 assembly; the reference for the routes below.
+  propagators from su2.exp_imag, traced against g in one einsum; the
+  reference for the routes below.
 * reconstruct_reduced: the same traces through the closed-form triple-trace
-  identity (su2.trace_triple), put into the closed forms' 4x4 assembly
-  (two_qubit._assemble) with the exact |11>-side coefficient D.  Its trace
+  identity (su2.trace_triple), put into the closed forms' multiplier
+  (two_qubit.multiplier) with the exact |11>-side coefficient D.  Its trace
   power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both, in the collective-spin basis |S, M> of the bath
-  (floor((N+2)^2/4) states, each sector S weighted by its multiplicity).
-  The Hamiltonian is block diagonal in the system basis, so each distinct
-  coupling eigenvalue gets one real symmetric bath block and one
-  eigendecomposition, and each reduced element is one eigenbasis product
-  over all times.  Free of the per-spin factorization: the oracle of the
-  oracle.
+  one builder for both (_dense_multiplier), in the collective-spin basis
+  |S, M> of the bath (floor((N+2)^2/4) states, each sector S weighted by
+  its multiplicity).  The Hamiltonian is block diagonal in the system
+  basis, so each distinct coupling eigenvalue gets one real symmetric bath
+  block and one eigendecomposition, and each pair of them one eigenbasis
+  product over all times.  Free of the per-spin factorization: the oracle
+  of the oracle.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field, a trace or a phase overflows.
@@ -38,6 +38,7 @@ single coefficient only in the Ising limit w = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,7 +49,7 @@ from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, _assemble, coupling_phase, finite_by_time
+from .two_qubit import PureState2Q, coupling_phase, finite_by_time, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
 
@@ -106,13 +107,10 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarr
     "factorized" method exploits the product form of each bath block;
     "dense" eigendecomposes each in the bath's collective-spin basis.
     """
-    amps = cfg.state.amplitudes()
-    outer = np.outer(amps, amps.conj())
     t = np.array(cfg.times)
     if method == "dense":
-        return _dense_reduced(
-            cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, outer, cfg.N, cfg.sys.J0, cfg.bath, t
-        )
+        m = _dense_multiplier(cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, cfg.N, cfg.sys.J0, cfg.bath, t)
+        return cfg.state.density() * m
     if method != "factorized":
         raise InvalidParams(f"unknown method {method!r}")
     _guard_size(cfg.N)
@@ -127,7 +125,7 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarr
     f = np.einsum("itab,bc,jtac->tij", props, g, props.conj())
     gaps = _E_OVER_XI0[:, None] - _E_OVER_XI0[None, :]
     phase = np.exp(-1j * coupling_phase(cfg.sys.xi0, t)[:, None, None] * gaps)
-    return outer * phase * f**cfg.N
+    return cfg.state.density() * (phase * f**cfg.N)
 
 
 def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,27 +147,28 @@ def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
-def _dense_reduced(e_s, lam, op0, N, J0, bath, times):
-    """tr_B[U(t) (op0 (x) g^(x N)) U(t)^dag] per time, U(t) = exp(-iHt),
-    shaped (T, dim_s, dim_s), in the collective-spin basis of the bath.
+def _dense_multiplier(e_s, lam, N, J0, bath, times):
+    """M(t) of tr_B[U(t) (rho0 (x) g^(x N)) U(t)^dag] = rho0 * M(t), U(t) =
+    exp(-iHt), shaped (T, dim_s, dim_s), in the bath's collective-spin basis.
 
     H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, where the system
-    operators H_s and S are diagonal with entries e_s and lam, op0 is any
-    system operator and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B
-    is the mean-field bath Hamiltonian without its c-number m^2 J N, a global
-    phase that cancels in U rho U^dag.  H is block diagonal: system state i
-    sees the real symmetric bath block H_B - (J0/sqrt(N)) lam_i Z_B, and so
-    does g^(x N) = exp(-H_B/T)/Z, all functions of the collective X_B and
-    Z_B.  Each spin sector S of the 2^N bath space then repeats d_S times,
-    and the bath trace counts it d_S times: in the stacked sector basis the
-    bath state is rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d)
-    commutes with every operator that keeps S.  One eigendecomposition
-    (E, V) per distinct lam, shifted by e_i; with p_i = exp(-i E_i t),
-        rho(t)[i, j] = op0[i, j] p_i^T M_ij p_j^*,
-        M_ij = (V_i^T rho_B V_j) * (V_i^T V_j)  (elementwise),
-    so every time comes out of one (T, n) @ (n, n) product per element, and
-    M_ij, real, depends only on (lam_i, lam_j).  An eigenvector may mix
-    sectors of one energy (at w = 0, say); V_i exp(-i E_i t) V_i^T is exact
+    operators H_s and S are diagonal with entries e_s and lam, and g is the
+    per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the mean-field bath
+    Hamiltonian without its c-number m^2 J N, a global phase that cancels in
+    U rho U^dag.  H is block diagonal: system state i sees the real symmetric
+    bath block H_B - (J0/sqrt(N)) lam_i Z_B, and so does g^(x N) =
+    exp(-H_B/T)/Z, all functions of the collective X_B and Z_B.  Each spin
+    sector S of the 2^N bath space then repeats d_S times, and the bath
+    trace counts it d_S times: in the stacked sector basis the bath state is
+    rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d) commutes with
+    every operator that keeps S.  One eigendecomposition (E_a, V_a) per
+    distinct coupling level a; with p_a = exp(-i E_a t),
+        M(t)[i, j] = exp(-i (e_i - e_j) t) F_ab(t),   F_ab = p_a^T K_ab p_b^*,
+        K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)  (elementwise),
+    for i at level a and j at level b: one (T, n) @ (n, n) product per pair
+    of levels.  The system phase stays a separate factor, since a large e_i
+    added to E_a would swamp the bath eigenphases.  An eigenvector may mix
+    sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is exact
     all the same.  The one dense route, for one qubit and for two.
     """
     _guard_size(N)
@@ -178,27 +177,23 @@ def _dense_reduced(e_s, lam, op0, N, J0, bath, times):
     levels = np.unique(np.append(lam, 0.0))
     _, fields = _fields(bath, N, J0, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
-    block = np.searchsorted(levels, lam)
-    energies = e_s[:, None] + np.array(evals)[block]
     with np.errstate(over="ignore"):
-        finite_by_time(np.abs(energies).max() * times, times, "eigenphase E t")
+        finite_by_time(np.abs(evals).max() * times, times, "eigenphase E t")
+        t = times[:, None, None]
+        phase = finite_by_time(np.subtract.outer(e_s, e_s) * t, t, "system phase (e_i - e_j) t")
     zero = levels.searchsorted(0.0)
     e_b, v_b = evals[zero], evecs[zero]
     # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
     half = np.sqrt(mult)[:, None] * v_b * np.exp(-(e_b - e_b[0]) / (2.0 * bath.T))
     rho_b = half @ half.T
     rho_b /= np.trace(rho_b)
-    elements = list(zip(*np.nonzero(op0)))
-    m = {
-        (a, b): (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
-        for a, b in {(block[i], block[j]) for i, j in elements}
-    }
-    p = np.exp(-1j * times[:, None, None] * energies)
-    out = np.zeros((len(times), len(e_s), len(e_s)), dtype=complex)
-    for i, j in elements:
-        f = np.einsum("tk,tk->t", p[:, i] @ m[block[i], block[j]], p[:, j].conj())
-        out[:, i, j] = op0[i, j] * f
-    return out
+    p = np.exp(-1j * t * np.array(evals))
+    block = np.searchsorted(levels, lam)
+    factor = np.zeros((len(times), len(levels), len(levels)), dtype=complex)
+    for a, b in itertools.product(np.unique(block), repeat=2):
+        k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
+        factor[:, a, b] = np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj())
+    return np.exp(-1j * phase) * factor[:, block[:, None], block]
 
 
 def _trace_power(bath, J0, N, t, left_lam, right_lam):
@@ -239,10 +234,10 @@ def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
     Independent of simulate_exact's propagator route: coefficients come
     from su2.trace_triple, with the exact D* product (not A*) on the
     transitions adjacent to |11>, and the matrices from the closed forms'
-    4x4 assembly.  Agrees with simulate_exact to roundoff for every w.
+    multiplier.  Agrees with simulate_exact to roundoff for every w.
     """
     coef = extract_products(cfg).conj()
-    return _assemble(cfg.state, np.array(cfg.times), cfg.sys.xi0, *coef.T)
+    return cfg.state.density() * multiplier(np.array(cfg.times), cfg.sys.xi0, *coef.T)
 
 
 def single_qubit_coherence_exact(
@@ -251,15 +246,14 @@ def single_qubit_coherence_exact(
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
     "trace" evaluates the per-spin triple-trace product in closed form;
-    "dense" evolves |0><1| (x) rho_B in the bath's collective-spin basis.
+    "dense" is the |0><1| entry of the one-qubit dense multiplier.
     Both include the free phase exp(i mu0 t).
     """
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = _finite_times(times)
     if method == "dense":
-        op0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        return _dense_reduced(-sys.mu0 * _SZ, _SZ, op0, N, sys.J0, bath, t)[:, 0, 1]
+        return _dense_multiplier(-sys.mu0 * _SZ, _SZ, N, sys.J0, bath, t)[:, 0, 1]
     if method != "trace":
         raise InvalidParams(f"unknown method {method!r}")
     product = _trace_power(bath, sys.J0, N, t, *_SZ)  # bra <0| and ket |1>

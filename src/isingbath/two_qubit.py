@@ -1,11 +1,12 @@
-"""Time-evolved two-qubit reduced density matrix and related 4x4 machinery.
+"""Pure-dephasing dynamics of two qubits: the multiplier M(t) and 4x4 checks.
 
 Basis ordering is |00>, |01>, |10>, |11> throughout, with |0> the upper
-(S^z = +1/2) eigenstate.  Pure dephasing fixes the structure of rho_s(t):
-populations are frozen, the one-excitation coherences are multiplied by
-A(t) exp(+-i t xi0 / 2), the |00><11| coherence by B(t), and the
-|01><10| coherence by nothing at all (both states sit in the same
-interaction eigenspace, a decoherence-free direction).
+(S^z = +1/2) eigenstate.  Pure dephasing maps every initial rho0 to the
+elementwise product rho0 * M(t), and M(t) does not depend on the state:
+populations are frozen, the one-excitation coherences carry
+A(t) exp(+-i t xi0 / 2), the |00><11| coherence B(t), and the |01><10|
+coherence exactly 1 (a decoherence-free direction).  The closed forms and
+every exact oracle route build their M and apply it as rho0 * M.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .dephasing import DephasingCoeffs
 from .errors import InvalidParams, InvalidState, NotADensityMatrix
 
 _TOL = 1e-12  # state norm^2, Hermiticity and trace
+_LOWER = np.tril_indices(4, -1)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,17 @@ class PureState2Q:
             [self.alpha, self.beta, self.gamma, self.delta], dtype=complex
         )
 
+    def density(self) -> np.ndarray:
+        """|Psi><Psi|, exactly Hermitian, with populations |amplitude|^2."""
+        amps = self.amplitudes()
+        # scalar products: numpy's vectorised complex multiply rounds differently,
+        # and the decoherence-free |01><10| entry must stay beta gamma^* exactly
+        a = amps.tolist()
+        upper = np.array(
+            [[x * y.conjugate() if i < j else 0j for j, y in enumerate(a)] for i, x in enumerate(a)]
+        )
+        return upper + upper.conj().T + np.diag(np.abs(amps) ** 2)
+
 
 def case_state(case: int) -> PureState2Q:
     """The four paradigmatic initial states.
@@ -91,11 +104,8 @@ def evolve_reduced(
     xi0: float,
     coeffs: DephasingCoeffs,
 ) -> np.ndarray:
-    """Reduced density matrix rho_s(t) for initial |Psi><Psi|.
-
-    Populations equal |amplitude|^2 for all t; the (|01>,|10>) coherence
-    carries no decay factor; the remaining coherences pick up A or B and
-    the xi0 phases.  At t = 0 (A = B = 1) this is |Psi><Psi| exactly.
+    """Reduced density matrix rho_s(t) for initial |Psi><Psi|, with the
+    closed forms' one coefficient A on every one-excitation coherence.
 
     Takes a scalar or array t with coefficients A and B of the same shape:
     a scalar t gives a (4, 4) matrix, a 1-D t a (T, 4, 4) stack.
@@ -105,36 +115,25 @@ def evolve_reduced(
     B = np.asarray(coeffs.B, dtype=complex)
     if A.shape != t.shape or B.shape != t.shape:
         raise InvalidParams(f"coefficients of shape {A.shape}, {B.shape} for times {t.shape}")
-    return _assemble(state, t, xi0, A, B, A)
+    return state.density() * multiplier(t, xi0, A, B, A)
 
 
-def _assemble(
-    state: PureState2Q, t: np.ndarray, xi0: float, A: np.ndarray, B: np.ndarray, D: np.ndarray
-) -> np.ndarray:
-    """The pure-dephasing rho_s(t), broadcast over the shape of t.
+def multiplier(t: np.ndarray, xi0: float, A, B, D) -> np.ndarray:
+    """M(t), a Hermitian t.shape + (4, 4) stack that takes any rho0 to rho0 * M.
 
-    A multiplies the one-excitation coherences adjacent to |00>, D those
-    adjacent to |11>, and B the |00><11| coherence; A, B and D have the
-    shape of t.  The closed forms share one coefficient (D = A); the exact
-    finite-field products of the oracle do not.
+    Unit diagonal and |01><10| entry; A p, p = exp(i xi0 t / 2), on the
+    one-excitation coherences adjacent to |00>, D p^* on those adjacent to
+    |11>, and B at |00><11|.  A, B and D have the shape of t.  The closed
+    forms share one coefficient (D = A); the exact finite-field products of
+    the oracle do not.
     """
-    p = np.exp(0.5j * coupling_phase(xi0, t))[..., None]
-    amps = state.amplitudes()
-    # scalar products: numpy's vectorised complex multiply rounds differently,
-    # and the decoherence-free |01><10| entry must stay beta gamma^* exactly
-    upper = np.array(
-        [[x * y.conjugate() if i < j else 0j for j, y in enumerate(amps.tolist())]
-         for i, x in enumerate(amps.tolist())]
-    )
-    rho = np.broadcast_to(upper, t.shape + (4, 4)).copy()
-    rho[..., 0, 1:3] *= A[..., None]
-    rho[..., 0, 1:3] *= p
-    rho[..., 0, 3] *= B
-    rho[..., 1:3, 3] *= D[..., None]
-    rho[..., 1:3, 3] *= p.conj()
-    rho = rho + np.swapaxes(rho, -1, -2).conj()
-    rho[..., range(4), range(4)] = np.abs(amps) ** 2
-    return rho
+    p = np.exp(0.5j * coupling_phase(xi0, t))
+    m = np.ones(np.shape(t) + (4, 4), dtype=complex)
+    m[..., 0, 1] = m[..., 0, 2] = A * p
+    m[..., 1, 3] = m[..., 2, 3] = D * p.conj()
+    m[..., 0, 3] = B
+    m[..., _LOWER[0], _LOWER[1]] = m[..., _LOWER[1], _LOWER[0]].conj()
+    return m
 
 
 def finite_by_time(values: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:

@@ -15,7 +15,8 @@ from isingbath.cli import RunConfig
 from isingbath.entanglement import _spin_flip_rows, _wootters_lambdas, concurrence, concurrences
 from isingbath.errors import NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
-from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
+from isingbath.oracle import _E_OVER_XI0, _LAMBDA, _dense_multiplier
+from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 from wootters_reference import SIGMA_YY, case1_concurrence, case2_concurrence, r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
@@ -59,6 +60,42 @@ def test_werner_states():
         closed = max(0.0, (3 * p - 1) / 2)
         assert reference == pytest.approx(closed, abs=1e-12)
         assert concurrence(rho).c == pytest.approx(closed, abs=1e-10)
+
+
+def werner(p):
+    """p |Phi+><Phi+| + (1 - p) I/4."""
+    return p * case_state(2).density() + (1 - p) * np.eye(4) / 4
+
+
+def test_werner_state_through_closed_form_and_dense_multipliers():
+    # a mixed rho0 dephases through the same M as a pure one; at w = 0 the
+    # finite-N closed form is exact, so its M is the dense oracle's
+    bath = BathParams(J=2.0, w=0.0, T=0.5 * critical_temperature(2.0))
+    n, times = 8, np.linspace(0.0, 12.0, 61)
+    co = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
+    closed = multiplier(times, SYS.xi0, co.A, co.B, co.A)
+    dense = _dense_multiplier(SYS.xi0 * _E_OVER_XI0, _LAMBDA, n, SYS.J0, bath, times)
+    for p in (0.4, 0.6, 0.8, 1.0):
+        c_closed = concurrences(werner(p) * closed)
+        assert np.abs(c_closed - concurrences(werner(p) * dense)).max() <= 1e-14
+        assert c_closed[0] == pytest.approx((3 * p - 1) / 2, abs=1e-15)
+
+
+def test_werner_state_dies_at_a_finite_time():
+    # Yu and Eberly's sudden death: C = max(0, p|B| - (1 - p)/2) with the
+    # Gaussian |B| = exp(-2 kappa (J0 t)^2) reaches exactly zero at
+    # J0 t_d = sqrt(ln(2p/(1 - p)) / (2 kappa)), kappa = 1/4 - m^2 at w = 0
+    bath = BathParams(J=2.0, w=0.0, T=0.5 * critical_temperature(2.0))
+    sol = solve_order(bath)
+    p, times = 0.8, np.linspace(0.0, 12.0, 241)
+    co = dephasing_coeffs(times, sol, bath, SYS, mode=MODE_ASYMPTOTIC)
+    c = concurrences(werner(p) * multiplier(times, SYS.xi0, co.A, co.B, co.A))
+    assert np.abs(c - np.maximum(0.0, p * np.abs(co.B) - (1 - p) / 2)).max() <= 4e-15
+    t_d = math.sqrt(math.log(2 * p / (1 - p)) / (2 * (0.25 - sol.m**2))) / SYS.J0
+    assert 7.0 < t_d < 7.1
+    assert np.abs(times - t_d).min() > 1e-3
+    assert np.all(c[times < t_d] > 0.0)
+    assert np.all(c[times > t_d] == 0.0)
 
 
 def test_concurrence_bounded_on_random_mixtures():

@@ -16,15 +16,18 @@ from isingbath.entanglement import concurrence
 from isingbath.errors import ConfigTooLarge, InvalidParams
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
+    _E_OVER_XI0,
+    _LAMBDA,
     OracleConfig,
     _collective_spin,
+    _dense_multiplier,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
     single_qubit_coherence_exact,
 )
 from isingbath.su2 import _SMALL_Q, TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
+from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 import dense_reference
 
 BATH_TIM = BathParams(J=2.0, w=0.1, T=0.5)
@@ -188,8 +191,8 @@ def test_bath_state_stationary_without_coupling():
 
 @pytest.mark.parametrize("bath", [BATH_IM, BATH_TIM], ids=["w=0", "w>0"])
 def test_reconstruction_shares_the_closed_form_assembly(bath):
-    # reconstruct_reduced and evolve_reduced build rho from one 4x4
-    # assembly, so with the exact coefficients they agree bit for bit on
+    # reconstruct_reduced and evolve_reduced apply one multiplier to one
+    # state.density(), so with the exact coefficients they agree bit for bit on
     # every entry that does not carry the |11>-side coefficient D
     rng = np.random.default_rng(31)
     for k in range(10):
@@ -245,7 +248,12 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
         cfg = make_cfg(n, bath, times=times, sys_p=sys_p)
         A, B, _ = extract_products(cfg).conj().T
         assert np.abs(A - r_closed).max() <= 1e-12
-        assert np.abs(B - coherence_factor_finite(2.0 * times, n, sol, bath, sys_p)).max() <= 1e-12
+        b_closed = coherence_factor_finite(2.0 * times, n, sol, bath, sys_p)
+        assert np.abs(B - b_closed).max() <= 1e-12
+        # and so is the closed forms' multiplier, on all 16 entries
+        closed = multiplier(times, sys_p.xi0, r_closed, b_closed, r_closed)
+        dense = _dense_multiplier(sys_p.xi0 * _E_OVER_XI0, _LAMBDA, n, sys_p.J0, bath, times)
+        assert np.abs(dense - closed).max() <= 1e-12
 
 
 def test_size_guards():
@@ -307,14 +315,30 @@ def test_field_overflow_at_a_finite_time_is_invalid_params(route):
         _route_calls(bath=bath)[route]((1e308,))
 
 
-@pytest.mark.parametrize("route", ["factorized", "reconstruct"])
+@pytest.mark.parametrize("sys_p", [
+    SystemParams(J0=1.0, xi0=1e8), SystemParams(J0=1.0, xi0=1e12),
+    SystemParams(J0=1.0, mu0=1e8), SystemParams(J0=1.0, mu0=1e12),
+], ids=["xi0=1e8", "xi0=1e12", "mu0=1e8", "mu0=1e12"])
+def test_dense_route_keeps_the_bath_under_a_large_qubit_energy(sys_p):
+    # the system phase is a factor of its own: added to the O(1) bath
+    # eigenvalues, a qubit energy of 1e8 would round them to |xi0| eps
+    times = tuple(np.linspace(0.15, 2.4, 8))
+    for n in (1, 4, 12):
+        cfg = make_cfg(n, BATH_TIM, state=random_state(n), times=times, sys_p=sys_p)
+        assert np.abs(simulate_exact(cfg, method="dense") - simulate_exact(cfg)).max() <= 1e-12
+        sq = [single_qubit_coherence_exact(n, BATH_TIM, sys_p, times, method=m)
+              for m in ("dense", "trace")]
+        assert np.abs(sq[0] - sq[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["factorized", "reconstruct", "dense"])
 def test_qubit_phase_overflow_at_a_finite_time_is_invalid_params(route):
-    # xi0 t overflows at t = 4 with xi0 = 1e308; no RuntimeWarning.  The
-    # dense route forms E t, not xi0 t, and checks that itself
+    # xi0 t overflows at t = 4 with xi0 = 1e308; no RuntimeWarning
     cfg = make_cfg(3, BATH_TIM, times=(1.0, 4.0), sys_p=SystemParams(J0=1.0, xi0=1e308))
     call = {
         "factorized": lambda: simulate_exact(cfg),
         "reconstruct": lambda: reconstruct_reduced(cfg),
+        "dense": lambda: simulate_exact(cfg, method="dense"),
     }[route]
     with pytest.raises(InvalidParams, match="non-finite coefficients.*at t=4.0"):
         call()

@@ -11,6 +11,7 @@ from isingbath.two_qubit import (
     PureState2Q,
     case_state,
     evolve_reduced,
+    multiplier,
     validate_density,
 )
 from wootters_reference import SIGMA_YY, r_matrix, spin_flip
@@ -42,6 +43,7 @@ def test_initial_condition_is_projector():
         amps = st.amplitudes()
         got = evolve_reduced(st, 0.0, 0.7, NO_DECAY)
         np.testing.assert_allclose(got, np.outer(amps, amps.conj()), atol=1e-15)
+        np.testing.assert_array_equal(got, st.density())
 
 
 def test_populations_frozen_and_hermitian():
@@ -70,6 +72,29 @@ def test_positive_semidefinite_with_finite_mode_constraint():
         co = dephasing_coeffs(t, sol, bath, sys_p, mode=MODE_FINITE, N=5)
         rho = evolve_reduced(st, t, sys_p.xi0, co)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_multiplier_is_hermitian_with_unit_diagonal_and_protected_entry(shape):
+    rng = np.random.default_rng(len(shape))
+    for _ in range(20):
+        t = rng.uniform(0.0, 50.0, size=shape)
+        r, phase = rng.uniform(size=(2, 3) + shape)
+        A, B, D = map(np.asarray, r * np.exp(2j * np.pi * phase))
+        xi0 = rng.uniform(0.0, 3.0)
+        m = multiplier(t, xi0, A, B, D)
+        assert m.shape == shape + (4, 4)
+        assert np.array_equal(m, np.swapaxes(m, -1, -2).conj())
+        assert np.all(m[..., range(4), range(4)] == 1.0)
+        assert np.all(m[..., 1, 2] == 1.0)
+        p = np.exp(0.5j * xi0 * t)
+        for i, j, want in ((0, 1, A * p), (0, 2, A * p), (1, 3, D / p), (2, 3, D / p)):
+            np.testing.assert_allclose(m[..., i, j], want, rtol=1e-13)
+        assert np.array_equal(m[..., 0, 3], B)
+        # the closed forms are the same multiplier with D = A
+        st = random_state(rng)
+        rho = evolve_reduced(st, t, xi0, DephasingCoeffs(A=A, B=B))
+        assert np.array_equal(rho, st.density() * multiplier(t, xi0, A, B, A))
 
 
 def test_protected_coherence_carries_no_decay():
