@@ -82,8 +82,9 @@ def critical_temperature(J: float) -> float:
 def is_ordered(p: BathParams) -> bool:
     """True iff the bath is in the symmetry-broken phase.
 
-    For w > 0 the condition is w/J < tanh(w/(2T)); for w = 0 it reduces to
-    T < Tc = J/2.  J = 0 never orders.
+    The condition is w/J < tanh(w/(2T)); where w/(2T) is 0 (w = 0, or a
+    tiny w that underflows) it takes its limit T < Tc = J/2.  J = 0 never
+    orders.
     """
     return bool(_orders(p.J, p.w, p.T))
 
@@ -94,9 +95,8 @@ def _orders(J: float, w: float, T, tanh=math.tanh):
     agree on which side of the root lies just above w."""
     if J == 0:
         return np.zeros_like(T, dtype=bool)
-    if w == 0:
-        return T < critical_temperature(J)
-    return w / J < tanh(w / (2.0 * T))
+    x = w / (2.0 * T)
+    return (x == 0) & (T < critical_temperature(J)) | (w / J < tanh(x))
 
 
 # tol stays a parameter: bench/checks.py reads its default from the signature

@@ -22,9 +22,9 @@ time as its first axis.  The routes to M:
   |S, M> of the bath (floor((N+2)^2/4) states, each sector S weighted by
   its multiplicity).  The Hamiltonian is block diagonal in the system
   basis, so each distinct coupling eigenvalue gets one real symmetric bath
-  block and one eigendecomposition, and each pair of them one eigenbasis
-  product over all times.  Free of the per-spin factorization: the oracle
-  of the oracle.
+  block and one eigendecomposition, and each unordered pair of distinct
+  ones one eigenbasis product over all times.  Free of the per-spin
+  factorization: the oracle of the oracle.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field, a trace or a phase overflows.
@@ -165,11 +165,12 @@ def _dense_multiplier(e_s, lam, N, J0, bath, times):
     distinct coupling level a; with p_a = exp(-i E_a t),
         M(t)[i, j] = exp(-i (e_i - e_j) t) F_ab(t),   F_ab = p_a^T K_ab p_b^*,
         K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)  (elementwise),
-    for i at level a and j at level b: one (T, n) @ (n, n) product per pair
-    of levels.  The system phase stays a separate factor, since a large e_i
-    added to E_a would swamp the bath eigenphases.  An eigenvector may mix
-    sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is exact
-    all the same.  The one dense route, for one qubit and for two.
+    for i at level a and j at level b: one (T, n) @ (n, n) product per
+    unordered pair of distinct levels, since F_aa = 1 and F_ba = F_ab^*.
+    The system phase stays a separate factor, since a large e_i added to
+    E_a would swamp the bath eigenphases.  An eigenvector may mix sectors
+    of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is exact all the
+    same.  The one dense route, for one qubit and for two.
     """
     _guard_size(N)
     x_b, z_b, mult = _collective_spin(N)
@@ -189,10 +190,12 @@ def _dense_multiplier(e_s, lam, N, J0, bath, times):
     rho_b /= np.trace(rho_b)
     p = np.exp(-1j * t * np.array(evals))
     block = np.searchsorted(levels, lam)
-    factor = np.zeros((len(times), len(levels), len(levels)), dtype=complex)
-    for a, b in itertools.product(np.unique(block), repeat=2):
+    # F_aa = tr rho_B = 1, and K_ba = K_ab^T is real, so F_ba = F_ab^*
+    factor = np.ones((len(times), len(levels), len(levels)), dtype=complex)
+    for a, b in itertools.combinations(np.unique(block), 2):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
         factor[:, a, b] = np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj())
+        factor[:, b, a] = factor[:, a, b].conj()
     return np.exp(-1j * phase) * factor[:, block[:, None], block]
 
 

@@ -111,10 +111,11 @@ def evolve_reduced(
     a scalar t gives a (4, 4) matrix, a 1-D t a (T, 4, 4) stack.
     """
     t = np.asarray(t, dtype=float)
-    A = np.asarray(coeffs.A, dtype=complex)
-    B = np.asarray(coeffs.B, dtype=complex)
-    if A.shape != t.shape or B.shape != t.shape:
-        raise InvalidParams(f"coefficients of shape {A.shape}, {B.shape} for times {t.shape}")
+    A, B = coeffs.A, coeffs.B
+    if not np.shape(A) == np.shape(B) == t.shape:
+        raise InvalidParams(
+            f"coefficients of shape {np.shape(A)}, {np.shape(B)} for times {t.shape}"
+        )
     return state.density() * multiplier(t, xi0, A, B, A)
 
 
@@ -125,8 +126,9 @@ def multiplier(t: np.ndarray, xi0: float, A, B, D) -> np.ndarray:
     one-excitation coherences adjacent to |00>, D p^* on those adjacent to
     |11>, and B at |00><11|.  A, B and D have the shape of t.  The closed
     forms share one coefficient (D = A); the exact finite-field products of
-    the oracle do not.
+    the oracle do not.  A numpy scalar rounds A p as a 0-d array does.
     """
+    A, B, D = (np.asarray(x, dtype=complex) for x in (A, B, D))
     p = np.exp(0.5j * coupling_phase(xi0, t))
     m = np.ones(np.shape(t) + (4, 4), dtype=complex)
     m[..., 0, 1] = m[..., 0, 2] = A * p

@@ -421,9 +421,39 @@ def test_verify_honours_a_zero_qubit_coupling(capsys, monkeypatch):
     assert zero_xi0 == {0.0}
 
 
+# verify's checks per bath size, in report order, at its default w = 0.1
+VERIFY_CHECKS = [
+    "propagator vs trace-identity route (w=0.1)",
+    "factorized vs dense evolution (w=0.1)",
+    "single-qubit trace vs dense (w=0.1)",
+    "exact coefficients vs closed form (w=0)",
+    "oracle vs closed-form reduced matrix (w=0)",
+    "one-excitation coefficient symmetry (w=0)",
+    "single-qubit closed form vs exact (w=0)",
+]
+
+
+def _verify_report(capsys, argv, code):
+    """The (verdict, name) of each check line of verify --N-max 12, and its
+    last line; every bath size up to 12 reports the seven checks in order."""
+    assert main(["verify", "--N-max", "12", *argv]) == code
+    *checks, last = capsys.readouterr().out.splitlines()
+    parsed = [re.fullmatch(r"(ok|FAIL) +(.+): max error \S+ \(tol \S+\)", line).groups()
+              for line in checks]
+    names = [f"N={n} {name}" for n in (1, 2, 4, 6, 8, 10, 12) for name in VERIFY_CHECKS]
+    assert len(names) == 49 and [name for _, name in parsed] == names
+    return [verdict for verdict, _ in parsed], last
+
+
+def test_verify_report_lists_seven_checks_per_bath_size(capsys):
+    verdicts, last = _verify_report(capsys, [], EXIT_OK)
+    assert set(verdicts) == {"ok"} and last == "verify: all checks passed"
+
+
 def test_verify_negative_control(capsys):
-    assert main(["verify", "--N-max", "2", "--inject-error"]) == EXIT_VERIFY_FAILED
-    assert "FAIL" in capsys.readouterr().out
+    # the injected error fails every check line
+    verdicts, last = _verify_report(capsys, ["--inject-error"], EXIT_VERIFY_FAILED)
+    assert set(verdicts) == {"FAIL"} and last == "verify: FAILED"
 
 
 def test_verify_fails_a_nan_error(capsys, monkeypatch):
@@ -791,6 +821,18 @@ def test_underflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, command):
     argv = [command, "--J", "1e-162", "--w", "0", "--T-over-Tc", "0.5", "--out", str(out)]
     assert main(argv) == EXIT_OK
     _assert_scale_free_run(out, capsys)
+
+
+@pytest.mark.parametrize("command", ["phase", "coherence"])
+def test_a_tiny_w_over_J_reads_as_w_0(tmp_path, capsys, command):
+    # w/J = 1e-600 and w/(2T) underflow to 0: the bath orders and dephases
+    # as at w = 0, where it read disordered, with abs_r = 1.0 and tau = inf
+    out = tmp_path / "o.csv"
+    argv = [command, "--J", "1e300", "--w", "1e-300", "--T-over-Tc", "0.2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    _assert_scale_free_run(out, capsys)
+    if command == "phase":
+        assert read_csv(out)[1]["phase"] == ["ordered"]
 
 
 @pytest.mark.parametrize("flag, value", [("w", "-1"), ("J", "nan")])

@@ -243,6 +243,18 @@ def test_coherence_time_at_a_low_temperature(solve):
     assert tau == pytest.approx(972652.49, rel=1e-5)
 
 
+@DRIVERS
+@pytest.mark.parametrize("T_over_Tc", [1e-3, 0.2, 0.9, 0.999, 1.5])
+def test_a_tiny_w_over_J_orders_as_w_0_does(solve, T_over_Tc):
+    # w/J = 1e-600 and w/(2T) underflow to 0, where the rule takes its
+    # limit T < Tc; comparing the two zeros read disordered, m = 0, below Tc
+    J = 1e300
+    T = T_over_Tc * critical_temperature(J)
+    _, m, ordered = solve(J, 1e-300, T)
+    assert (m, ordered) == solve(J, 0.0, T)[1:]
+    assert ordered == (T_over_Tc < 1.0)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     J=st.sampled_from([2.0, 0.37, 1e150, 1e-100]),

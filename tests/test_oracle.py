@@ -490,6 +490,15 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
     got1 = single_qubit_coherence_exact(n, bath, sys_p, times, method="dense")
     assert np.abs(got1 - ref1).max() <= 1e-13
 
+    # as in the closed forms, M is exactly Hermitian with an exactly unit
+    # diagonal and, for two qubits, |01><10| entry
+    m2 = _dense_multiplier(sys_p.xi0 * _E_OVER_XI0, _LAMBDA, n, sys_p.J0, bath, times)
+    m1 = _dense_multiplier(-sys_p.mu0 * sz.diagonal(), sz.diagonal(), n, sys_p.J0, bath, times)
+    for m in (m2, m1):
+        assert np.array_equal(m, np.swapaxes(m, 1, 2).conj())
+        assert np.all(np.diagonal(m, axis1=1, axis2=2) == 1.0)
+    assert np.all(m2[:, 1, 2] == 1.0)
+
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
     # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2 and

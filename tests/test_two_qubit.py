@@ -80,7 +80,7 @@ def test_multiplier_is_hermitian_with_unit_diagonal_and_protected_entry(shape):
     for _ in range(20):
         t = rng.uniform(0.0, 50.0, size=shape)
         r, phase = rng.uniform(size=(2, 3) + shape)
-        A, B, D = map(np.asarray, r * np.exp(2j * np.pi * phase))
+        A, B, D = r * np.exp(2j * np.pi * phase)
         xi0 = rng.uniform(0.0, 3.0)
         m = multiplier(t, xi0, A, B, D)
         assert m.shape == shape + (4, 4)
@@ -95,6 +95,10 @@ def test_multiplier_is_hermitian_with_unit_diagonal_and_protected_entry(shape):
         st = random_state(rng)
         rho = evolve_reduced(st, t, xi0, DephasingCoeffs(A=A, B=B))
         assert np.array_equal(rho, st.density() * multiplier(t, xi0, A, B, A))
+        if shape == ():
+            # numpy complex128 scalars, with a Python float time
+            rho = evolve_reduced(st, 1.0, xi0, DephasingCoeffs(A=A, B=B))
+            assert np.array_equal(rho, st.density() * multiplier(1.0, xi0, A, B, A))
 
 
 def test_protected_coherence_carries_no_decay():
