@@ -286,10 +286,8 @@ def cmd_coherence(cfg: RunConfig) -> int:
     r = coherence_factor_finite(times, cfg.N, sol, bath, sys_p)
     columns = {
         "t": times,
-        "J0_t": cfg.J0 * times,
         "re_r": r.real,
         "im_r": r.imag,
-        "abs_r": np.abs(r),
         "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
         "tau": [repr(tau)] * len(times),
     }

@@ -116,5 +116,11 @@ def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
         raise InvalidParams(f"temperature must be positive, got {T}")
     a = w / (2.0 * T)
     b = h / (2.0 * T)
-    f = 0.5 * _tanhc(math.hypot(a, b))
+    q = math.hypot(a, b)
+    if math.isinf(q):  # tanh(q) = 1, and (a, b)/q from (w, h) scaled to 1, not 0 * inf
+        s = max(abs(w), abs(h))
+        a, b = w / s, h / s
+        f = 0.5 / math.hypot(a, b)
+    else:
+        f = 0.5 * _tanhc(q)
     return _xz_matrix(0.5, f * a, f * b)

@@ -16,7 +16,7 @@ from isingbath.cli import (
     main,
     read_csv_config,
 )
-from isingbath.dephasing import SystemParams, coherence_time
+from isingbath.dephasing import SystemParams, coherence_factor_finite, coherence_time
 from isingbath.errors import InvalidParams
 from isingbath.mean_field import BathParams, solve_order
 from isingbath.oracle import simulate_exact
@@ -38,6 +38,11 @@ def read_csv(path):
 
 def floats(data, col):
     return np.array([float(v) for v in data[col]])
+
+
+def abs_r(data):
+    """|r| of a coherence CSV, from its re_r and im_r cells."""
+    return np.abs(floats(data, "re_r") + 1j * floats(data, "im_r"))
 
 
 def test_phase_sweep(tmp_path):
@@ -75,11 +80,11 @@ def test_coherence_columns(tmp_path):
                  "--t-max", "30", "--points", "200", "--out", str(out)])
     assert code == EXIT_OK
     columns, data = read_csv(out)
-    assert columns == ["t", "J0_t", "re_r", "im_r", "abs_r", "abs_r_asymptotic", "tau"]
-    assert floats(data, "abs_r")[0] == 1.0
+    assert columns == ["t", "re_r", "im_r", "abs_r_asymptotic", "tau"]
+    assert abs_r(data)[0] == 1.0
     assert floats(data, "abs_r_asymptotic")[0] == 1.0
     # finite N = 1e6 tracks the Gaussian everywhere on the grid
-    assert np.abs(floats(data, "abs_r") - floats(data, "abs_r_asymptotic")).max() < 1e-4
+    assert np.abs(abs_r(data) - floats(data, "abs_r_asymptotic")).max() < 1e-4
     # tau column is constant (tau ~ 9.8 here) and satisfies the 1/e identity
     tau = floats(data, "tau")[0]
     assert floats(data, "t")[-1] > tau
@@ -102,8 +107,9 @@ def test_coherence_of_an_ising_bath_above_tc(tmp_path):
     assert main(["coherence", "--w", "0", "--T-over-Tc", "1.5", "--N", "8",
                  "--points", "41", "--out", str(out)]) == EXIT_OK
     _, data = read_csv(out)
-    want = np.abs(np.cos(floats(data, "J0_t") / (2.0 * math.sqrt(8.0))) ** 8)
-    assert np.abs(floats(data, "abs_r") - want).max() <= 1e-13
+    j0_t = read_csv_config(str(out)).J0 * floats(data, "t")
+    want = np.abs(np.cos(j0_t / (2.0 * math.sqrt(8.0))) ** 8)
+    assert np.abs(abs_r(data) - want).max() <= 1e-13
     assert data["tau"][0] == repr(2.0 * math.sqrt(2.0))
 
 
@@ -115,7 +121,40 @@ def test_coherence_that_never_decays(tmp_path, argv):
     out = tmp_path / "coh.csv"
     assert main(["coherence", *argv, "--points", "5", "--out", str(out)]) == EXIT_OK
     _, data = read_csv(out)
-    assert set(data["abs_r"]) == {"1.0"} and set(data["tau"]) == {"inf"}
+    assert set(abs_r(data).tolist()) == {1.0} and set(data["tau"]) == {"inf"}
+
+
+# (N, w, T/Tc, J0) of coherence runs whose dropped columns are recovered
+RECOVERY_RUNS = [
+    ("8", "0", "1.5", "1"),
+    ("1000", "0.1", "0.5", "0.7"),
+    ("100000000", "0.3", "0.9", "3"),
+    ("10", "0.1", "0.25", "0"),
+]
+
+
+def _coherence_run(tmp_path, n, w, t_over_tc, j0):
+    out = tmp_path / "coh.csv"
+    assert main(["coherence", "--N", n, "--w", w, "--T-over-Tc", t_over_tc, "--J0", j0,
+                 "--points", "60", "--out", str(out)]) == EXIT_OK
+    return read_csv_config(str(out)), read_csv(out)[1]
+
+
+@pytest.mark.parametrize("n, w, t_over_tc, j0", RECOVERY_RUNS)
+def test_re_r_and_im_r_give_abs_r_bitwise(tmp_path, n, w, t_over_tc, j0):
+    # coherence writes no abs_r: |re_r + i im_r| is np.abs(r) bit for bit
+    cfg, data = _coherence_run(tmp_path, n, w, t_over_tc, j0)
+    bath, sol, sys_p = cfg.physics()
+    r = coherence_factor_finite(cfg.time_grid(), cfg.N, sol, bath, sys_p)
+    assert abs_r(data).tobytes() == np.abs(r).tobytes()
+
+
+@pytest.mark.parametrize("n, w, t_over_tc, j0", RECOVERY_RUNS)
+def test_header_J0_times_t_gives_J0_t_bitwise(tmp_path, n, w, t_over_tc, j0):
+    # coherence writes no J0_t: the header's J0 times t is J0 * times bit for bit
+    cfg, data = _coherence_run(tmp_path, n, w, t_over_tc, j0)
+    run = RunConfig(command="coherence", J0=float(j0), points=60)
+    assert (cfg.J0 * floats(data, "t")).tobytes() == (run.J0 * run.time_grid()).tobytes()
 
 
 def _help_text(capsys, argv):
@@ -725,6 +764,17 @@ def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+def test_a_gibbs_field_past_the_float_range_exits_2_without_a_warning(capsys):
+    # w/(2T) overflows: the factorized route takes the per-spin Gibbs state's
+    # T -> 0 projector, and the trace route rejects the infinite field in one line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--N-max", "2", "--J", "1e-300", "--w", "1e300"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "isingbath: error: non-finite coefficients (inf, 0.0)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["coherence", "--N", "0"],
     ["concurrence", "--mode", "asymptotic", "--N", "-5"],
@@ -764,8 +814,8 @@ def test_huge_field_of_a_disordered_bath_runs(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     columns, data = read_csv(out)
-    col = "abs_r" if "abs_r" in columns else "abs_A"
-    assert set(data[col]) == {"1.0"}
+    values = abs_r(data) if "re_r" in columns else floats(data, "abs_A")
+    assert set(values.tolist()) == {1.0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -826,7 +876,7 @@ def test_underflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["phase", "coherence"])
 def test_a_tiny_w_over_J_reads_as_w_0(tmp_path, capsys, command):
     # w/J = 1e-600 and w/(2T) underflow to 0: the bath orders and dephases
-    # as at w = 0, where it read disordered, with abs_r = 1.0 and tau = inf
+    # as at w = 0, where it read disordered, with |re_r + i im_r| = 1.0 and tau = inf
     out = tmp_path / "o.csv"
     argv = [command, "--J", "1e300", "--w", "1e-300", "--T-over-Tc", "0.2", "--out", str(out)]
     assert main(argv) == EXIT_OK

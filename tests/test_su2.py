@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ def test_gibbs_matches_normalized_exponential():
         m = TracelessXZ(w / (2 * T), h / (2 * T))
         expected = series_exp(xz_matrix(m), terms=80).real / (2.0 * math.cosh(m.q))
         assert np.abs(single_spin_gibbs(w, h, T) - expected).max() < 1e-13
+
+
+def test_gibbs_past_an_overflowing_field_is_the_field_direction_projector():
+    # a = w/(2T) overflows to inf: the T -> 0 limit, with no 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = single_spin_gibbs(1e300, 0.0, 1e-10)
+        assert g.tobytes() == np.full((2, 2), 0.5).tobytes()
+        assert single_spin_gibbs(0.0, -1e300, 1e-10).tobytes() == np.diag([0.0, 1.0]).tobytes()
+        # finite a and b whose hypot overflows: the same limit, not tanhc(inf) * a = 0
+        g = single_spin_gibbs(1e308, 1e308, 0.5)
+    np.testing.assert_allclose(g, single_spin_gibbs(1.0, 1.0, 1e-3), rtol=0, atol=2e-16)
+    np.testing.assert_allclose(g @ g, g, rtol=0, atol=1e-15)
 
 
 def test_gibbs_is_density_matrix():
