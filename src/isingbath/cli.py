@@ -253,7 +253,8 @@ def _parse_key_values(tokens: list[str], source: str) -> dict[str, str]:
 
 def read_csv_config(path: str) -> RunConfig:
     """Rebuild the RunConfig from an emitted CSV's parameter header."""
-    first = Path(path).read_text().splitlines()[0]
+    with open(path) as f:
+        first = f.readline().rstrip("\n")
     if not first.startswith("# "):
         raise InvalidParams(f"{path} has no parameter header")
     return RunConfig.from_key_values(_parse_key_values(first[2:].split(" "), path))

@@ -1,29 +1,29 @@
 """Exact small-bath simulator validating the analytic dephasing formulas.
 
 The mean-field Hamiltonian commutes with the system z-operators, so the
-exact dynamics is pure dephasing, rho_s(t) = rho_s(0) * M(t) elementwise:
-M(t)[i, j] is exp(-i(E_i - E_j)t) times the N-th power of a single 2x2
-trace  tr[U_i g U_j^dag],  with U_i the per-spin bath propagator
-conditioned on system state i and g the per-spin Gibbs state.  Each route
-solves the mean-field root of its own bath (cfg.bath), takes the z field
-h0 + (J0/sqrt(N)) lam of each coupling eigenvalue lam from _fields, builds
-its M for a whole time list in one array pass, and returns an array with
-time as its first axis.  The routes to M:
+exact dynamics is pure dephasing, rho_s(t) = rho_s(0) * M(t) elementwise.
+The bath sets M only through the N-th power of the per-spin trace
+tr[U_a g U_b^dag] of each pair of coupling levels: U_a is the per-spin bath
+propagator at level a of the qubits' total S^z (_LEVELS), g the per-spin
+Gibbs state.  Each route solves the mean-field root of its own bath
+(cfg.bath), takes the z field h0 + (J0/sqrt(N)) lam of each level from
+_fields and computes the level pairs (_BRA, _KET) that are A, B and D over
+a whole time list in one array pass; two_qubit.multiplier lays out M and
+adds the qubit phase.  Time is the first axis of every result.  The routes:
 
-* simulate_exact (factorized): a (4, T, 2, 2) stack of per-spin
+* simulate_exact (factorized): a (3, T, 2, 2) stack of per-spin
   propagators from su2.exp_imag, traced against g in one einsum; the
   reference for the routes below.
 * reconstruct_reduced: the same traces through the closed-form triple-trace
-  identity (su2.trace_triple), put into the closed forms' multiplier
-  (two_qubit.multiplier) with the exact |11>-side coefficient D.  Its trace
-  power is shared with single_qubit_coherence_exact's "trace" method.
+  identity (su2.trace_triple), with the exact |11>-side coefficient D.  Its
+  trace power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both (_dense_multiplier), in the collective-spin basis
-  |S, M> of the bath (floor((N+2)^2/4) states, each sector S weighted by
-  its multiplicity).  The Hamiltonian is block diagonal in the system
-  basis, so each distinct coupling eigenvalue gets one real symmetric bath
-  block and one eigendecomposition, and each unordered pair of distinct
-  ones one eigenbasis product over all times.  Free of the per-spin
+  one builder of the level-pair factors for both (_dense_factor), in the
+  collective-spin basis |S, M> of the bath (floor((N+2)^2/4) states, each
+  sector S weighted by its multiplicity).  The Hamiltonian is block
+  diagonal in the system basis, so each coupling level gets one real
+  symmetric bath block and one eigendecomposition, and each pair of levels
+  one eigenbasis product over all times.  Free of the per-spin
   factorization: the oracle of the oracle.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
@@ -49,14 +49,14 @@ from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, coupling_phase, finite_by_time, multiplier
+from .two_qubit import PureState2Q, finite_by_time, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
 
-# total system S^z eigenvalue per basis state |00>, |01>, |10>, |11>
-_LAMBDA = np.array([1.0, 0.0, 0.0, -1.0])
-# H_s = -xi0 S1^z S2^z eigenvalue per basis state, in units of xi0
-_E_OVER_XI0 = np.array([-0.25, 0.25, 0.25, -0.25])
+# total system S^z of the two qubits' coupling levels: |00>; |01> and |10>; |11>
+_LEVELS = np.array([1.0, 0.0, -1.0])
+# the (bra, ket) level pairs of two_qubit.multiplier's coefficients A, B and D
+_BRA, _KET = np.array([(0, 1), (0, 2), (1, 2)]).T
 
 # S^z eigenvalue of one qubit per basis state |0>, |1>
 _SZ = np.array([0.5, -0.5])
@@ -109,23 +109,21 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarr
     """
     t = np.array(cfg.times)
     if method == "dense":
-        m = _dense_multiplier(cfg.sys.xi0 * _E_OVER_XI0, _LAMBDA, cfg.N, cfg.sys.J0, cfg.bath, t)
-        return cfg.state.density() * m
-    if method != "factorized":
+        coef = _dense_factor(_LEVELS, cfg.N, cfg.sys.J0, cfg.bath, t)[:, _BRA, _KET]
+    elif method == "factorized":
+        _guard_size(cfg.N)
+        bath = cfg.bath
+        h0, nu = _fields(bath, cfg.N, cfg.sys.J0, _LEVELS)
+        g = single_spin_gibbs(bath.w, h0, bath.T)
+        with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
+            fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
+        # (3, T, 2, 2): the per-spin bath propagator conditioned on each level
+        props = exp_imag(fields)
+        # the per-spin bath trace tr[U_a g U_b^dag] of each level pair, ^N
+        coef = np.einsum("itab,bc,itac->ti", props[_BRA], g, props[_KET].conj()) ** cfg.N
+    else:
         raise InvalidParams(f"unknown method {method!r}")
-    _guard_size(cfg.N)
-    bath = cfg.bath
-    h0, nu = _fields(bath, cfg.N, cfg.sys.J0, _LAMBDA)
-    g = single_spin_gibbs(bath.w, h0, bath.T)
-    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
-        fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
-    # (4, T, 2, 2): the per-spin bath propagator conditioned on each system state
-    props = exp_imag(fields)
-    # per-spin bath traces tr[U_i g U_j^dag], not yet ^N
-    f = np.einsum("itab,bc,jtac->tij", props, g, props.conj())
-    gaps = _E_OVER_XI0[:, None] - _E_OVER_XI0[None, :]
-    phase = np.exp(-1j * coupling_phase(cfg.sys.xi0, t)[:, None, None] * gaps)
-    return cfg.state.density() * (phase * f**cfg.N)
+    return cfg.state.density() * multiplier(t, cfg.sys.xi0, *coef.T)
 
 
 def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,30 +145,27 @@ def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
-def _dense_multiplier(e_s, lam, N, J0, bath, times):
-    """M(t) of tr_B[U(t) (rho0 (x) g^(x N)) U(t)^dag] = rho0 * M(t), U(t) =
-    exp(-iHt), shaped (T, dim_s, dim_s), in the bath's collective-spin basis.
+def _dense_factor(lam, N, J0, bath, times):
+    """The bath factors F(t)[a, b] of tr_B[U(t) (|a><b| (x) g^(x N)) U(t)^dag]
+    = F_ab(t) |a><b|, U(t) = exp(-iHt), between the L coupling levels lam:
+    shaped (T, L, L), in the bath's collective-spin basis.
 
-    H = H_s (x) 1 - (J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, where the system
-    operators H_s and S are diagonal with entries e_s and lam, and g is the
-    per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the mean-field bath
-    Hamiltonian without its c-number m^2 J N, a global phase that cancels in
-    U rho U^dag.  H is block diagonal: system state i sees the real symmetric
-    bath block H_B - (J0/sqrt(N)) lam_i Z_B, and so does g^(x N) =
+    H = -(J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, S with the eigenvalues lam and
+    g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the mean-field
+    bath Hamiltonian without its c-number m^2 J N, a global phase that
+    cancels in U rho U^dag.  H is block diagonal: level a sees the real
+    symmetric bath block H_B - (J0/sqrt(N)) lam_a Z_B, and g^(x N) =
     exp(-H_B/T)/Z, all functions of the collective X_B and Z_B.  Each spin
     sector S of the 2^N bath space then repeats d_S times, and the bath
     trace counts it d_S times: in the stacked sector basis the bath state is
     rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d) commutes with
     every operator that keeps S.  One eigendecomposition (E_a, V_a) per
     distinct coupling level a; with p_a = exp(-i E_a t),
-        M(t)[i, j] = exp(-i (e_i - e_j) t) F_ab(t),   F_ab = p_a^T K_ab p_b^*,
-        K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)  (elementwise),
-    for i at level a and j at level b: one (T, n) @ (n, n) product per
-    unordered pair of distinct levels, since F_aa = 1 and F_ba = F_ab^*.
-    The system phase stays a separate factor, since a large e_i added to
-    E_a would swamp the bath eigenphases.  An eigenvector may mix sectors
-    of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is exact all the
-    same.  The one dense route, for one qubit and for two.
+        F_ab(t) = p_a^T K_ab p_b^*,   K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)
+    (elementwise): one (T, n) @ (n, n) product per unordered pair of
+    distinct levels, since F_aa = 1 and F_ba = F_ab^*.  An eigenvector may
+    mix sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is
+    exact all the same.  The one dense route, for one qubit and for two.
     """
     _guard_size(N)
     x_b, z_b, mult = _collective_spin(N)
@@ -180,15 +175,13 @@ def _dense_multiplier(e_s, lam, N, J0, bath, times):
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
     with np.errstate(over="ignore"):
         finite_by_time(np.abs(evals).max() * times, times, "eigenphase E t")
-        t = times[:, None, None]
-        phase = finite_by_time(np.subtract.outer(e_s, e_s) * t, t, "system phase (e_i - e_j) t")
     zero = levels.searchsorted(0.0)
     e_b, v_b = evals[zero], evecs[zero]
     # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
     half = np.sqrt(mult)[:, None] * v_b * np.exp(-(e_b - e_b[0]) / (2.0 * bath.T))
     rho_b = half @ half.T
     rho_b /= np.trace(rho_b)
-    p = np.exp(-1j * t * np.array(evals))
+    p = np.exp(-1j * times[:, None, None] * np.array(evals))
     block = np.searchsorted(levels, lam)
     # F_aa = tr rho_B = 1, and K_ba = K_ab^T is real, so F_ba = F_ab^*
     factor = np.ones((len(times), len(levels), len(levels)), dtype=complex)
@@ -196,7 +189,7 @@ def _dense_multiplier(e_s, lam, N, J0, bath, times):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
         factor[:, a, b] = np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj())
         factor[:, b, a] = factor[:, a, b].conj()
-    return np.exp(-1j * phase) * factor[:, block[:, None], block]
+    return factor[:, block[:, None], block]
 
 
 def _trace_power(bath, J0, N, t, left_lam, right_lam):
@@ -208,7 +201,11 @@ def _trace_power(bath, J0, N, t, left_lam, right_lam):
     Gibbs weight, which trace_triple normalizes.
     """
     h0, (left, right) = _fields(bath, N, J0, [left_lam, right_lam])
-    r = TracelessXZ(a=bath.w / (2.0 * bath.T), b=h0 / (2.0 * bath.T))
+    a, b = bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T)
+    for name, x in (("w/(2T)", a), ("2mJ/(2T)", b)):
+        if math.isinf(x):
+            raise InvalidParams(f"non-finite coefficients: per-spin Gibbs field {name} overflows")
+    r = TracelessXZ(a=a, b=b)
     # TracelessXZ rejects an overflowed field; |trace| <= 1, so a non-finite one overflowed
     with np.errstate(over="ignore", invalid="ignore"):
         i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
@@ -227,7 +224,8 @@ def extract_products(cfg: OracleConfig) -> np.ndarray:
     """
     _guard_size(cfg.N)
     t = np.array(cfg.times)[:, None]
-    return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, (0.0, -1.0, -1.0), (1.0, 1.0, 0.0))
+    # swapping the bra and ket levels conjugates the trace
+    return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_KET], _LEVELS[_BRA])
 
 
 def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
@@ -249,16 +247,17 @@ def single_qubit_coherence_exact(
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
     "trace" evaluates the per-spin triple-trace product in closed form;
-    "dense" is the |0><1| entry of the one-qubit dense multiplier.
-    Both include the free phase exp(i mu0 t).
+    "dense" is the |0><1| factor of the dense builder.  Both include the
+    free phase exp(i mu0 t).
     """
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = _finite_times(times)
     if method == "dense":
-        return _dense_multiplier(-sys.mu0 * _SZ, _SZ, N, sys.J0, bath, t)[:, 0, 1]
-    if method != "trace":
+        product = _dense_factor(_SZ, N, sys.J0, bath, t)[:, 0, 1]
+    elif method == "trace":
+        product = _trace_power(bath, sys.J0, N, t, *_SZ)  # bra <0| and ket |1>
+    else:
         raise InvalidParams(f"unknown method {method!r}")
-    product = _trace_power(bath, sys.J0, N, t, *_SZ)  # bra <0| and ket |1>
     with np.errstate(over="ignore"):
         return np.exp(1j * finite_by_time(sys.mu0 * t, t, "free phase mu0 t")) * product

@@ -6,7 +6,7 @@ elementwise product rho0 * M(t), and M(t) does not depend on the state:
 populations are frozen, the one-excitation coherences carry
 A(t) exp(+-i t xi0 / 2), the |00><11| coherence B(t), and the |01><10|
 coherence exactly 1 (a decoherence-free direction).  The closed forms and
-every exact oracle route build their M and apply it as rho0 * M.
+every exact oracle route supply A, B and D, and multiplier builds their M.
 """
 
 from __future__ import annotations
@@ -126,10 +126,14 @@ def multiplier(t: np.ndarray, xi0: float, A, B, D) -> np.ndarray:
     one-excitation coherences adjacent to |00>, D p^* on those adjacent to
     |11>, and B at |00><11|.  A, B and D have the shape of t.  The closed
     forms share one coefficient (D = A); the exact finite-field products of
-    the oracle do not.  A numpy scalar rounds A p as a 0-d array does.
+    the oracle do not.  The qubit phase p, of H_s = -xi0 S1^z S2^z, stays a
+    factor of its own: added to the O(1) bath eigenvalues behind A, B and D,
+    a large xi0 would round them away.  InvalidParams where xi0 t overflows.
+    A numpy scalar rounds A p as a 0-d array does.
     """
     A, B, D = (np.asarray(x, dtype=complex) for x in (A, B, D))
-    p = np.exp(0.5j * coupling_phase(xi0, t))
+    with np.errstate(over="ignore"):
+        p = np.exp(0.5j * finite_by_time(xi0 * t, t, "qubit-qubit phase xi0 t"))
     m = np.ones(np.shape(t) + (4, 4), dtype=complex)
     m[..., 0, 1] = m[..., 0, 2] = A * p
     m[..., 1, 3] = m[..., 2, 3] = D * p.conj()
@@ -145,12 +149,6 @@ def finite_by_time(values: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
         at = np.broadcast_to(t, ok.shape)[~ok][0]
         raise InvalidParams(f"non-finite coefficients: {name} overflows at t={at}")
     return values
-
-
-def coupling_phase(xi0: float, t: np.ndarray) -> np.ndarray:
-    """xi0 t, the qubit-qubit phase by times t; InvalidParams where it overflows."""
-    with np.errstate(over="ignore"):
-        return finite_by_time(xi0 * t, t, "qubit-qubit phase xi0 t")
 
 
 def validate_density(rho: np.ndarray) -> None:

@@ -575,6 +575,11 @@ def test_run_config_round_trip(tmp_path):
     assert cfg.T_over_Tc == (0.35,)
     assert cfg.amplitudes == (0.6 + 0j, 0j, 0j, 0.8 + 0j)
     assert cfg.N == 777
+    # a file without its header line, empty or not, holds no RunConfig
+    for text in (conc.read_text().split("\n", 1)[1], ""):
+        conc.write_text(text)
+        with pytest.raises(InvalidParams, match="has no parameter header$"):
+            read_csv_config(str(conc))
 
 
 @pytest.mark.parametrize("temperatures", [
@@ -766,13 +771,15 @@ def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
 
 def test_a_gibbs_field_past_the_float_range_exits_2_without_a_warning(capsys):
     # w/(2T) overflows: the factorized route takes the per-spin Gibbs state's
-    # T -> 0 projector, and the trace route rejects the infinite field in one line
+    # T -> 0 projector, and the trace route rejects the field in one line naming it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["verify", "--N-max", "2", "--J", "1e-300", "--w", "1e300"]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "isingbath: error: non-finite coefficients (inf, 0.0)\n"
+    assert captured.err == (
+        "isingbath: error: non-finite coefficients: per-spin Gibbs field w/(2T) overflows\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

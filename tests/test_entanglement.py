@@ -15,7 +15,7 @@ from isingbath.cli import RunConfig
 from isingbath.entanglement import _spin_flip_rows, _wootters_lambdas, concurrence, concurrences
 from isingbath.errors import NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
-from isingbath.oracle import _E_OVER_XI0, _LAMBDA, _dense_multiplier
+from isingbath.oracle import _BRA, _KET, _LEVELS, _dense_factor
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 from wootters_reference import SIGMA_YY, case1_concurrence, case2_concurrence, r_matrix
 
@@ -74,7 +74,8 @@ def test_werner_state_through_closed_form_and_dense_multipliers():
     n, times = 8, np.linspace(0.0, 12.0, 61)
     co = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
     closed = multiplier(times, SYS.xi0, co.A, co.B, co.A)
-    dense = _dense_multiplier(SYS.xi0 * _E_OVER_XI0, _LAMBDA, n, SYS.J0, bath, times)
+    f = _dense_factor(_LEVELS, n, SYS.J0, bath, times)[:, _BRA, _KET]
+    dense = multiplier(times, SYS.xi0, *f.T)
     for p in (0.4, 0.6, 0.8, 1.0):
         c_closed = concurrences(werner(p) * closed)
         assert np.abs(c_closed - concurrences(werner(p) * dense)).max() <= 1e-14

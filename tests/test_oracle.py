@@ -16,11 +16,12 @@ from isingbath.entanglement import concurrence
 from isingbath.errors import ConfigTooLarge, InvalidParams
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import (
-    _E_OVER_XI0,
-    _LAMBDA,
+    _BRA,
+    _KET,
+    _LEVELS,
     OracleConfig,
     _collective_spin,
-    _dense_multiplier,
+    _dense_factor,
     extract_products,
     reconstruct_reduced,
     simulate_exact,
@@ -252,8 +253,8 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
         assert np.abs(B - b_closed).max() <= 1e-12
         # and so is the closed forms' multiplier, on all 16 entries
         closed = multiplier(times, sys_p.xi0, r_closed, b_closed, r_closed)
-        dense = _dense_multiplier(sys_p.xi0 * _E_OVER_XI0, _LAMBDA, n, sys_p.J0, bath, times)
-        assert np.abs(dense - closed).max() <= 1e-12
+        dense = _dense_factor(_LEVELS, n, sys_p.J0, bath, times)[:, _BRA, _KET]
+        assert np.abs(multiplier(times, sys_p.xi0, *dense.T) - closed).max() <= 1e-12
 
 
 def test_size_guards():
@@ -480,21 +481,26 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
         *dense_reference.two_qubit_operators(sys_p.xi0), np.outer(amps, amps.conj()),
         n, sys_p.J0, bath, sol, times,
     )
-    got = simulate_exact(make_cfg(n, bath, state=st, times=times, sys_p=sys_p), method="dense")
-    assert np.abs(got - ref).max() <= 1e-13
+    cfg = make_cfg(n, bath, state=st, times=times, sys_p=sys_p)
+    # every two-qubit route lays out its M through two_qubit.multiplier; the
+    # reference forms the qubit phase and the layout from H_s on its own
+    for got in (simulate_exact(cfg, method="dense"), simulate_exact(cfg), reconstruct_reduced(cfg)):
+        assert np.abs(got - ref).max() <= 1e-13
 
     sz = dense_reference.SZ
     ref1 = dense_reference.reduced_matrices(
         -sys_p.mu0 * sz, sz, np.array([[0.0, 1.0], [0.0, 0.0]]), n, sys_p.J0, bath, sol, times
     )[:, 0, 1]
-    got1 = single_qubit_coherence_exact(n, bath, sys_p, times, method="dense")
-    assert np.abs(got1 - ref1).max() <= 1e-13
+    for method in ("dense", "trace"):
+        got1 = single_qubit_coherence_exact(n, bath, sys_p, times, method=method)
+        assert np.abs(got1 - ref1).max() <= 1e-13
 
     # as in the closed forms, M is exactly Hermitian with an exactly unit
-    # diagonal and, for two qubits, |01><10| entry
-    m2 = _dense_multiplier(sys_p.xi0 * _E_OVER_XI0, _LAMBDA, n, sys_p.J0, bath, times)
-    m1 = _dense_multiplier(-sys_p.mu0 * sz.diagonal(), sz.diagonal(), n, sys_p.J0, bath, times)
-    for m in (m2, m1):
+    # diagonal and, for two qubits, |01><10| entry; so are the level-pair factors
+    f2 = _dense_factor(_LEVELS, n, sys_p.J0, bath, times)
+    m2 = multiplier(times, sys_p.xi0, *f2[:, _BRA, _KET].T)
+    f1 = _dense_factor(sz.diagonal(), n, sys_p.J0, bath, times)
+    for m in (m2, f2, f1):
         assert np.array_equal(m, np.swapaxes(m, 1, 2).conj())
         assert np.all(np.diagonal(m, axis1=1, axis2=2) == 1.0)
     assert np.all(m2[:, 1, 2] == 1.0)
