@@ -341,33 +341,35 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     tol = 1e-10
     sym_tol = 1e-12
     sizes = [n for n in VERIFY_BATH_SIZES if n <= n_max]
-    rng = np.random.default_rng(20240809)
     bath_im, sol_im, sys_p = replace(cfg, w=0.0).physics()
     bath_tim = replace(bath_im, w=cfg.w)
     times = np.linspace(0.15, 2.4, 8)
+    # every entry of |++><++| is exactly 1/4, so 4 rho is the state-free
+    # multiplier M bit for bit: the two-qubit rows compare M
+    state = case_state(4)
     checks: list[tuple[str, float, float]] = []
 
     for n in sizes:
-        state = PureState2Q.normalized(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
         tim = OracleConfig(N=n, bath=bath_tim, sys=sys_p, state=state, times=times)
         im = replace(tim, bath=bath_im)
-        fac = simulate_exact(tim)
+        fac = 4 * simulate_exact(tim)
         products = extract_products(im)
         DephasingCoeffs(*products[:, :2].conj().T)  # checks |A|, |B| <= 1
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
         # one (name, x, y, tol) row per check, evaluated in report order: the
         # oracle's one-line overflow errors (mu0 t, say) precede numpy's warnings
         rows = [
-            (f"propagator vs trace-identity route (w={cfg.w})", fac, reconstruct_reduced(tim), tol),
+            (f"propagator vs trace-identity route (w={cfg.w})",
+             fac, 4 * reconstruct_reduced(tim), tol),
             (f"factorized vs dense evolution (w={cfg.w})",
-             fac, simulate_exact(tim, method="dense"), tol),
+             fac, 4 * simulate_exact(tim, method="dense"), tol),
             (f"single-qubit trace vs dense (w={cfg.w})",
              single_qubit_coherence_exact(n, bath_tim, sys_p, times),
              single_qubit_coherence_exact(n, bath_tim, sys_p, times, method="dense"), tol),
             ("exact coefficients vs closed form (w=0)",
              products[:, :2].conj(), np.stack([closed.A, closed.B], axis=-1), tol),
             ("oracle vs closed-form reduced matrix (w=0)",
-             simulate_exact(im), evolve_reduced(state, times, sys_p.xi0, closed), tol),
+             4 * simulate_exact(im), 4 * evolve_reduced(state, times, sys_p.xi0, closed), tol),
             ("one-excitation coefficient symmetry (w=0)", products[:, 0], products[:, 2], sym_tol),
             # the closed form excludes the free phase exp(i mu0 t); the exact route has it
             ("single-qubit closed form vs exact (w=0)",

@@ -22,4 +22,4 @@ class NotADensityMatrix(IsingBathError, ValueError):
 
 
 class ConfigTooLarge(IsingBathError, ValueError):
-    """A finite-N oracle route was asked for more than MAX_BATH_SIZE bath spins."""
+    """The dense oracle route was asked for more than MAX_BATH_SIZE bath spins."""

@@ -18,13 +18,13 @@ adds the qubit phase.  Time is the first axis of every result.  The routes:
   identity (su2.trace_triple), with the exact |11>-side coefficient D.  Its
   trace power is shared with single_qubit_coherence_exact's "trace" method.
 * the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder of the level-pair factors for both (_dense_factor), in the
-  collective-spin basis |S, M> of the bath (floor((N+2)^2/4) states, each
-  sector S weighted by its multiplicity).  The Hamiltonian is block
-  diagonal in the system basis, so each coupling level gets one real
-  symmetric bath block and one eigendecomposition, and each pair of levels
-  one eigenbasis product over all times.  Free of the per-spin
-  factorization: the oracle of the oracle.
+  one builder for both (_dense_factor), in the collective-spin basis of
+  the bath, free of the per-spin factorization: the oracle of the oracle.
+  Its basis grows as N^2, so it alone caps N at MAX_BATH_SIZE; the routes
+  above cost O(1) in N.
+
+_trace_power and _dense_factor take the same arguments and return one
+factor per (bra, ket) level pair, shaped (T, P).
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field, a trace or a phase overflows.
@@ -38,7 +38,6 @@ single coefficient only in the Ising limit w = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,7 +50,7 @@ from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from .two_qubit import PureState2Q, finite_by_time, multiplier
 
-MAX_BATH_SIZE = 12  # N bound of the finite-N routes; the dense basis is 49 states there
+MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
 
 # total system S^z of the two qubits' coupling levels: |00>; |01> and |10>; |11>
 _LEVELS = np.array([1.0, 0.0, -1.0])
@@ -86,11 +85,6 @@ class OracleConfig:
         object.__setattr__(self, "times", tuple(_finite_times(self.times).tolist()))
 
 
-def _guard_size(N: int) -> None:
-    if N > MAX_BATH_SIZE:
-        raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
-
-
 def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray]:
     """h0 = 2 m J at bath's self-consistent m, and h0 + (J0/sqrt(N)) lam: the z
     field on each bath spin while the qubits have coupling eigenvalue(s) lam."""
@@ -109,9 +103,8 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarr
     """
     t = np.array(cfg.times)
     if method == "dense":
-        coef = _dense_factor(_LEVELS, cfg.N, cfg.sys.J0, cfg.bath, t)[:, _BRA, _KET]
+        coef = _dense_factor(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
     elif method == "factorized":
-        _guard_size(cfg.N)
         bath = cfg.bath
         h0, nu = _fields(bath, cfg.N, cfg.sys.J0, _LEVELS)
         g = single_spin_gibbs(bath.w, h0, bath.T)
@@ -145,16 +138,16 @@ def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
-def _dense_factor(lam, N, J0, bath, times):
-    """The bath factors F(t)[a, b] of tr_B[U(t) (|a><b| (x) g^(x N)) U(t)^dag]
-    = F_ab(t) |a><b|, U(t) = exp(-iHt), between the L coupling levels lam:
-    shaped (T, L, L), in the bath's collective-spin basis.
+def _dense_factor(bath, J0, N, t, bra, ket):
+    """F_ab(t) of tr_B[U(t) (|a><b| (x) g^(x N)) U(t)^dag] = F_ab(t) |a><b|,
+    U(t) = exp(-iHt), for each level pair (a, b) of bra and ket: shaped
+    (T, P), in the bath's collective-spin basis.
 
-    H = -(J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, S with the eigenvalues lam and
-    g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the mean-field
-    bath Hamiltonian without its c-number m^2 J N, a global phase that
-    cancels in U rho U^dag.  H is block diagonal: level a sees the real
-    symmetric bath block H_B - (J0/sqrt(N)) lam_a Z_B, and g^(x N) =
+    H = -(J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, S with the eigenvalues bra and
+    ket, and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the
+    mean-field bath Hamiltonian without its c-number m^2 J N, a global phase
+    that cancels in U rho U^dag.  H is block diagonal: level a sees the real
+    symmetric bath block H_B - (J0/sqrt(N)) a Z_B, and g^(x N) =
     exp(-H_B/T)/Z, all functions of the collective X_B and Z_B.  Each spin
     sector S of the 2^N bath space then repeats d_S times, and the bath
     trace counts it d_S times: in the stacked sector basis the bath state is
@@ -162,50 +155,49 @@ def _dense_factor(lam, N, J0, bath, times):
     every operator that keeps S.  One eigendecomposition (E_a, V_a) per
     distinct coupling level a; with p_a = exp(-i E_a t),
         F_ab(t) = p_a^T K_ab p_b^*,   K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)
-    (elementwise): one (T, n) @ (n, n) product per unordered pair of
-    distinct levels, since F_aa = 1 and F_ba = F_ab^*.  An eigenvector may
+    (elementwise): one (T, n) @ (n, n) product per pair.  An eigenvector may
     mix sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is
-    exact all the same.  The one dense route, for one qubit and for two.
+    exact all the same.  ConfigTooLarge past MAX_BATH_SIZE.
     """
-    _guard_size(N)
+    if N > MAX_BATH_SIZE:
+        raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
     x_b, z_b, mult = _collective_spin(N)
     # level 0 is H_B itself, whose eigendecomposition gives rho_B
-    levels = np.unique(np.append(lam, 0.0))
+    levels = np.unique(np.concatenate([bra, ket, [0.0]]))
     _, fields = _fields(bath, N, J0, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
     with np.errstate(over="ignore"):
-        finite_by_time(np.abs(evals).max() * times, times, "eigenphase E t")
+        finite_by_time(np.abs(evals).max() * t, t, "eigenphase E t")
     zero = levels.searchsorted(0.0)
     e_b, v_b = evals[zero], evecs[zero]
     # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
     half = np.sqrt(mult)[:, None] * v_b * np.exp(-(e_b - e_b[0]) / (2.0 * bath.T))
     rho_b = half @ half.T
     rho_b /= np.trace(rho_b)
-    p = np.exp(-1j * times[:, None, None] * np.array(evals))
-    block = np.searchsorted(levels, lam)
-    # F_aa = tr rho_B = 1, and K_ba = K_ab^T is real, so F_ba = F_ab^*
-    factor = np.ones((len(times), len(levels), len(levels)), dtype=complex)
-    for a, b in itertools.combinations(np.unique(block), 2):
+    p = np.exp(-1j * t[:, None, None] * np.array(evals))
+    factors = []
+    for a, b in zip(levels.searchsorted(bra), levels.searchsorted(ket)):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
-        factor[:, a, b] = np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj())
-        factor[:, b, a] = factor[:, a, b].conj()
-    return factor[:, block[:, None], block]
+        factors.append(np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj()))
+    return np.stack(factors, axis=-1)
 
 
-def _trace_power(bath, J0, N, t, left_lam, right_lam):
-    """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N, broadcast over the
-    shapes of t (time first), left_lam and right_lam.
+def _trace_power(bath, J0, N, t, bra, ket):
+    """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N for each level pair
+    (a, b) of the coupling eigenvalues bra and ket: shaped (T, P) over the T
+    times t and the P pairs.
 
-    I1 carries the bath field of the bra-side coupling eigenvalue left_lam,
-    I2 that of the ket-side right_lam; exp(R) is the unnormalized per-spin
-    Gibbs weight, which trace_triple normalizes.
+    I1 carries the bath field of the bra-side level a, I2 that of the
+    ket-side level b; exp(R) is the unnormalized per-spin Gibbs weight,
+    which trace_triple normalizes.  O(1) in N.
     """
-    h0, (left, right) = _fields(bath, N, J0, [left_lam, right_lam])
+    h0, (left, right) = _fields(bath, N, J0, [bra, ket])
     a, b = bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T)
     for name, x in (("w/(2T)", a), ("2mJ/(2T)", b)):
         if math.isinf(x):
             raise InvalidParams(f"non-finite coefficients: per-spin Gibbs field {name} overflows")
     r = TracelessXZ(a=a, b=b)
+    t = t[:, None]
     # TracelessXZ rejects an overflowed field; |trace| <= 1, so a non-finite one overflowed
     with np.errstate(over="ignore", invalid="ignore"):
         i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
@@ -222,8 +214,7 @@ def extract_products(cfg: OracleConfig) -> np.ndarray:
     ket side, and the middle factor is the unnormalized per-spin Gibbs
     weight.  A*: 0 -> +1 transition; B*: -1 -> +1; D*: -1 -> 0.
     """
-    _guard_size(cfg.N)
-    t = np.array(cfg.times)[:, None]
+    t = np.array(cfg.times)
     # swapping the bra and ket levels conjugates the trace
     return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_KET], _LEVELS[_BRA])
 
@@ -241,6 +232,9 @@ def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
     return cfg.state.density() * multiplier(np.array(cfg.times), cfg.sys.xi0, *coef.T)
 
 
+_SINGLE_QUBIT_ROUTES = {"trace": _trace_power, "dense": _dense_factor}
+
+
 def single_qubit_coherence_exact(
     N: int, bath: BathParams, sys: SystemParams, times: Sequence[float], *, method: str = "trace"
 ) -> np.ndarray:
@@ -253,11 +247,9 @@ def single_qubit_coherence_exact(
     if not isinstance(N, int) or N < 1:
         raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = _finite_times(times)
-    if method == "dense":
-        product = _dense_factor(_SZ, N, sys.J0, bath, t)[:, 0, 1]
-    elif method == "trace":
-        product = _trace_power(bath, sys.J0, N, t, *_SZ)  # bra <0| and ket |1>
-    else:
+    if method not in _SINGLE_QUBIT_ROUTES:
         raise InvalidParams(f"unknown method {method!r}")
+    # the one level pair: bra <0| and ket |1>
+    product = _SINGLE_QUBIT_ROUTES[method](bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
     with np.errstate(over="ignore"):
         return np.exp(1j * finite_by_time(sys.mu0 * t, t, "free phase mu0 t")) * product

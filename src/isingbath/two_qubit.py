@@ -11,6 +11,7 @@ every exact oracle route supply A, B and D, and multiplier builds their M.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -34,10 +35,10 @@ class PureState2Q:
     delta: complex
 
     def __post_init__(self):
-        amps = (self.alpha, self.beta, self.gamma, self.delta)
-        if not all(math.isfinite(abs(complex(a))) for a in amps):
+        amps = [complex(a) for a in (self.alpha, self.beta, self.gamma, self.delta)]
+        if not all(map(cmath.isfinite, amps)):
             raise InvalidState("non-finite amplitude")
-        norm2 = sum(abs(complex(a)) ** 2 for a in amps)
+        norm2 = sum(a.real * a.real + a.imag * a.imag for a in amps)  # inf, not OverflowError
         if abs(norm2 - 1.0) > _TOL:
             raise InvalidState(f"state norm^2 = {norm2!r} is not 1 within {_TOL}")
 
@@ -45,7 +46,11 @@ class PureState2Q:
     def normalized(cls, alpha, beta, gamma, delta) -> "PureState2Q":
         """Build a state from unnormalized amplitudes of any finite scale."""
         amps = (alpha, beta, gamma, delta)
-        mags = [abs(complex(a)) for a in amps]
+        try:
+            mags = [abs(complex(a)) for a in amps]
+        except OverflowError:  # |a| past the float range: first take every part below 1
+            top = max(max(abs(z.real), abs(z.imag)) for z in map(complex, amps))
+            return cls.normalized(*(a * 2.0 ** -math.frexp(top)[1] for a in amps))
         try:
             norm2 = sum(x**2 for x in mags)
         except OverflowError:

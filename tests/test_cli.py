@@ -517,6 +517,23 @@ def test_concurrence_amplitudes_at_extreme_scales(tmp_path, amplitudes):
     assert rows(amplitudes) == rows("1,1,0,0")
 
 
+def test_amplitudes_whose_modulus_overflows_run_without_a_warning(tmp_path, capsys):
+    # |1.5e308 + 1.5e308j| is past the float range, yet the state is |00>
+    # with a phase and |11> at a vanishing weight: a product state
+    def rows(text):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["concurrence", "--amplitudes", text, "--points", "3",
+                         "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()[1:]
+
+    huge = rows("1.5e308+1.5e308j,0,0,1")
+    assert capsys.readouterr().err == ""
+    assert read_csv(tmp_path / "o.csv")[1]["C"] == ["0.0"] * 3
+    assert huge == rows("1+1j,0,0,0")
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["concurrence", "--case", "2", "--T-over-Tc", "0.35", "--points", "50"]

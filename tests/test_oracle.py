@@ -253,23 +253,21 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
         assert np.abs(B - b_closed).max() <= 1e-12
         # and so is the closed forms' multiplier, on all 16 entries
         closed = multiplier(times, sys_p.xi0, r_closed, b_closed, r_closed)
-        dense = _dense_factor(_LEVELS, n, sys_p.J0, bath, times)[:, _BRA, _KET]
+        dense = _dense_factor(bath, sys_p.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
         assert np.abs(multiplier(times, sys_p.xi0, *dense.T) - closed).max() <= 1e-12
 
 
 def test_size_guards():
+    # only the dense basis grows with N; the factorized and trace-identity
+    # routes are O(1) in N and run past MAX_BATH_SIZE
     cfg = make_cfg(13, BATH_TIM)
     with pytest.raises(ConfigTooLarge, match=r"^bath size 13 exceeds MAX_BATH_SIZE = 12$"):
-        simulate_exact(cfg)
-    with pytest.raises(ConfigTooLarge):
         simulate_exact(cfg, method="dense")
-    with pytest.raises(ConfigTooLarge):
-        extract_products(cfg)
-    # the single-qubit trace route is O(1) in N and serves the large-N
-    # asymptotics check; only its dense path is memory-guarded
-    single_qubit_coherence_exact(1000, BATH_TIM, SYS, (0.5,))
-    with pytest.raises(ConfigTooLarge):
+    with pytest.raises(ConfigTooLarge, match=r"^bath size 13 exceeds MAX_BATH_SIZE = 12$"):
         single_qubit_coherence_exact(13, BATH_TIM, SYS, TIMES, method="dense")
+    for run in (simulate_exact, extract_products, reconstruct_reduced):
+        assert np.isfinite(run(cfg)).all()
+    assert np.isfinite(single_qubit_coherence_exact(1000, BATH_TIM, SYS, TIMES)).all()
     with pytest.raises(InvalidParams):
         make_cfg(0, BATH_TIM)
     with pytest.raises(InvalidParams):
@@ -496,14 +494,37 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
         assert np.abs(got1 - ref1).max() <= 1e-13
 
     # as in the closed forms, M is exactly Hermitian with an exactly unit
-    # diagonal and, for two qubits, |01><10| entry; so are the level-pair factors
-    f2 = _dense_factor(_LEVELS, n, sys_p.J0, bath, times)
-    m2 = multiplier(times, sys_p.xi0, *f2[:, _BRA, _KET].T)
-    f1 = _dense_factor(sz.diagonal(), n, sys_p.J0, bath, times)
-    for m in (m2, f2, f1):
-        assert np.array_equal(m, np.swapaxes(m, 1, 2).conj())
-        assert np.all(np.diagonal(m, axis1=1, axis2=2) == 1.0)
+    # diagonal and |01><10| entry
+    f2 = _dense_factor(bath, sys_p.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
+    m2 = multiplier(times, sys_p.xi0, *f2.T)
+    assert np.array_equal(m2, np.swapaxes(m2, 1, 2).conj())
+    assert np.all(np.diagonal(m2, axis1=1, axis2=2) == 1.0)
     assert np.all(m2[:, 1, 2] == 1.0)
+    # swapping bra and ket conjugates a level-pair factor, and a level paired
+    # with itself gives tr rho_B = 1
+    for lam in (_LEVELS, sz.diagonal()):
+        bra, ket = np.repeat(lam, lam.size), np.tile(lam, lam.size)
+        f = _dense_factor(bath, sys_p.J0, n, times, bra, ket)
+        assert f.shape == (times.size, lam.size**2)
+        assert np.abs(f - _dense_factor(bath, sys_p.J0, n, times, ket, bra).conj()).max() <= 1e-15
+        assert np.abs(f[:, bra == ket] - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_uncapped_routes_meet_the_ising_closed_forms_at_large_n(n):
+    # at w = 0 the finite-N closed forms are exact; the routes' rounded
+    # per-spin trace, raised to the N-th power, errs by a few N eps
+    bath = BathParams(J=2.0, w=0.0, T=0.5 * critical_temperature(2.0))
+    times = np.linspace(0.0, 6.0, 61)
+    cfg = make_cfg(n, bath, state=case_state(4), times=times)
+    closed = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
+    tol = 10 * n * np.finfo(float).eps
+    want = np.stack([closed.A, closed.B, closed.A], axis=-1)
+    assert np.abs(extract_products(cfg).conj() - want).max() <= tol
+    # every entry of |++><++| is 1/4, so 4 rho is M
+    m = multiplier(times, SYS.xi0, closed.A, closed.B, closed.A)
+    for got in (reconstruct_reduced(cfg), simulate_exact(cfg)):
+        assert np.abs(4 * got - m).max() <= tol
 
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):

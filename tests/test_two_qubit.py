@@ -285,6 +285,17 @@ def test_normalized_at_any_finite_scale(scale):
     np.testing.assert_allclose(got, unit, rtol=1e-15)
 
 
+def test_amplitudes_whose_modulus_overflows():
+    # abs() of each amplitude overflows; the state takes an exact power-of-two
+    # rescale by its largest part first, and a direct construction is invalid
+    got = PureState2Q.normalized(1.5e308 + 1.5e308j, 1e308, -1e308j, 0.0).amplitudes()
+    want = PureState2Q.normalized(1.5 + 1.5j, 1.0, -1j, 0.0).amplitudes()
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    for huge in (1e200, 1.5e308 + 1.5e308j):
+        with pytest.raises(InvalidState, match="norm"):
+            PureState2Q(huge, 0.0, 0.0, 0.0)
+
+
 def test_case_state_validation():
     for case in (1, 2, 3, 4):
         amps = case_state(case).amplitudes()
