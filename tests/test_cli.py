@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -319,9 +320,49 @@ def test_verify_writes_its_report_to_out(tmp_path, capsys):
     report = capsys.readouterr().out
     assert report.endswith("verify: all checks passed\n")
     out = tmp_path / "v.txt"
+    # a longer report already there is cut to the new one
+    assert main(["verify", "--N-max", "12", "--out", str(out)]) == EXIT_OK
     assert main(["verify", "--N-max", "2", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert out.read_text() == report
+
+
+@pytest.mark.parametrize("first, second", [(50, 3), (3, 50)])
+def test_a_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, first, second):
+    argv = ["concurrence", "--case", "2"]
+    out, fresh = tmp_path / "c.csv", tmp_path / "fresh.csv"
+    assert main(argv + ["--points", str(first), "--out", str(out)]) == EXIT_OK
+    assert main(argv + ["--points", str(second), "--out", str(out)]) == EXIT_OK
+    assert main(argv + ["--points", str(second), "--out", str(fresh)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes()
+    assert len(out.read_text().splitlines()) == second + 2
+
+
+def test_out_to_a_device_exits_0(capsys):
+    assert main(["phase", "--T-over-Tc", "0.5", "--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("d", "[Errno 21] Is a directory"),
+    ("missing/c.csv", "[Errno 2] No such file or directory"),
+])
+def test_an_unwritable_out_exits_2_with_one_line(tmp_path, capsys, name, message):
+    (tmp_path / "d").mkdir()
+    out = str(tmp_path / name)
+    assert main(["phase", "--T-over-Tc", "0.5", "--out", out]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"isingbath: error: {message}: {out!r}\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_out_file_takes_the_umask(tmp_path, umask):
+    out = tmp_path / "p.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["phase", "--T-over-Tc", "0.5", "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_concurrence_case1_constant(tmp_path):

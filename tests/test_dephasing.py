@@ -23,6 +23,7 @@ from isingbath.mean_field import (
     solve_order,
 )
 from isingbath.su2 import _SMALL_Q
+from mp_reference import order_root
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
@@ -281,21 +282,6 @@ def test_tau_and_gaussian_match_mpmath_at_the_solver_root(J, w_over_J, T_over_Tc
         assert abs(got - want) <= 1e-13 * want
 
 
-def _mp_coherence_time(bath, J0):
-    """tau at a 60-digit root of tanh(Theta/2T) = Theta/J, bisected on
-    [w, J] at the exact doubles of the bath."""
-    with mpmath.workdps(60):
-        J, w, T = (mpmath.mpf(x) for x in (bath.J, bath.w, bath.T))
-        lo, hi = w, J
-        for _ in range(300):
-            mid = (lo + hi) / 2
-            if mpmath.tanh(mid / (2 * T)) > mid / J:
-                lo = mid
-            else:
-                hi = mid
-        return float(_mp_tau_and_rate(hi, J, w, J0)[0])
-
-
 @pytest.mark.xfail(
     strict=True,
     reason="the root is a double: J - Theta is resolved only to the rounding "
@@ -310,7 +296,7 @@ def test_tau_at_low_temperature_matches_an_independent_root():
     for T_over_Tc in (0.05, 0.06, 0.1):
         bath = BathParams(J=J, w=w, T=T_over_Tc * critical_temperature(J))
         tau = coherence_time(solve_order(bath), bath, sys_p)
-        tau_mp = _mp_coherence_time(bath, sys_p.J0)
+        tau_mp = float(_mp_tau_and_rate(order_root(bath.J, bath.w, bath.T), J, w, sys_p.J0)[0])
         errors.append(abs(tau - tau_mp) / tau_mp)
     assert max(errors) <= 1e-13, errors
 

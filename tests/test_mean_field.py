@@ -1,4 +1,3 @@
-import functools
 import math
 import sys
 
@@ -19,6 +18,7 @@ from isingbath.mean_field import (
     solve_order,
     solve_order_grid,
 )
+from mp_reference import order_root
 
 EPS = sys.float_info.epsilon
 
@@ -191,20 +191,11 @@ def _solve_grid(J, w, T):
 DRIVERS = pytest.mark.parametrize("solve", [_solve_scalar, _solve_grid], ids=["scalar", "grid"])
 
 
-@functools.lru_cache(maxsize=None)
 def _mp_order_parameter(J, w, T):
-    """m from a 60-digit bisection of tanh(Theta/2T) = Theta/J on [w, J],
-    at the exact double T the solvers see."""
+    """m at the 60-digit root, at the exact double T the solvers see."""
     with mpmath.workdps(60):
-        J, w, T = mpmath.mpf(J), mpmath.mpf(w), mpmath.mpf(T)
-        lo, hi = w, J
-        for _ in range(260):
-            mid = (lo + hi) / 2
-            if mpmath.tanh(mid / (2 * T)) > mid / J:
-                lo = mid
-            else:
-                hi = mid
-        return float(mpmath.sqrt(hi * hi - w * w) / (2 * J))
+        theta, w = order_root(J, w, T), mpmath.mpf(w)
+        return float(mpmath.sqrt(theta * theta - w * w) / (2 * mpmath.mpf(J)))
 
 
 @DRIVERS
