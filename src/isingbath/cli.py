@@ -22,7 +22,6 @@ import numpy as np
 from .dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
-    DephasingCoeffs,
     SystemParams,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
@@ -42,9 +41,9 @@ from .mean_field import (
     solve_order_grid,
 )
 from .oracle import (
+    ROUTES,
     OracleConfig,
     extract_products,
-    reconstruct_reduced,
     simulate_exact,
     single_qubit_coherence_exact,
 )
@@ -336,8 +335,9 @@ def cmd_fig1(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     """Cross-check the exact oracle against the closed forms.
 
-    Structural checks (factorized vs dense vs trace-identity routes) run at
-    the working transverse field; closed-form equivalence checks run in the
+    Structural checks (every other row of oracle.ROUTES against the
+    factorized one, and the single-qubit trace vs dense) run at the working
+    transverse field; closed-form equivalence checks run in the
     Ising limit w = 0, the regime where the finite-N formulas are exact
     identities rather than large-N asymptotics.  n_max is the text of the
     --N-max flag.  The report goes to cfg.out, or to stdout.
@@ -361,15 +361,13 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         im = replace(tim, bath=bath_im)
         fac = 4 * simulate_exact(tim)
         products = extract_products(im)
-        DephasingCoeffs(*products[:, :2].conj().T)  # checks |A|, |B| <= 1
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
         # one (name, x, y, tol) row per check, evaluated in report order: the
         # oracle's one-line overflow errors (mu0 t, say) precede numpy's warnings
         rows = [
-            (f"propagator vs trace-identity route (w={cfg.w})",
-             fac, 4 * reconstruct_reduced(tim), tol),
-            (f"factorized vs dense evolution (w={cfg.w})",
-             fac, 4 * simulate_exact(tim, method="dense"), tol),
+            *((f"factorized vs {method} route (w={cfg.w})",
+               fac, 4 * simulate_exact(tim, method=method), tol)
+              for method in ROUTES if method != "factorized"),
             (f"single-qubit trace vs dense (w={cfg.w})",
              single_qubit_coherence_exact(n, bath_tim, sys_p, times),
              single_qubit_coherence_exact(n, bath_tim, sys_p, times, method="dense"), tol),

@@ -2,38 +2,41 @@
 
 The mean-field Hamiltonian commutes with the system z-operators, so the
 exact dynamics is pure dephasing, rho_s(t) = rho_s(0) * M(t) elementwise.
-The bath sets M only through the N-th power of the per-spin trace
-tr[U_a g U_b^dag] of each pair of coupling levels: U_a is the per-spin bath
-propagator at level a of the qubits' total S^z (_LEVELS), g the per-spin
-Gibbs state.  Each route solves the mean-field root of its own bath
-(cfg.bath), takes the z field h0 + (J0/sqrt(N)) lam of each level from
-_fields and computes the level pairs (_BRA, _KET) that are A, B and D over
-a whole time list in one array pass; two_qubit.multiplier lays out M and
-adds the qubit phase.  Time is the first axis of every result.  The routes:
+The bath sets M only through the factor F_ab(t) = tr[U_a g U_b^dag]^N of
+each pair (a, b) of qubit coupling levels: U_a is the per-spin bath
+propagator at level a, g the per-spin Gibbs state.  Each route solves the
+mean-field root of its own bath and takes the z field h0 + (J0/sqrt(N)) a
+of each level from _fields.
 
-* simulate_exact (factorized): a (3, T, 2, 2) stack of per-spin
-  propagators from su2.exp_imag, traced against g in one einsum; the
-  reference for the routes below.
-* reconstruct_reduced: the same traces through the closed-form triple-trace
-  identity (su2.trace_triple), with the exact |11>-side coefficient D.  Its
-  trace power is shared with single_qubit_coherence_exact's "trace" method.
-* the "dense" methods of simulate_exact and single_qubit_coherence_exact:
-  one builder for both (_dense_factor), in the collective-spin basis of
-  the bath, free of the per-spin factorization: the oracle of the oracle.
-  Its basis grows as N^2, so it alone caps N at MAX_BATH_SIZE; the routes
-  above cost O(1) in N.
+ROUTES is the one table of the ways to compute F.  Every row is called as
+route(bath, J0, N, t, bra, ket) and returns one factor per (bra, ket)
+level pair over the whole time list t, shaped (T, P):
 
-_trace_power and _dense_factor take the same arguments and return one
-factor per (bra, ket) level pair, shaped (T, P).
+* "factorized": explicit per-spin propagators from su2.exp_imag, one per
+  distinct level, traced against g in one einsum; the reference.
+* "trace": the same traces through the closed-form triple-trace identity
+  (su2.trace_triple).
+* "dense": the whole bath in its collective-spin basis, free of the
+  per-spin factorization: the oracle of the oracle.  Its basis grows as
+  N^2, so it alone caps N at MAX_BATH_SIZE; the rows above cost O(1) in N.
+
+The two entry points take a row by name (method), with one error for an
+unknown name.  simulate_exact asks for the level pairs (_BRA, _KET) of
+the two qubits' total S^z (_LEVELS), which are the coefficients A, B and
+D, and two_qubit.multiplier lays out M and adds the qubit phase;
+single_qubit_coherence_exact asks for the one pair (<0|, |1>) of one
+qubit's S^z (_SZ) and adds the free phase exp(i mu0 t).
+reconstruct_reduced is simulate_exact's trace row.  Time is the first axis
+of every result.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a finite time at which a field, a trace or a phase overflows.
 
-extract_products returns the exact finite-N dephasing coefficients as
-their three conjugate products (A*, B*, D*).  The one-excitation
-coefficient is not unique at w > 0: transitions adjacent to |00> (A) and
-to |11> (D) differ by an O(w^2 J0^2/Theta^4) margin, collapsing to a
-single coefficient only in the Ising limit w = 0.
+extract_products returns the trace row's coefficients as their three
+conjugate products (A*, B*, D*).  The one-excitation coefficient is not
+unique at w > 0: transitions adjacent to |00> (A) and to |11> (D) differ
+by an O(w^2 J0^2/Theta^4) margin, collapsing to a single coefficient only
+in the Ising limit w = 0.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ _BRA, _KET = np.array([(0, 1), (0, 2), (1, 2)]).T
 _SZ = np.array([0.5, -0.5])
 
 
-def _finite_times(times: Sequence[float]) -> np.ndarray:
+def _checked_times(N: int, times: Sequence[float]) -> np.ndarray:
+    """times as a float array, once N is a positive integer and every time finite."""
+    if not isinstance(N, int) or N < 1:
+        raise InvalidParams(f"bath size N must be a positive integer, got {N}")
     t = np.array(times, dtype=float)
     bad = t[~np.isfinite(t)]
     if bad.size:
@@ -80,9 +86,7 @@ class OracleConfig:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
-            raise InvalidParams(f"bath size N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "times", tuple(_finite_times(self.times).tolist()))
+        object.__setattr__(self, "times", tuple(_checked_times(self.N, self.times).tolist()))
 
 
 def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray]:
@@ -92,31 +96,29 @@ def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray
     return h0, h0 + J0 / math.sqrt(N) * np.asarray(lam)
 
 
-def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarray:
-    """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)], shaped
-    (T, 4, 4) over the T times of cfg.times.
+def _distinct(bra, ket, *extra):
+    """The sorted distinct levels of bra, ket and extra, and the index of each
+    bra and ket level in them; a set is cheaper than np.unique on so few."""
+    levels = np.array(sorted({*bra.tolist(), *ket.tolist(), *extra}))
+    return levels, levels.searchsorted(bra), levels.searchsorted(ket)
 
-    rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
-    mean-field order parameter of cfg.bath, solved by _fields.  The
-    "factorized" method exploits the product form of each bath block;
-    "dense" eigendecomposes each in the bath's collective-spin basis.
+
+def _factorized_factor(bath, J0, N, t, bra, ket):
+    """tr[U_a g U_b^dag]^N for each level pair (a, b) of bra and ket: shaped
+    (T, P) over the T times t, from explicit 2x2 matrices.
+
+    U_a = exp(i t (w S^x + h_a S^z)) is the per-spin bath propagator at
+    level a (su2.exp_imag, one per distinct level) and g the per-spin Gibbs
+    state (su2.single_spin_gibbs).  O(1) in N.
     """
-    t = np.array(cfg.times)
-    if method == "dense":
-        coef = _dense_factor(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
-    elif method == "factorized":
-        bath = cfg.bath
-        h0, nu = _fields(bath, cfg.N, cfg.sys.J0, _LEVELS)
-        g = single_spin_gibbs(bath.w, h0, bath.T)
-        with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
-            fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
-        # (3, T, 2, 2): the per-spin bath propagator conditioned on each level
-        props = exp_imag(fields)
-        # the per-spin bath trace tr[U_a g U_b^dag] of each level pair, ^N
-        coef = np.einsum("itab,bc,itac->ti", props[_BRA], g, props[_KET].conj()) ** cfg.N
-    else:
-        raise InvalidParams(f"unknown method {method!r}")
-    return cfg.state.density() * multiplier(t, cfg.sys.xi0, *coef.T)
+    levels, a, b = _distinct(bra, ket)
+    h0, nu = _fields(bath, N, J0, levels)
+    g = single_spin_gibbs(bath.w, h0, bath.T)
+    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
+        fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
+    # (L, T, 2, 2): the per-spin bath propagator conditioned on each level
+    props = exp_imag(fields)
+    return np.einsum("itab,bc,itac->ti", props[a], g, props[b].conj()) ** N
 
 
 def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,7 +165,7 @@ def _dense_factor(bath, J0, N, t, bra, ket):
         raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
     x_b, z_b, mult = _collective_spin(N)
     # level 0 is H_B itself, whose eigendecomposition gives rho_B
-    levels = np.unique(np.concatenate([bra, ket, [0.0]]))
+    levels, bra_at, ket_at = _distinct(bra, ket, 0.0)
     _, fields = _fields(bath, N, J0, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
     with np.errstate(over="ignore"):
@@ -176,7 +178,7 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     rho_b /= np.trace(rho_b)
     p = np.exp(-1j * t[:, None, None] * np.array(evals))
     factors = []
-    for a, b in zip(levels.searchsorted(bra), levels.searchsorted(ket)):
+    for a, b in zip(bra_at, ket_at):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
         factors.append(np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj()))
     return np.stack(factors, axis=-1)
@@ -184,12 +186,9 @@ def _dense_factor(bath, J0, N, t, bra, ket):
 
 def _trace_power(bath, J0, N, t, bra, ket):
     """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N for each level pair
-    (a, b) of the coupling eigenvalues bra and ket: shaped (T, P) over the T
-    times t and the P pairs.
-
-    I1 carries the bath field of the bra-side level a, I2 that of the
-    ket-side level b; exp(R) is the unnormalized per-spin Gibbs weight,
-    which trace_triple normalizes.  O(1) in N.
+    (a, b) of bra and ket, shaped (T, P): I1 carries the bath field of
+    level a, I2 that of level b, and exp(R) is the unnormalized per-spin
+    Gibbs weight, which trace_triple normalizes.  O(1) in N.
     """
     h0, (left, right) = _fields(bath, N, J0, [bra, ket])
     a, b = bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T)
@@ -205,14 +204,33 @@ def _trace_power(bath, J0, N, t, bra, ket):
         return finite_by_time(trace_triple(i1, r, i2), t, "per-spin bath trace") ** N
 
 
-def extract_products(cfg: OracleConfig) -> np.ndarray:
-    """Exact conjugate coefficients (A*, B*, D*), one row per time: shaped
-    (T, 3), via trace_triple.
+ROUTES = {"factorized": _factorized_factor, "trace": _trace_power, "dense": _dense_factor}
 
-    Each is the N-th power of a normalized three-factor trace: the left
-    exponent carries the bra-side bath coupling, the right exponent the
-    ket side, and the middle factor is the unnormalized per-spin Gibbs
-    weight.  A*: 0 -> +1 transition; B*: -1 -> +1; D*: -1 -> 0.
+
+def _route(method: str):
+    """The row of ROUTES named method."""
+    if method not in ROUTES:
+        raise InvalidParams(f"unknown method {method!r}; the routes are {', '.join(ROUTES)}")
+    return ROUTES[method]
+
+
+def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarray:
+    """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)], shaped
+    (T, 4, 4) over the T times of cfg.times.
+
+    rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
+    mean-field order parameter of cfg.bath.  The row of ROUTES named method
+    computes the bath coefficients A, B and D, and multiplier lays out M.
+    """
+    t = np.array(cfg.times)
+    coef = _route(method)(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
+    return cfg.state.density() * multiplier(t, cfg.sys.xi0, *coef.T)
+
+
+def extract_products(cfg: OracleConfig) -> np.ndarray:
+    """Exact conjugate coefficients (A*, B*, D*) from the trace row, one row
+    per time: shaped (T, 3).  A*: 0 -> +1 transition; B*: -1 -> +1;
+    D*: -1 -> 0.
     """
     t = np.array(cfg.times)
     # swapping the bra and ket levels conjugates the trace
@@ -220,19 +238,9 @@ def extract_products(cfg: OracleConfig) -> np.ndarray:
 
 
 def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
-    """Reduced matrices rebuilt from the closed trace identity, shaped
-    (T, 4, 4).
-
-    Independent of simulate_exact's propagator route: coefficients come
-    from su2.trace_triple, with the exact D* product (not A*) on the
-    transitions adjacent to |11>, and the matrices from the closed forms'
-    multiplier.  Agrees with simulate_exact to roundoff for every w.
-    """
-    coef = extract_products(cfg).conj()
-    return cfg.state.density() * multiplier(np.array(cfg.times), cfg.sys.xi0, *coef.T)
-
-
-_SINGLE_QUBIT_ROUTES = {"trace": _trace_power, "dense": _dense_factor}
+    """Reduced matrices from the closed trace identity, shaped (T, 4, 4):
+    simulate_exact's trace row."""
+    return simulate_exact(cfg, method="trace")
 
 
 def single_qubit_coherence_exact(
@@ -240,16 +248,10 @@ def single_qubit_coherence_exact(
 ) -> np.ndarray:
     """Exact <0|rho_s(t)|1> / <0|rho_s(0)|1> for a single qubit, shaped (T,).
 
-    "trace" evaluates the per-spin triple-trace product in closed form;
-    "dense" is the |0><1| factor of the dense builder.  Both include the
-    free phase exp(i mu0 t).
+    The factor of the one level pair, bra <0| and ket |1>, from the row of
+    ROUTES named method, times the free phase exp(i mu0 t).
     """
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParams(f"bath size N must be a positive integer, got {N}")
-    t = _finite_times(times)
-    if method not in _SINGLE_QUBIT_ROUTES:
-        raise InvalidParams(f"unknown method {method!r}")
-    # the one level pair: bra <0| and ket |1>
-    product = _SINGLE_QUBIT_ROUTES[method](bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
+    t = _checked_times(N, times)
+    product = _route(method)(bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
     with np.errstate(over="ignore"):
         return np.exp(1j * finite_by_time(sys.mu0 * t, t, "free phase mu0 t")) * product

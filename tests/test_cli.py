@@ -503,8 +503,8 @@ def test_verify_honours_a_zero_qubit_coupling(capsys, monkeypatch):
 
 # verify's checks per bath size, in report order, at its default w = 0.1
 VERIFY_CHECKS = [
-    "propagator vs trace-identity route (w=0.1)",
-    "factorized vs dense evolution (w=0.1)",
+    "factorized vs trace route (w=0.1)",
+    "factorized vs dense route (w=0.1)",
     "single-qubit trace vs dense (w=0.1)",
     "exact coefficients vs closed form (w=0)",
     "oracle vs closed-form reduced matrix (w=0)",

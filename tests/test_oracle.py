@@ -19,6 +19,7 @@ from isingbath.oracle import (
     _BRA,
     _KET,
     _LEVELS,
+    ROUTES,
     OracleConfig,
     _collective_spin,
     _dense_factor,
@@ -30,6 +31,7 @@ from isingbath.oracle import (
 from isingbath.su2 import _SMALL_Q, TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 import dense_reference
+import mp_reference
 
 BATH_TIM = BathParams(J=2.0, w=0.1, T=0.5)
 BATH_IM = BathParams(J=2.0, w=0.0, T=0.5)
@@ -272,8 +274,14 @@ def test_size_guards():
         make_cfg(0, BATH_TIM)
     with pytest.raises(InvalidParams):
         single_qubit_coherence_exact(0, BATH_TIM, SYS, TIMES)
-    with pytest.raises(InvalidParams):
+
+
+def test_unknown_method_is_one_error_on_both_entry_points():
+    message = r"^unknown method 'adiabatic'; the routes are factorized, trace, dense$"
+    with pytest.raises(InvalidParams, match=message):
         simulate_exact(make_cfg(2, BATH_TIM), method="adiabatic")
+    with pytest.raises(InvalidParams, match=message):
+        single_qubit_coherence_exact(2, BATH_TIM, SYS, TIMES, method="adiabatic")
 
 
 def test_config_times_coerced():
@@ -283,17 +291,21 @@ def test_config_times_coerced():
 
 
 def _route_calls(n=3, bath=BATH_TIM):
-    """Every oracle route as a function of its time list."""
-    return {
-        "factorized": lambda ts: simulate_exact(make_cfg(n, bath, times=ts)),
-        "dense": lambda ts: simulate_exact(make_cfg(n, bath, times=ts), method="dense"),
-        "trace": lambda ts: extract_products(make_cfg(n, bath, times=ts)),
-        "reconstruct": lambda ts: reconstruct_reduced(make_cfg(n, bath, times=ts)),
+    """Every oracle entry point as a function of its time list: each row of
+    ROUTES through simulate_exact (named for the row) and through
+    single_qubit_coherence_exact (single_qubit_<row>), the single-qubit
+    default method, and the trace row's two wrappers."""
+    calls = {
         "single_qubit": lambda ts: single_qubit_coherence_exact(n, bath, SYS, ts),
-        "single_qubit_dense": lambda ts: single_qubit_coherence_exact(
-            n, bath, SYS, ts, method="dense"
-        ),
+        "reconstruct": lambda ts: reconstruct_reduced(make_cfg(n, bath, times=ts)),
+        "products": lambda ts: extract_products(make_cfg(n, bath, times=ts)),
     }
+    for m in ROUTES:
+        calls[m] = lambda ts, m=m: simulate_exact(make_cfg(n, bath, times=ts), method=m)
+        calls[f"single_qubit_{m}"] = lambda ts, m=m: single_qubit_coherence_exact(
+            n, bath, SYS, ts, method=m
+        )
+    return calls
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -303,9 +315,7 @@ def test_non_finite_time_is_one_error_on_every_route(route, bad):
         _route_calls()[route]((0.5, bad, 1.0))
 
 
-@pytest.mark.parametrize("route", [
-    "factorized", "dense", "trace", "reconstruct", "single_qubit", "single_qubit_dense",
-])
+@pytest.mark.parametrize("route", list(_route_calls()))
 def test_field_overflow_at_a_finite_time_is_invalid_params(route):
     # 0.5 t (2 m J), and on the dense routes the eigenphase E t, overflow at
     # t = 1e308 with J = 10; no RuntimeWarning
@@ -368,19 +378,14 @@ def test_trace_or_free_phase_overflow_names_the_first_bad_time(route, sys_p, bat
             call()
 
 
-_ROUTE_SHAPES = {
-    "factorized": (4, 4), "dense": (4, 4), "trace": (3,), "reconstruct": (4, 4),
-    "single_qubit": (), "single_qubit_dense": (),
-}
-
-
 @pytest.mark.parametrize("n_times", [0, 1, 200])
 def test_routes_return_one_array_over_the_time_axis(n_times):
     times = tuple(np.linspace(0.0, 3.0, n_times))
     for route, call in _route_calls(n=2).items():
         got = call(times)
         assert isinstance(got, np.ndarray), route
-        assert got.shape == (n_times,) + _ROUTE_SHAPES[route], route
+        shape = () if route.startswith("single_qubit") else (3,) if route == "products" else (4, 4)
+        assert got.shape == (n_times, *shape), route
 
 
 def _scalar_factorized(cfg, sol):
@@ -525,6 +530,31 @@ def test_uncapped_routes_meet_the_ising_closed_forms_at_large_n(n):
     m = multiplier(times, SYS.xi0, closed.A, closed.B, closed.A)
     for got in (reconstruct_reduced(cfg), simulate_exact(cfg)):
         assert np.abs(4 * got - m).max() <= tol
+
+
+# the rows whose cost is O(1) in N; the dense row is capped at MAX_BATH_SIZE
+_UNCAPPED = [m for m in ROUTES if m != "dense"]
+_ROUNDED_POWER = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 19: a rounded per-spin trace raised to the N-th power errs "
+    "by ~N eps h0 t; factorized / trace err by 3.3e-4 / 4.1e-4 at N = 1e12 and "
+    "0.25 / 0.32 at N = 1e15, where |F| = 1.12 / 1.003 > 1",
+)
+
+
+@pytest.mark.parametrize("route, n", [
+    *((m, n) for m in ROUTES for n in (1, 4, 12)),
+    *((m, 10**4) for m in _UNCAPPED),
+    *(pytest.param(m, n, marks=_ROUNDED_POWER) for m in _UNCAPPED for n in (10**12, 10**15)),
+])
+def test_single_qubit_route_matches_the_60_digit_echo(route, n):
+    # at w > 0, where no closed form is exact: the single-qubit pair
+    # (1/2, -1/2) against tr[U_a g U_b^dag]^N at 60 digits; mu0 = 0
+    bath, sys_p, times = BathParams(J=2.0, w=0.1, T=0.5), SystemParams(J0=1.0), (1.0, 6.0)
+    want = [mp_reference.echo_power(2.0, 0.1, 0.5, 1.0, n, t, 0.5, -0.5) for t in times]
+    got = single_qubit_coherence_exact(n, bath, sys_p, times, method=route)
+    assert np.abs(got - want).max() <= 1e-10
 
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
