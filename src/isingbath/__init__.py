@@ -8,7 +8,6 @@ and a CLI for parameter sweeps and figure reproduction.
 from .dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
-    DephasingCoeffs,
     SystemParams,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,

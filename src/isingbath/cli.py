@@ -306,13 +306,13 @@ def cmd_concurrence(cfg: RunConfig) -> int:
     bath, sol, sys_p = cfg.physics()
     state = cfg.state()
     times = cfg.time_grid()
-    coeffs = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
+    coef = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
     columns = {
         "t": times,
         "J0_t": cfg.J0 * times,
-        "C": concurrences(evolve_reduced(state, times, cfg.xi0, coeffs)),
-        "abs_A": np.abs(coeffs.A),
-        "abs_B": np.abs(coeffs.B),
+        "C": concurrences(evolve_reduced(state, times, cfg.xi0, coef)),
+        "abs_A": np.abs(coef[:, 0]),
+        "abs_B": np.abs(coef[:, 1]),
     }
     if cfg.amplitudes is None and cfg.case == 4:
         columns["no_bath_C"] = np.abs(np.sin(0.5 * cfg.xi0 * times))
@@ -372,7 +372,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
              single_qubit_coherence_exact(n, bath_tim, sys_p, times),
              single_qubit_coherence_exact(n, bath_tim, sys_p, times, method="dense"), tol),
             ("exact coefficients vs closed form (w=0)",
-             products[:, :2].conj(), np.stack([closed.A, closed.B], axis=-1), tol),
+             products[:, :2].conj(), closed[:, :2], tol),
             ("oracle vs closed-form reduced matrix (w=0)",
              4 * simulate_exact(im), 4 * evolve_reduced(state, times, sys_p.xi0, closed), tol),
             ("one-excitation coefficient symmetry (w=0)", products[:, 0], products[:, 2], sym_tol),
@@ -495,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text
         return exc.code
-    except (IsingBathError, OSError, ValueError) as exc:
+    # OverflowError: N past the float range; MemoryError: points past the address space
+    except (IsingBathError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -36,8 +36,6 @@ from .su2 import _sinc
 MODE_FINITE = "finite"
 MODE_ASYMPTOTIC = "asymptotic"
 
-_MAG_TOL = 1.0 + 1e-12
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -52,19 +50,6 @@ class SystemParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be finite and >= 0, got {v}")
-
-
-@dataclass(frozen=True, eq=False)  # array fields have no truth value or hash
-class DephasingCoeffs:
-    """Coherence multipliers A (one-excitation) and B (two-excitation),
-    scalars or arrays shaped like the time grid."""
-
-    A: complex | np.ndarray
-    B: complex | np.ndarray
-
-    def __post_init__(self):
-        if (worst := np.abs([self.A, self.B]).max(initial=0.0)) > _MAG_TOL:
-            raise InvalidParams(f"max |A|, |B| = {worst} exceeds 1 beyond tolerance")
 
 
 def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, float]:
@@ -160,8 +145,10 @@ def dephasing_coeffs(
     *,
     mode: str = MODE_FINITE,
     N: int | None = None,
-) -> DephasingCoeffs:
-    """Two-qubit coefficients A(t), B(t) in the requested mode.
+) -> np.ndarray:
+    """Two-qubit coefficients A, B and D in the requested mode, shaped
+    t.shape + (3,): the exact oracle routes' layout, which
+    two_qubit.multiplier takes.  The closed forms have D = A.
 
     Finite mode: A(t) = r(t), B(t) = A(2t) exactly (same code path).
     Asymptotic mode: magnitudes only, A = |r| Gaussian and B = A^4.
@@ -171,8 +158,9 @@ def dephasing_coeffs(
             raise InvalidParams("finite mode requires a bath size N")
         A = coherence_factor_finite(t, N, sol, bath, sys)
         B = coherence_factor_finite(2.0 * t, N, sol, bath, sys)
-        return DephasingCoeffs(A=A, B=B)
-    if mode == MODE_ASYMPTOTIC:
+    elif mode == MODE_ASYMPTOTIC:
         A = coherence_magnitude_asymptotic(t, sol, bath, sys)
-        return DephasingCoeffs(A=A, B=A**4)
-    raise InvalidParams(f"unknown mode {mode!r}")
+        B = A**4
+    else:
+        raise InvalidParams(f"unknown mode {mode!r}")
+    return np.stack([A, B, A], axis=-1)

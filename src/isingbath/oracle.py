@@ -21,9 +21,9 @@ level pair over the whole time list t, shaped (T, P):
   N^2, so it alone caps N at MAX_BATH_SIZE; the rows above cost O(1) in N.
 
 The two entry points take a row by name (method), with one error for an
-unknown name.  simulate_exact asks for the level pairs (_BRA, _KET) of
-the two qubits' total S^z (_LEVELS), which are the coefficients A, B and
-D, and two_qubit.multiplier lays out M and adds the qubit phase;
+unknown name.  simulate_exact asks for two_qubit's level pairs (_BRA,
+_KET) of the two qubits' total S^z (_LEVELS), which are the coefficients
+A, B and D, and two_qubit.multiplier lays out M and adds the qubit phase;
 single_qubit_coherence_exact asks for the one pair (<0|, |1>) of one
 qubit's S^z (_SZ) and adds the free phase exp(i mu0 t).
 reconstruct_reduced is simulate_exact's trace row.  Time is the first axis
@@ -51,14 +51,9 @@ from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, finite_by_time, multiplier
+from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, finite_by_time, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
-
-# total system S^z of the two qubits' coupling levels: |00>; |01> and |10>; |11>
-_LEVELS = np.array([1.0, 0.0, -1.0])
-# the (bra, ket) level pairs of two_qubit.multiplier's coefficients A, B and D
-_BRA, _KET = np.array([(0, 1), (0, 2), (1, 2)]).T
 
 # S^z eigenvalue of one qubit per basis state |0>, |1>
 _SZ = np.array([0.5, -0.5])
@@ -93,7 +88,12 @@ def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray
     """h0 = 2 m J at bath's self-consistent m, and h0 + (J0/sqrt(N)) lam: the z
     field on each bath spin while the qubits have coupling eigenvalue(s) lam."""
     h0 = 2.0 * solve_order(bath).m * bath.J
-    return h0, h0 + J0 / math.sqrt(N) * np.asarray(lam)
+    c, lam = J0 / math.sqrt(N), np.asarray(lam)
+    # h0, J0 >= 0 and |lam| <= 1: the top level's field is the largest, and
+    # a Python float overflows to inf without numpy's warning
+    if math.isinf(h0 + c * float(lam.max())):
+        raise InvalidParams("non-finite coefficients: bath field h0 + J0 lam/sqrt(N) overflows")
+    return h0, h0 + c * lam
 
 
 def _distinct(bra, ket, *extra):
@@ -224,7 +224,7 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarr
     """
     t = np.array(cfg.times)
     coef = _route(method)(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
-    return cfg.state.density() * multiplier(t, cfg.sys.xi0, *coef.T)
+    return cfg.state.density() * multiplier(t, cfg.sys.xi0, coef)
 
 
 def extract_products(cfg: OracleConfig) -> np.ndarray:

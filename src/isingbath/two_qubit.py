@@ -6,7 +6,9 @@ elementwise product rho0 * M(t), and M(t) does not depend on the state:
 populations are frozen, the one-excitation coherences carry
 A(t) exp(+-i t xi0 / 2), the |00><11| coherence B(t), and the |01><10|
 coherence exactly 1 (a decoherence-free direction).  The closed forms and
-every exact oracle route supply A, B and D, and multiplier builds their M.
+every exact oracle route supply A, B and D as one t.shape + (3,) array, the
+factors of the coupling-level pairs (_BRA, _KET) below, and multiplier
+builds their M.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingCoeffs
 from .errors import InvalidParams, InvalidState, NotADensityMatrix
 
 _TOL = 1e-12  # state norm^2, Hermiticity and trace
 _LOWER = np.tril_indices(4, -1)
+
+# total system S^z of the two qubits' coupling levels: |00>; |01> and |10>; |11>
+_LEVELS = np.array([1.0, 0.0, -1.0])
+# the (bra, ket) level pairs of multiplier's coefficients A, B and D
+_BRA, _KET = np.array([(0, 1), (0, 2), (1, 2)]).T
 
 
 @dataclass(frozen=True)
@@ -107,36 +113,38 @@ def evolve_reduced(
     state: PureState2Q,
     t: float | np.ndarray,
     xi0: float,
-    coeffs: DephasingCoeffs,
+    coef: np.ndarray,
 ) -> np.ndarray:
-    """Reduced density matrix rho_s(t) for initial |Psi><Psi|, with the
-    closed forms' one coefficient A on every one-excitation coherence.
+    """Reduced density matrix rho_s(t) for initial |Psi><Psi|: a (4, 4)
+    matrix for a scalar t, a (T, 4, 4) stack for a 1-D t.
 
-    Takes a scalar or array t with coefficients A and B of the same shape:
-    a scalar t gives a (4, 4) matrix, a 1-D t a (T, 4, 4) stack.
+    coef holds A, B and D on its last axis, shaped t.shape + (3,); another
+    shape, or a magnitude above 1 beyond rounding, is InvalidParams.
     """
     t = np.asarray(t, dtype=float)
-    A, B = coeffs.A, coeffs.B
-    if not np.shape(A) == np.shape(B) == t.shape:
-        raise InvalidParams(
-            f"coefficients of shape {np.shape(A)}, {np.shape(B)} for times {t.shape}"
-        )
-    return state.density() * multiplier(t, xi0, A, B, A)
+    coef = np.asarray(coef)
+    if coef.shape != t.shape + (3,):
+        raise InvalidParams(f"coefficients of shape {coef.shape} for times {t.shape}")
+    if (worst := np.abs(coef).max(initial=0.0)) > 1.0 + 1e-12:
+        raise InvalidParams(f"max |A|, |B|, |D| = {worst} exceeds 1 beyond tolerance")
+    return state.density() * multiplier(t, xi0, coef)
 
 
-def multiplier(t: np.ndarray, xi0: float, A, B, D) -> np.ndarray:
+def multiplier(t: np.ndarray, xi0: float, coef: np.ndarray) -> np.ndarray:
     """M(t), a Hermitian t.shape + (4, 4) stack that takes any rho0 to rho0 * M.
 
-    Unit diagonal and |01><10| entry; A p, p = exp(i xi0 t / 2), on the
+    coef holds A, B and D on its last axis, shaped t.shape + (3,).  Unit
+    diagonal and |01><10| entry; A p, p = exp(i xi0 t / 2), on the
     one-excitation coherences adjacent to |00>, D p^* on those adjacent to
-    |11>, and B at |00><11|.  A, B and D have the shape of t.  The closed
-    forms share one coefficient (D = A); the exact finite-field products of
-    the oracle do not.  The qubit phase p, of H_s = -xi0 S1^z S2^z, stays a
-    factor of its own: added to the O(1) bath eigenvalues behind A, B and D,
-    a large xi0 would round them away.  InvalidParams where xi0 t overflows.
-    A numpy scalar rounds A p as a 0-d array does.
+    |11>, and B at |00><11|.  The closed forms share one coefficient
+    (D = A); the exact finite-field products of the oracle do not.  The
+    qubit phase p, of H_s = -xi0 S1^z S2^z, stays a factor of its own:
+    added to the O(1) bath eigenvalues behind A, B and D, a large xi0 would
+    round them away.  InvalidParams where xi0 t overflows.  A numpy scalar
+    rounds A p as a 0-d array does.
     """
-    A, B, D = (np.asarray(x, dtype=complex) for x in (A, B, D))
+    coef = np.asarray(coef, dtype=complex)
+    A, B, D = coef[..., 0], coef[..., 1], coef[..., 2]
     with np.errstate(over="ignore"):
         p = np.exp(0.5j * finite_by_time(xi0 * t, t, "qubit-qubit phase xi0 t"))
     m = np.ones(np.shape(t) + (4, 4), dtype=complex)

@@ -91,7 +91,7 @@ def test_criterion_02_case2_closed_form():
             for mode, kw in ((MODE_FINITE, {"N": 10**4}), (MODE_ASYMPTOTIC, {})):
                 co = dephasing_coeffs(t, sol, bath, sys_p, mode=mode, **kw)
                 got = concurrence(evolve_reduced(state, t, sys_p.xi0, co)).c
-                want = 2.0 * abs(alpha) * abs(delta) * abs(co.B)
+                want = 2.0 * abs(alpha) * abs(delta) * abs(co[1])
                 worst = max(worst, abs(got - want))
     assert worst < 1e-10
     elapsed = time.perf_counter() - start
@@ -174,7 +174,7 @@ def test_criterion_05_closed_forms_exact_in_ising_limit():
         A, B, _ = extract_products(cfg).conj().T
         worst_co = max(
             worst_co,
-            np.abs([A - [co.A for co in closed], B - [co.B for co in closed]]).max(),
+            np.abs([A - [co[0] for co in closed], B - [co[1] for co in closed]]).max(),
         )
         products = extract_products(cfg)
         worst_sym = max(worst_sym, np.abs(products[:, 0] - products[:, 2]).max())
@@ -204,7 +204,7 @@ def test_criterion_05_closed_forms_at_figure_field():
         A, B, _ = extract_products(cfg).conj().T
         worst_co = max(
             worst_co,
-            np.abs([A - [co.A for co in closed], B - [co.B for co in closed]]).max(),
+            np.abs([A - [co[0] for co in closed], B - [co[1] for co in closed]]).max(),
         )
         products = extract_products(cfg)
         worst_sym = max(worst_sym, np.abs(products[:, 0] - products[:, 2]).max())
@@ -259,7 +259,7 @@ def test_criterion_07_twice_faster_disentanglement():
     worst = 0.0
     for t in np.linspace(0.0, 12.0, 49):
         fin = dephasing_coeffs(t, sol, bath, sys_p, mode=MODE_FINITE, N=7)
-        assert fin.B == coherence_factor_finite(2.0 * t, 7, sol, bath, sys_p)  # bitwise
+        assert fin[1] == coherence_factor_finite(2.0 * t, 7, sol, bath, sys_p)  # bitwise
         asy = dephasing_coeffs(t, sol, bath, sys_p, mode=MODE_ASYMPTOTIC)
         worst = max(
             worst,

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isingbath import cli
 from isingbath.cli import (
@@ -986,3 +988,108 @@ def test_stdout_when_no_out(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# command=phase")
     assert "T,T_over_Tc,theta,m,phase" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # math.sqrt(N) of an integer past the float range
+    (["concurrence", "--mode", "finite", "--points", "3", "--N", str(10**309)],
+     "int too large to convert to float"),
+    (["coherence", "--points", "3", "--N", str(10**309)], "int too large to convert to float"),
+    # a 7.11 PiB grid, past the 128 TiB of addresses Linux maps for a process,
+    # so it is refused under any overcommit setting
+    (["coherence", "--points", str(10**15)], "Unable to allocate"),
+])
+def test_a_request_past_the_float_or_address_range_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, values", [
+    ("coherence", "xi0", ("0.0", "0.7")),
+    ("coherence", "mu0", ("0.0", "2.5")),
+    ("concurrence", "mu0", ("0.0", "2.5")),
+    ("fig1", "mu0", ("0.0", "2.5")),
+    ("fig2", "mu0", ("0.0", "2.5")),
+])
+def test_recorded_keys_that_move_no_column(tmp_path, command, key, values):
+    # coherence's factor excludes the free phase exp(i mu0 t) and sees one
+    # qubit (no xi0); the two-qubit columns are magnitudes and a concurrence,
+    # which no local phase moves: these keys reach the header alone
+    bodies, headers = [], []
+    for k, value in enumerate(values):
+        out = tmp_path / f"{k}.csv"
+        argv = [command, "--points", "9", f"--{key}", value, "--out", str(out)]
+        if command == "concurrence":
+            argv += ["--case", "4", "--xi0", "0.3", "--mode", "finite", "--N", "50"]
+        assert main(argv) == EXIT_OK
+        paths = sorted(tmp_path.glob(f"{k}*.csv"))
+        assert len(paths) == (4 if command == "fig1" else 1)
+        texts = [p.read_text().split("\n", 1) for p in paths]
+        headers.append([h for h, _ in texts])
+        bodies.append([rows for _, rows in texts])
+    assert bodies[0] == bodies[1]
+    for a, b in zip(*headers):
+        assert f" {key}={values[0]} " in a and f" {key}={values[1]} " in b
+
+
+# the property test's text pool: the edges of the float range, non-finite
+# and junk texts, an integer past the float range, and lists
+_TEXTS = ["0", "-1", "5e-324", "1e-320", "1e308", "1e400", "nan", "inf", "-inf", "abc",
+          str(10**400), "0.5,0.25", "1,0,0,1", "none"]
+# points past the address space fail at allocation; a larger grid that fits
+# in memory would really be built, so none is drawn
+_POINTS = ["2", "3", str(10**15)]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and a subset of the keys it reads, at most one of each
+    exclusive pair; each value is the key's SAMPLE or a pool text, so that
+    runs reach the computation as well as the parser.  --out is left to
+    the test."""
+    command = draw(st.sampled_from(COMMANDS))
+    reads = [k for k in cli._COMMANDS[command][2] if k != "out"]
+    keys = draw(st.lists(st.sampled_from(reads), unique=True))
+    argv = [command]
+    for key in keys:
+        if {"T_over_Tc": "T", "amplitudes": "case"}.get(key) in keys:
+            continue
+        if key == "points":
+            value = draw(st.sampled_from(_POINTS))
+        else:
+            value = draw(st.one_of(st.just(SAMPLE[key]), st.sampled_from(_TEXTS)))
+        argv.append(f"{_flag(key)}={value}")  # with "=", "-1" is a value, not a flag
+    if command == "verify":
+        argv.append("--N-max=" + draw(st.sampled_from(["1", "2"])))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_lines())
+def test_every_command_line_ends_in_a_result_or_one_line(tmp_path_factory, capsys, argv):
+    # exit 0 with clean CSVs, or exit 2 with one stderr line; verify may also
+    # report a failed check (exit 1).  No traceback and no RuntimeWarning.
+    outdir = tmp_path_factory.mktemp("run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + ["--out", str(outdir / "o.csv")])
+    captured = capsys.readouterr()
+    assert code in ((EXIT_OK, EXIT_BAD_INPUT, EXIT_VERIFY_FAILED) if argv[0] == "verify"
+                    else (EXIT_OK, EXIT_BAD_INPUT)), captured.err
+    assert "Traceback" not in captured.err
+    if code == EXIT_BAD_INPUT:
+        assert captured.err.count("\n") == 1 and captured.err.startswith("isingbath: error: ")
+    elif code == EXIT_OK and argv[0] != "verify":
+        assert captured.err == ""
+        paths = sorted(outdir.iterdir())
+        assert len(paths) == (4 if argv[0] == "fig1" else 1)
+        for path in paths:
+            header, *lines = path.read_text().splitlines()
+            cfg = read_csv_config(str(path))
+            assert header == "# " + " ".join(f"{k}={v}" for k, v in cfg.key_values().items())
+            assert not any("nan" in line.split(",") for line in lines[1:]), path

@@ -6,7 +6,6 @@ import pytest
 from isingbath.dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
-    DephasingCoeffs,
     SystemParams,
     coherence_magnitude_asymptotic,
     dephasing_coeffs,
@@ -73,9 +72,9 @@ def test_werner_state_through_closed_form_and_dense_multipliers():
     bath = BathParams(J=2.0, w=0.0, T=0.5 * critical_temperature(2.0))
     n, times = 8, np.linspace(0.0, 12.0, 61)
     co = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
-    closed = multiplier(times, SYS.xi0, co.A, co.B, co.A)
+    closed = multiplier(times, SYS.xi0, co)
     f = _dense_factor(bath, SYS.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
-    dense = multiplier(times, SYS.xi0, *f.T)
+    dense = multiplier(times, SYS.xi0, f)
     for p in (0.4, 0.6, 0.8, 1.0):
         c_closed = concurrences(werner(p) * closed)
         assert np.abs(c_closed - concurrences(werner(p) * dense)).max() <= 1e-14
@@ -90,8 +89,8 @@ def test_werner_state_dies_at_a_finite_time():
     sol = solve_order(bath)
     p, times = 0.8, np.linspace(0.0, 12.0, 241)
     co = dephasing_coeffs(times, sol, bath, SYS, mode=MODE_ASYMPTOTIC)
-    c = concurrences(werner(p) * multiplier(times, SYS.xi0, co.A, co.B, co.A))
-    assert np.abs(c - np.maximum(0.0, p * np.abs(co.B) - (1 - p) / 2)).max() <= 4e-15
+    c = concurrences(werner(p) * multiplier(times, SYS.xi0, co))
+    assert np.abs(c - np.maximum(0.0, p * np.abs(co[:, 1]) - (1 - p) / 2)).max() <= 4e-15
     t_d = math.sqrt(math.log(2 * p / (1 - p)) / (2 * (0.25 - sol.m**2))) / SYS.J0
     assert 7.0 < t_d < 7.1
     assert np.abs(times - t_d).min() > 1e-3
@@ -162,9 +161,9 @@ def test_case2_against_full_pipeline():
                 assert got == pytest.approx(case2_concurrence(alpha, delta, co), abs=1e-10)
 
 
-def case4_concurrence(t, xi0, coeffs):
+def case4_concurrence(t, xi0, coef):
     """Concurrence of the case-4 product state through the full pipeline."""
-    return concurrence(evolve_reduced(case_state(4), t, xi0, coeffs)).c
+    return concurrence(evolve_reduced(case_state(4), t, xi0, coef)).c
 
 
 def test_case4_no_bath_oscillation():
@@ -172,7 +171,7 @@ def test_case4_no_bath_oscillation():
     # exp(i xi0 t s_a s_b), and the pure-state concurrence of that state is
     # 2|alpha delta e^{i xi0 t/2} - beta gamma e^{-i xi0 t/2}|/... = |sin(xi0 t/2)|
     xi0 = 0.3
-    no_bath = DephasingCoeffs(A=1.0, B=1.0)
+    no_bath = np.ones(3)
     for t in np.linspace(0.0, 40.0, 37):
         phased = PureState2Q(
             0.5 * np.exp(0.25j * xi0 * t),
@@ -328,9 +327,9 @@ def test_case2_concurrence_tracks_b_where_b_vanishes():
     )
     bath, sol, sys_p = cfg.physics()
     times = cfg.time_grid()
-    coeffs = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
-    c = concurrences(evolve_reduced(case_state(2), times, cfg.xi0, coeffs))
-    b = np.abs(coeffs.B)
+    coef = dephasing_coeffs(times, sol, bath, sys_p, mode=cfg.mode, N=cfg.N)
+    c = concurrences(evolve_reduced(case_state(2), times, cfg.xi0, coef))
+    b = np.abs(coef[:, 1])
     tiny = b < 1e-12
     assert tiny.sum() > 10
     assert np.abs(c - b)[tiny].max() <= 1e-15

@@ -6,7 +6,6 @@ import pytest
 
 from isingbath.dephasing import (
     MODE_FINITE,
-    DephasingCoeffs,
     SystemParams,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
@@ -98,8 +97,8 @@ def test_oracle_matches_closed_forms_in_ising_limit():
         products = extract_products(cfg)
         A, B, _ = products.conj().T
         assert np.abs(products[:, 0] - products[:, 2]).max() <= 1e-12
-        assert np.abs(A - [co.A for co in closed]).max() < 1e-11
-        assert np.abs(B - [co.B for co in closed]).max() < 1e-11
+        assert np.abs(A - [co[0] for co in closed]).max() < 1e-11
+        assert np.abs(B - [co[1] for co in closed]).max() < 1e-11
 
 
 def test_closed_forms_are_large_N_asymptotics_at_finite_w():
@@ -109,7 +108,7 @@ def test_closed_forms_are_large_N_asymptotics_at_finite_w():
     cfg = make_cfg(4, BATH_TIM)
     closed = [dephasing_coeffs(t, sol, BATH_TIM, SYS, mode=MODE_FINITE, N=4) for t in TIMES]
     A = extract_products(cfg)[:, 0].conj()
-    dev = np.abs(A - [co.A for co in closed]).max()
+    dev = np.abs(A - [co[0] for co in closed]).max()
     assert 1e-6 < dev < 2e-3
 
     # the one-excitation coefficient symmetry is also only an Ising-limit
@@ -206,9 +205,24 @@ def test_reconstruction_shares_the_closed_form_assembly(bath):
         )
         rec = reconstruct_reduced(cfg)
         A, B, _ = extract_products(cfg).conj().T
-        closed = evolve_reduced(cfg.state, np.array(cfg.times), cfg.sys.xi0, DephasingCoeffs(A, B))
+        closed = evolve_reduced(
+            cfg.state, np.array(cfg.times), cfg.sys.xi0, np.stack([A, B, A], axis=-1)
+        )
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 2)):
             assert np.array_equal(rec[:, i, j], closed[:, i, j]), (k, i, j)
+
+
+@pytest.mark.parametrize("method", ROUTES)
+def test_every_route_feeds_evolve_reduced_its_coefficient_array(method):
+    # a route's (T, 3) factors are the closed forms' coefficient layout, so
+    # evolve_reduced on them is simulate_exact on that route, bit for bit
+    t = np.array(TIMES)
+    for bath in (BATH_IM, BATH_TIM):
+        cfg = make_cfg(4, bath)
+        coef = ROUTES[method](bath, SYS.J0, 4, t, _LEVELS[_BRA], _LEVELS[_KET])
+        assert coef.shape == t.shape + (3,)
+        got = evolve_reduced(cfg.state, t, SYS.xi0, coef)
+        assert got.tobytes() == simulate_exact(cfg, method=method).tobytes()
 
 
 def test_disordered_bath_still_dephases_exactly():
@@ -254,9 +268,9 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
         b_closed = coherence_factor_finite(2.0 * times, n, sol, bath, sys_p)
         assert np.abs(B - b_closed).max() <= 1e-12
         # and so is the closed forms' multiplier, on all 16 entries
-        closed = multiplier(times, sys_p.xi0, r_closed, b_closed, r_closed)
+        closed = multiplier(times, sys_p.xi0, np.stack([r_closed, b_closed, r_closed], axis=-1))
         dense = _dense_factor(bath, sys_p.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
-        assert np.abs(multiplier(times, sys_p.xi0, *dense.T) - closed).max() <= 1e-12
+        assert np.abs(multiplier(times, sys_p.xi0, dense) - closed).max() <= 1e-12
 
 
 def test_size_guards():
@@ -290,20 +304,23 @@ def test_config_times_coerced():
     assert all(isinstance(t, float) for t in cfg.times)
 
 
-def _route_calls(n=3, bath=BATH_TIM):
+def _route_calls(n=3, bath=BATH_TIM, sys_p=SYS):
     """Every oracle entry point as a function of its time list: each row of
     ROUTES through simulate_exact (named for the row) and through
     single_qubit_coherence_exact (single_qubit_<row>), the single-qubit
     default method, and the trace row's two wrappers."""
+    def cfg(ts):
+        return make_cfg(n, bath, times=ts, sys_p=sys_p)
+
     calls = {
-        "single_qubit": lambda ts: single_qubit_coherence_exact(n, bath, SYS, ts),
-        "reconstruct": lambda ts: reconstruct_reduced(make_cfg(n, bath, times=ts)),
-        "products": lambda ts: extract_products(make_cfg(n, bath, times=ts)),
+        "single_qubit": lambda ts: single_qubit_coherence_exact(n, bath, sys_p, ts),
+        "reconstruct": lambda ts: reconstruct_reduced(cfg(ts)),
+        "products": lambda ts: extract_products(cfg(ts)),
     }
     for m in ROUTES:
-        calls[m] = lambda ts, m=m: simulate_exact(make_cfg(n, bath, times=ts), method=m)
+        calls[m] = lambda ts, m=m: simulate_exact(cfg(ts), method=m)
         calls[f"single_qubit_{m}"] = lambda ts, m=m: single_qubit_coherence_exact(
-            n, bath, SYS, ts, method=m
+            n, bath, sys_p, ts, method=m
         )
     return calls
 
@@ -322,6 +339,17 @@ def test_field_overflow_at_a_finite_time_is_invalid_params(route):
     bath = BathParams(J=10.0, w=0.1, T=1.0)
     with pytest.raises(InvalidParams, match="non-finite coefficients"):
         _route_calls(bath=bath)[route]((1e308,))
+
+
+@pytest.mark.parametrize("route", list(_route_calls()))
+def test_conditioned_field_overflow_is_invalid_params(route):
+    # h0 = 2 m J ~ 1.5e308 and J0/sqrt(N) = 1e308 are finite, but the field
+    # h0 + (J0/sqrt(N)) lam of a coupling level is not; no RuntimeWarning
+    bath, sys_p = BathParams(J=1.5e308, w=0.1, T=1e307), SystemParams(J0=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match="bath field h0 .* overflows"):
+            _route_calls(n=1, bath=bath, sys_p=sys_p)[route]((0.0, 1.0))
 
 
 @pytest.mark.parametrize("sys_p", [
@@ -501,7 +529,7 @@ def test_dense_route_matches_full_hilbert_space_reference(n, w):
     # as in the closed forms, M is exactly Hermitian with an exactly unit
     # diagonal and |01><10| entry
     f2 = _dense_factor(bath, sys_p.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
-    m2 = multiplier(times, sys_p.xi0, *f2.T)
+    m2 = multiplier(times, sys_p.xi0, f2)
     assert np.array_equal(m2, np.swapaxes(m2, 1, 2).conj())
     assert np.all(np.diagonal(m2, axis1=1, axis2=2) == 1.0)
     assert np.all(m2[:, 1, 2] == 1.0)
@@ -524,10 +552,9 @@ def test_uncapped_routes_meet_the_ising_closed_forms_at_large_n(n):
     cfg = make_cfg(n, bath, state=case_state(4), times=times)
     closed = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
     tol = 10 * n * np.finfo(float).eps
-    want = np.stack([closed.A, closed.B, closed.A], axis=-1)
-    assert np.abs(extract_products(cfg).conj() - want).max() <= tol
+    assert np.abs(extract_products(cfg).conj() - closed).max() <= tol
     # every entry of |++><++| is 1/4, so 4 rho is M
-    m = multiplier(times, SYS.xi0, closed.A, closed.B, closed.A)
+    m = multiplier(times, SYS.xi0, closed)
     for got in (reconstruct_reduced(cfg), simulate_exact(cfg)):
         assert np.abs(4 * got - m).max() <= tol
 

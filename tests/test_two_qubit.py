@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from isingbath.dephasing import MODE_FINITE, DephasingCoeffs
+from isingbath.dephasing import MODE_FINITE
 from isingbath.entanglement import concurrence
 from isingbath.errors import InvalidParams, InvalidState, NotADensityMatrix
 from isingbath.two_qubit import (
@@ -16,7 +16,12 @@ from isingbath.two_qubit import (
 )
 from wootters_reference import SIGMA_YY, r_matrix, spin_flip
 
-NO_DECAY = DephasingCoeffs(A=1.0, B=1.0)
+NO_DECAY = np.ones(3)
+
+
+def closed_form(A, B):
+    """The closed forms' coefficient array: A, B and D = A on the last axis."""
+    return np.stack([A, B, A], axis=-1)
 
 
 def random_state(rng):
@@ -27,7 +32,7 @@ def random_coeffs(rng):
     # magnitudes below 1, generic phases
     a = rng.uniform(0.2, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
     b = rng.uniform(0.2, 0.999) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-    return DephasingCoeffs(A=a, B=b)
+    return closed_form(a, b)
 
 
 def random_density(rng):
@@ -82,7 +87,7 @@ def test_multiplier_is_hermitian_with_unit_diagonal_and_protected_entry(shape):
         r, phase = rng.uniform(size=(2, 3) + shape)
         A, B, D = r * np.exp(2j * np.pi * phase)
         xi0 = rng.uniform(0.0, 3.0)
-        m = multiplier(t, xi0, A, B, D)
+        m = multiplier(t, xi0, np.stack([A, B, D], axis=-1))
         assert m.shape == shape + (4, 4)
         assert np.array_equal(m, np.swapaxes(m, -1, -2).conj())
         assert np.all(m[..., range(4), range(4)] == 1.0)
@@ -93,12 +98,12 @@ def test_multiplier_is_hermitian_with_unit_diagonal_and_protected_entry(shape):
         assert np.array_equal(m[..., 0, 3], B)
         # the closed forms are the same multiplier with D = A
         st = random_state(rng)
-        rho = evolve_reduced(st, t, xi0, DephasingCoeffs(A=A, B=B))
-        assert np.array_equal(rho, st.density() * multiplier(t, xi0, A, B, A))
+        rho = evolve_reduced(st, t, xi0, closed_form(A, B))
+        assert np.array_equal(rho, st.density() * multiplier(t, xi0, closed_form(A, B)))
         if shape == ():
-            # numpy complex128 scalars, with a Python float time
-            rho = evolve_reduced(st, 1.0, xi0, DephasingCoeffs(A=A, B=B))
-            assert np.array_equal(rho, st.density() * multiplier(1.0, xi0, A, B, A))
+            # a (3,) array, with a Python float time
+            rho = evolve_reduced(st, 1.0, xi0, closed_form(A, B))
+            assert np.array_equal(rho, st.density() * multiplier(1.0, xi0, closed_form(A, B)))
 
 
 def test_protected_coherence_carries_no_decay():
@@ -131,9 +136,9 @@ def test_one_excitation_coherences_share_one_coefficient():
         rho[2, 3] / (st.gamma * np.conj(st.delta) * np.conj(p)),
     ]
     for r in ratios:
-        assert r == pytest.approx(complex(co.A), abs=1e-13)
+        assert r == pytest.approx(complex(co[0]), abs=1e-13)
     assert rho[0, 3] / (st.alpha * np.conj(st.delta)) == pytest.approx(
-        complex(co.B), abs=1e-13
+        complex(co[1]), abs=1e-13
     )
 
 
@@ -202,7 +207,7 @@ def test_r_matrix_against_block_algebra():
         t = rng.uniform(0, 5)
         xi0 = rng.uniform(0, 2)
         got = r_matrix(evolve_reduced(st, t, xi0, co))
-        ref = _reference_r(st, complex(co.A), complex(co.B), t, xi0)
+        ref = _reference_r(st, complex(co[0]), complex(co[1]), t, xi0)
         assert np.abs(got - ref).max() < 1e-12
 
 
@@ -224,7 +229,7 @@ def test_r_matrix_case2_structure():
     st = PureState2Q(alpha, 0.0, 0.0, delta)
     co = random_coeffs(rng)
     r = r_matrix(evolve_reduced(st, 0.9, 1.4, co))
-    B = complex(co.B)
+    B = complex(co[1])
     assert r[0, 0] == pytest.approx(alpha**2 * delta**2 * (1 + abs(B) ** 2), abs=1e-14)
     assert r[3, 3] == pytest.approx(r[0, 0], abs=1e-14)
     assert r[0, 3] == pytest.approx(2 * alpha**3 * delta * B, abs=1e-14)
@@ -305,16 +310,36 @@ def test_case_state_validation():
 
 
 def test_evolve_rejects_oversized_coefficients():
-    with pytest.raises(InvalidParams):
-        evolve_reduced(case_state(2), 1.0, 0.0, DephasingCoeffs(A=1.0, B=1.0 + 1e-6))
+    # |x| = 1 + 1e-6 in any of A, B and D, for a scalar and a 1-D time
+    for column in range(3):
+        for t in (1.0, np.array([0.0, 1.0])):
+            coef = np.ones(np.shape(t) + (3,), dtype=complex)
+            coef[..., column] = (1.0 + 1e-6) * np.exp(0.3j)
+            with pytest.raises(InvalidParams, match="exceeds 1"):
+                evolve_reduced(case_state(2), t, 0.0, coef)
+        # rounding above 1 passes
+        coef = np.ones(3)
+        coef[column] = 1.0 + 1e-13
+        assert np.isfinite(evolve_reduced(case_state(2), 1.0, 0.0, coef)).all()
+
+
+@pytest.mark.parametrize("t, shape", [
+    (1.0, (2,)), (1.0, (1, 3)), ([0.0, 1.0, 2.0], (3, 2)), ([0.0, 1.0, 2.0], (3,)),
+    ([0.0, 1.0, 2.0], (1, 3)),
+])
+def test_evolve_rejects_a_coefficient_array_of_another_shape(t, shape):
+    # only t.shape + (3,) fits: an array of A and B alone, one row for a
+    # whole grid, or a grid's rows for one time are refused
+    with pytest.raises(InvalidParams, match="coefficients of shape"):
+        evolve_reduced(case_state(2), np.array(t), 0.0, np.ones(shape))
 
 
 def test_evolve_rejects_an_overflowing_qubit_phase():
     # xi0 t overflows at t = 2 but not at t = 1
     times = np.array([0.0, 1.0, 2.0])
     with pytest.raises(InvalidParams, match="xi0 t overflows at t=2.0"):
-        evolve_reduced(case_state(4), times, 1e308, DephasingCoeffs(A=np.ones(3), B=np.ones(3)))
-    head = DephasingCoeffs(A=np.ones(2), B=np.ones(2))
+        evolve_reduced(case_state(4), times, 1e308, np.ones((3, 3)))
+    head = np.ones((2, 3))
     assert np.isfinite(evolve_reduced(case_state(4), times[:2], 1e308, head)).all()
 
 

@@ -37,7 +37,8 @@ def case1_concurrence(beta: complex, gamma: complex) -> float:
     return 2.0 * abs(complex(beta)) * abs(complex(gamma))
 
 
-def case2_concurrence(alpha: complex, delta: complex, coeffs) -> float:
+def case2_concurrence(alpha: complex, delta: complex, coef) -> float:
     """alpha|00> + delta|11>: C(t) = 2|alpha||delta||B(t)|, so the pair
-    disentangles twice as fast as one qubit decoheres (|B(t)| = |A(2t)|)."""
-    return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * np.abs(coeffs.B)
+    disentangles twice as fast as one qubit decoheres (|B(t)| = |A(2t)|).
+    coef holds A, B and D on its last axis."""
+    return 2.0 * abs(complex(alpha)) * abs(complex(delta)) * np.abs(coef[..., 1])
