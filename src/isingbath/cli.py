@@ -29,7 +29,7 @@ from .dephasing import (
     dephasing_coeffs,
 )
 # concurrence is re-exported: existing callers reach it as isingbath.cli.concurrence
-from .entanglement import concurrence, concurrences  # noqa: F401
+from .entanglement import concurrence, dephased_concurrences  # noqa: F401
 from .errors import IsingBathError, InvalidParams
 from .mean_field import (
     PHASE_DISORDERED,
@@ -54,6 +54,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
+# a (points, 4, 4) complex stack, 256 bytes a point, must stay within the
+# byte count numpy can index; a smaller grid past memory is a MemoryError
+_MAX_POINTS = sys.maxsize // 256
 VERIFY_BATH_SIZES = (1, 2, 4, 6, 8, 10, 12)
 
 
@@ -86,6 +89,12 @@ class RunConfig:
             )
         if self.N < 1:
             raise InvalidParams(f"N must be >= 1, got {self.N}")
+        try:
+            float(self.N)  # the finite-N forms take sqrt(N)
+        except OverflowError as exc:
+            raise InvalidParams(f"N: {exc}") from None
+        if not 2 <= self.points <= _MAX_POINTS:
+            raise InvalidParams(f"points: must be 2 to {_MAX_POINTS}, got {self.points}")
 
     def temperatures(self) -> tuple[float, ...]:
         if self.T:
@@ -109,8 +118,6 @@ class RunConfig:
         return case_state(self.case)
 
     def time_grid(self) -> np.ndarray:
-        if self.points < 2:
-            raise InvalidParams(f"points must be >= 2, got {self.points}")
         # B(t) = A(2t) doubles the last time t-max / J0
         t_last = self.t_max / self.J0 if self.J0 > 0 else self.t_max
         if not (self.t_max > 0 and math.isfinite(2.0 * t_last)):
@@ -310,7 +317,7 @@ def cmd_concurrence(cfg: RunConfig) -> int:
     columns = {
         "t": times,
         "J0_t": cfg.J0 * times,
-        "C": concurrences(evolve_reduced(state, times, cfg.xi0, coef)),
+        "C": dephased_concurrences(state, times, cfg.xi0, coef),
         "abs_A": np.abs(coef[:, 0]),
         "abs_B": np.abs(coef[:, 1]),
     }
@@ -495,8 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text
         return exc.code
-    # OverflowError: N past the float range; MemoryError: points past the address space
-    except (IsingBathError, OSError, ValueError, OverflowError, MemoryError) as exc:
+    # MemoryError: a grid past the address space
+    except (IsingBathError, OSError, ValueError, MemoryError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

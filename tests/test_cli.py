@@ -991,13 +991,22 @@ def test_stdout_when_no_out(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # math.sqrt(N) of an integer past the float range
+    # an integer N past the float range, whose sqrt the finite-N forms take
     (["concurrence", "--mode", "finite", "--points", "3", "--N", str(10**309)],
      "int too large to convert to float"),
     (["coherence", "--points", "3", "--N", str(10**309)], "int too large to convert to float"),
     # a 7.11 PiB grid, past the 128 TiB of addresses Linux maps for a process,
     # so it is refused under any overcommit setting
     (["coherence", "--points", str(10**15)], "Unable to allocate"),
+    # RunConfig's bounds name the key, in either mode
+    (["concurrence", "--mode", "finite", "--points", "3", "--N", str(10**309)],
+     "isingbath: error: N: int too large to convert to float\n"),
+    (["concurrence", "--mode", "asymptotic", "--points", "3", "--N", str(10**309)],
+     "isingbath: error: N: int too large to convert to float\n"),
+    (["coherence", "--points", str(10**400)], "isingbath: error: points: must be 2 to "),
+    # numpy's linspace raised IndexError, a traceback, at 2**63 - 1 points
+    (["concurrence", "--points", str(2**63 - 1)],
+     f"isingbath: error: points: must be 2 to {cli._MAX_POINTS}, got {2**63 - 1}\n"),
 ])
 def test_a_request_past_the_float_or_address_range_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
@@ -1040,9 +1049,10 @@ def test_recorded_keys_that_move_no_column(tmp_path, command, key, values):
 # and junk texts, an integer past the float range, and lists
 _TEXTS = ["0", "-1", "5e-324", "1e-320", "1e308", "1e400", "nan", "inf", "-inf", "abc",
           str(10**400), "0.5,0.25", "1,0,0,1", "none"]
-# points past the address space fail at allocation; a larger grid that fits
-# in memory would really be built, so none is drawn
-_POINTS = ["2", "3", str(10**15)]
+# points past the address space fail at allocation, and past RunConfig's
+# bound before any work; a larger grid that fits in memory would really be
+# built, so none is drawn
+_POINTS = ["2", "3", str(10**15), str(2**63 - 1)]
 
 
 @st.composite

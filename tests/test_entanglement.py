@@ -11,7 +11,13 @@ from isingbath.dephasing import (
     dephasing_coeffs,
 )
 from isingbath.cli import RunConfig
-from isingbath.entanglement import _spin_flip_rows, _wootters_lambdas, concurrence, concurrences
+from isingbath.entanglement import (
+    _spin_flip_rows,
+    _wootters_lambdas,
+    concurrence,
+    concurrences,
+    dephased_concurrences,
+)
 from isingbath.errors import NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import _BRA, _KET, _LEVELS, _dense_factor
@@ -333,3 +339,76 @@ def test_case2_concurrence_tracks_b_where_b_vanishes():
     tiny = b < 1e-12
     assert tiny.sum() > 10
     assert np.abs(c - b)[tiny].max() <= 1e-15
+
+
+def curves(rng, count):
+    """(times, xi0, coef) of count random runs, alternating the two modes, with
+    N from 1e2 to 1e8 and J0 t up to 16."""
+    for k in range(count):
+        J = rng.uniform(1.0, 3.0)
+        bath = BathParams(J=J, w=rng.uniform(0.0, 0.3),
+                          T=rng.uniform(0.02, 0.98) * critical_temperature(J))
+        sys_p = SystemParams(J0=rng.uniform(0.5, 2.0), xi0=rng.uniform(0.0, 0.5))
+        times = np.linspace(0.0, 16.0, 65) / sys_p.J0
+        mode, kw = (MODE_FINITE, {"N": int(10 ** rng.uniform(2.0, 8.0))}) if k % 2 else (
+            MODE_ASYMPTOTIC, {})
+        yield times, sys_p.xi0, dephasing_coeffs(times, solve_order(bath), bath, sys_p,
+                                                 mode=mode, **kw)
+
+
+def random_state(rng, zeros=()):
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    z[list(zeros)] = 0.0
+    return PureState2Q.normalized(*z)
+
+
+def general_route(state, times, xi0, coef):
+    return concurrences(evolve_reduced(state, times, xi0, coef))
+
+
+def test_dephased_concurrences_match_the_general_route_where_a_pair_vanishes():
+    # p0 p3 = 0 or p1 p2 = 0: the case states, random states with one or two
+    # amplitudes zeroed (psi1 or psi2 alone zeroed leaves all three coupling
+    # levels occupied), and amplitudes whose populations underflow to 0
+    rng = np.random.default_rng(21)
+    states = [case_state(case) for case in (1, 2, 3)]
+    for zeros in ((0,), (3,), (1,), (2,), (0, 3), (1, 2)):
+        states += [random_state(rng, zeros) for _ in range(3)]
+    states += [PureState2Q.normalized(1.0, 1e-310, 1.0, 1.0),
+               PureState2Q.normalized(1e-170j, 1.0, 1.0, 0.5)]
+    for times, xi0, coef in curves(rng, 8):
+        for state in states:
+            got = dephased_concurrences(state, times, xi0, coef)
+            assert np.abs(got - general_route(state, times, xi0, coef)).max() <= 1e-12
+
+
+def test_dephased_concurrences_are_the_general_route_bit_for_bit_elsewhere():
+    rng = np.random.default_rng(22)
+    states = [case_state(4)] + [random_state(rng) for _ in range(6)]
+    for times, xi0, coef in curves(rng, 4):
+        for state in states:
+            np.testing.assert_array_equal(dephased_concurrences(state, times, xi0, coef),
+                                          general_route(state, times, xi0, coef))
+
+
+def test_case1_and_case2_closed_forms_to_one_ulp():
+    rng = np.random.default_rng(23)
+    one, two = case_state(1), case_state(2)
+    for times, xi0, coef in curves(rng, 4):
+        want = case1_concurrence(one.beta, one.gamma)
+        assert np.abs(dephased_concurrences(one, times, xi0, coef) - want).max() <= np.spacing(want)
+        want = case2_concurrence(two.alpha, two.delta, coef)
+        got = dephased_concurrences(two, times, xi0, coef)
+        assert (np.abs(got - want) <= np.spacing(want)).all()
+
+
+def test_a_multiplier_negative_on_three_occupied_levels_is_refused_on_both_paths():
+    # A = D = 1, B = -1: the level multiplier has eigenvalues 2, 2 and -1
+    times = np.array([0.0, 0.5, 1.0])
+    coef = np.tile([1.0 + 0j, -1.0, 1.0], (3, 1))
+    three_levels = PureState2Q.normalized(1.0, 1.0, 0.0, 1.0)
+    for run in (dephased_concurrences, general_route):
+        with pytest.raises(NotADensityMatrix):
+            run(three_levels, times, 0.3, coef)
+        # on |00> and |11> alone the same coefficients give a valid Bell state
+        np.testing.assert_allclose(run(case_state(2), times, 0.3, coef), 1.0, rtol=0, atol=1e-15)
