@@ -55,7 +55,8 @@ EXIT_BAD_INPUT = 2
 
 FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
 # a (points, 4, 4) complex stack, 256 bytes a point, must stay within the
-# byte count numpy can index; a smaller grid past memory is a MemoryError
+# byte count numpy can index; time_grid names points where a smaller grid
+# does not fit in memory
 _MAX_POINTS = sys.maxsize // 256
 VERIFY_BATH_SIZES = (1, 2, 4, 6, 8, 10, 12)
 
@@ -125,7 +126,10 @@ class RunConfig:
                 f"t-max must be > 0 with 2 t-max / J0 finite, "
                 f"got t-max = {self.t_max!r}, J0 = {self.J0!r}"
             )
-        scaled = np.linspace(0.0, self.t_max, self.points)
+        try:
+            scaled = np.linspace(0.0, self.t_max, self.points)
+        except MemoryError as exc:
+            raise InvalidParams(f"points: {exc}") from None
         return scaled / self.J0 if self.J0 > 0 else scaled
 
     def key_values(self) -> dict[str, str]:
@@ -502,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text
         return exc.code
-    # MemoryError: a grid past the address space
+    # MemoryError: a time grid that fits and a (points, 4, 4) stack that does not
     except (IsingBathError, OSError, ValueError, MemoryError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -14,9 +14,9 @@ residue.  A whole time curve is one (T, 4, 4) stack.  The test suite
 cross-checks the spectrum against a generic nonsymmetric eigensolver
 applied to R.
 
-A dephased pure state needs neither decomposition when one amplitude pair
-vanishes: dephased_concurrences takes the paper's closed forms there,
-C = 2|psi1 psi2| at every time, or C = 2|psi0 psi3| |B(t)|.
+A dephased pure state needs neither decomposition when it occupies at
+most two coupling levels: dephased_concurrences takes the paper's closed
+forms there, C = 2|psi1 psi2| at every time, or C = 2|psi0 psi3| |B(t)|.
 """
 
 from __future__ import annotations
@@ -82,39 +82,31 @@ def dephased_concurrences(
     """Concurrence of evolve_reduced(state, t, xi0, coef) at every time, after
     validate_density.
 
-    Where the populations p_i = |psi_i|^2 give p0 p3 = 0 or p1 p2 = 0, the
-    paper's closed forms replace the eigendecomposition and the SVD:
+    Where the populations p_i = |psi_i|^2 occupy at most two coupling levels
+    (p0 p3 = 0 or p1 + p2 = 0), the paper's closed forms replace the
+    eigendecomposition and the SVD:
     - M's |01> and |10> rows are equal, so M = E M3 E^T, E the 4x3 map of
       basis states to coupling levels.  For any factor M3 = L L^dag of the
       3x3 level multiplier, W = diag(psi) E L is a factor of rho, and
       Wootters' tau = L^T K L, K = E^T diag(psi) (sy x sy) diag(psi) E.
-    - K holds only -psi0 psi3 (levels 0, 2) and 2 psi1 psi2 (level 1).  When
-      one is 0, tau has rank at most 2, and L's unit rows give its singular
-      values: |2 psi1 psi2|, or |psi0 psi3| (1 +- |B|), B being the product
-      of rows 0 and 2.  So C = 2 sqrt(p1 p2) at every time, or 2 sqrt(p0 p3) |B|.
-    L exists where M3 is positive semidefinite on the occupied levels: on
-    two, evolve_reduced's |coef| <= 1 gives it; on all three, a level
-    determinant below the eigh route's roundoff floor is NotADensityMatrix.
-    Populations, not amplitude products, so that a weight whose square
-    underflows reads as absent.  Every other state takes concurrences(rhos).
+    - K holds only -psi0 psi3 (levels 0, 2) and 2 psi1 psi2 (level 1), and
+      on two levels one of them is 0.  tau then has rank at most 2, and L's
+      unit rows give its singular values: |2 psi1 psi2|, or
+      |psi0 psi3| (1 +- |B|), B being the product of rows 0 and 2.  So
+      C = 2 sqrt(p1 p2) at every time, or 2 sqrt(p0 p3) |B|.
+    On two levels L exists by evolve_reduced's |coef| <= 1.  Populations,
+    not amplitude products, so that a weight whose square underflows reads
+    as absent.  Every other state, three occupied levels included, takes
+    concurrences(rhos), whose eigh refuses a matrix that is not positive.
     """
     rhos = evolve_reduced(state, t, xi0, coef)
     p0, p1, p2, p3 = (np.abs(state.amplitudes()) ** 2).tolist()
-    if p0 * p3 and p1 * p2:
+    if p0 * p3 and p1 + p2:
         return concurrences(rhos)
     validate_density(rhos)
-    if not p0 * p3:
-        return np.full(np.shape(t), min(2.0 * math.sqrt(p1 * p2), 1.0))
-    coef = np.asarray(coef)
-    if p1 + p2:
-        A, B, D = np.moveaxis(coef, -1, 0)
-        det = (1.0 - np.abs(A) ** 2 - np.abs(B) ** 2 - np.abs(D) ** 2
-               + 2.0 * (A * D * B.conj()).real)
-        if (lowest := det.min(initial=0.0)) < _PSD_CLAMP:
-            raise NotADensityMatrix(
-                f"level multiplier determinant {lowest:.3g} negative beyond roundoff tolerance"
-            )
-    return np.clip(2.0 * math.sqrt(p0 * p3) * np.abs(coef[..., 1]), 0.0, 1.0)
+    # one of the two terms is exactly 0.0, and adding it rounds nothing
+    abs_b = np.abs(np.asarray(coef)[..., 1])
+    return np.clip(2.0 * math.sqrt(p1 * p2) + 2.0 * math.sqrt(p0 * p3) * abs_b, 0.0, 1.0)
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceValue:

@@ -119,13 +119,13 @@ def evolve_reduced(
     matrix for a scalar t, a (T, 4, 4) stack for a 1-D t.
 
     coef holds A, B and D on its last axis, shaped t.shape + (3,); another
-    shape, or a magnitude above 1 beyond rounding, is InvalidParams.
+    shape, or a magnitude above 1 beyond rounding or nan, is InvalidParams.
     """
     t = np.asarray(t, dtype=float)
     coef = np.asarray(coef)
     if coef.shape != t.shape + (3,):
         raise InvalidParams(f"coefficients of shape {coef.shape} for times {t.shape}")
-    if (worst := np.abs(coef).max(initial=0.0)) > 1.0 + 1e-12:
+    if not (worst := np.abs(coef).max(initial=0.0)) <= 1.0 + 1e-12:  # a nan fails too
         raise InvalidParams(f"max |A|, |B|, |D| = {worst} exceeds 1 beyond tolerance")
     return state.density() * multiplier(t, xi0, coef)
 

@@ -996,8 +996,9 @@ def test_stdout_when_no_out(capsys):
      "int too large to convert to float"),
     (["coherence", "--points", "3", "--N", str(10**309)], "int too large to convert to float"),
     # a 7.11 PiB grid, past the 128 TiB of addresses Linux maps for a process,
-    # so it is refused under any overcommit setting
-    (["coherence", "--points", str(10**15)], "Unable to allocate"),
+    # so it is refused under any overcommit setting; time_grid names the key
+    (["coherence", "--points", str(10**15)],
+     "isingbath: error: points: Unable to allocate 7.11 PiB"),
     # RunConfig's bounds name the key, in either mode
     (["concurrence", "--mode", "finite", "--points", "3", "--N", str(10**309)],
      "isingbath: error: N: int too large to convert to float\n"),

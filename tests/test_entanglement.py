@@ -10,6 +10,7 @@ from isingbath.dephasing import (
     coherence_magnitude_asymptotic,
     dephasing_coeffs,
 )
+from isingbath import entanglement
 from isingbath.cli import RunConfig
 from isingbath.entanglement import (
     _spin_flip_rows,
@@ -366,20 +367,58 @@ def general_route(state, times, xi0, coef):
     return concurrences(evolve_reduced(state, times, xi0, coef))
 
 
-def test_dephased_concurrences_match_the_general_route_where_a_pair_vanishes():
-    # p0 p3 = 0 or p1 p2 = 0: the case states, random states with one or two
-    # amplitudes zeroed (psi1 or psi2 alone zeroed leaves all three coupling
-    # levels occupied), and amplitudes whose populations underflow to 0
-    rng = np.random.default_rng(21)
+def two_level_states(rng):
+    """States on at most two coupling levels (p0 p3 = 0 or p1 + p2 = 0): the
+    case states 1-3, random states with psi0, psi3 or both of psi1, psi2
+    zeroed, and amplitudes whose populations underflow to 0."""
     states = [case_state(case) for case in (1, 2, 3)]
-    for zeros in ((0,), (3,), (1,), (2,), (0, 3), (1, 2)):
+    for zeros in ((0,), (3,), (0, 3), (1, 2)):
         states += [random_state(rng, zeros) for _ in range(3)]
-    states += [PureState2Q.normalized(1.0, 1e-310, 1.0, 1.0),
-               PureState2Q.normalized(1e-170j, 1.0, 1.0, 0.5)]
+    return states + [PureState2Q.normalized(1e-170j, 1.0, 1.0, 0.5),
+                     PureState2Q.normalized(1.0, 1e-310, 1e-310j, 1.0)]
+
+
+def three_level_states(rng):
+    """States with p0 p3 > 0 and exactly one of psi1, psi2 zero: all three
+    coupling levels occupied, and C = 2 sqrt(p0 p3) |B| nonetheless."""
+    states = [random_state(rng, zeros) for zeros in ((1,), (2,)) for _ in range(3)]
+    return states + [PureState2Q.normalized(1.0, 1.0, 0.0, 1.0),
+                     PureState2Q.normalized(1.0, 1e-310, 1.0, 1.0)]
+
+
+def test_dephased_concurrences_match_the_general_route_where_a_pair_vanishes():
+    # on two levels the closed form matches the general route; on three the
+    # general route, which dephased_concurrences takes there, is held to the
+    # paper's 2 sqrt(p0 p3) |B|
+    rng = np.random.default_rng(21)
+    two, three = two_level_states(rng), three_level_states(rng)
     for times, xi0, coef in curves(rng, 8):
-        for state in states:
+        for state in two:
             got = dephased_concurrences(state, times, xi0, coef)
             assert np.abs(got - general_route(state, times, xi0, coef)).max() <= 1e-12
+        for state in three:
+            p = np.abs(state.amplitudes()) ** 2
+            want = 2.0 * np.sqrt(p[0] * p[3]) * np.abs(coef[:, 1])
+            assert np.abs(dephased_concurrences(state, times, xi0, coef) - want).max() <= 1e-14
+
+
+def test_the_general_route_runs_exactly_where_three_levels_are_occupied(monkeypatch):
+    calls = []
+
+    def spy(rhos):
+        calls.append(len(rhos))
+        return concurrences(rhos)
+
+    monkeypatch.setattr(entanglement, "concurrences", spy)
+    rng = np.random.default_rng(24)
+    times, xi0, coef = next(curves(rng, 1))
+    for state in two_level_states(rng):
+        dephased_concurrences(state, times, xi0, coef)
+    assert calls == []
+    more = three_level_states(rng) + [case_state(4)] + [random_state(rng) for _ in range(4)]
+    for state in more:
+        dephased_concurrences(state, times, xi0, coef)
+    assert calls == [len(times)] * len(more)
 
 
 def test_dephased_concurrences_are_the_general_route_bit_for_bit_elsewhere():
@@ -403,7 +442,8 @@ def test_case1_and_case2_closed_forms_to_one_ulp():
 
 
 def test_a_multiplier_negative_on_three_occupied_levels_is_refused_on_both_paths():
-    # A = D = 1, B = -1: the level multiplier has eigenvalues 2, 2 and -1
+    # A = D = 1, B = -1: the level multiplier has eigenvalues 2, 2 and -1.  Three
+    # occupied levels take the general route, so both paths meet its one eigh refusal
     times = np.array([0.0, 0.5, 1.0])
     coef = np.tile([1.0 + 0j, -1.0, 1.0], (3, 1))
     three_levels = PureState2Q.normalized(1.0, 1.0, 0.0, 1.0)

@@ -310,13 +310,15 @@ def test_case_state_validation():
 
 
 def test_evolve_rejects_oversized_coefficients():
-    # |x| = 1 + 1e-6 in any of A, B and D, for a scalar and a 1-D time
+    # |x| = 1 + 1e-6 or nan in any of A, B and D, for a scalar and a 1-D time:
+    # on two occupied coupling levels this bound is the whole positivity check
     for column in range(3):
         for t in (1.0, np.array([0.0, 1.0])):
-            coef = np.ones(np.shape(t) + (3,), dtype=complex)
-            coef[..., column] = (1.0 + 1e-6) * np.exp(0.3j)
-            with pytest.raises(InvalidParams, match="exceeds 1"):
-                evolve_reduced(case_state(2), t, 0.0, coef)
+            for bad in ((1.0 + 1e-6) * np.exp(0.3j), np.nan, complex(0.5, np.nan)):
+                coef = np.ones(np.shape(t) + (3,), dtype=complex)
+                coef[..., column] = bad
+                with pytest.raises(InvalidParams, match="exceeds 1"):
+                    evolve_reduced(case_state(2), t, 0.0, coef)
         # rounding above 1 passes
         coef = np.ones(3)
         coef[column] = 1.0 + 1e-13
