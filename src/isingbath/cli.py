@@ -28,7 +28,8 @@ from .dephasing import (
     coherence_time,
     dephasing_coeffs,
 )
-# concurrence is re-exported: existing callers reach it as isingbath.cli.concurrence
+# concurrence is re-exported for the bench alone (bench/layers.py traces it by this
+# name, bench/tests/test_bench.py asserts the identity); ROADMAP item 10 removes it
 from .entanglement import concurrence, dephased_concurrences  # noqa: F401
 from .errors import IsingBathError, InvalidParams
 from .mean_field import (

@@ -281,8 +281,9 @@ def test_size_guards():
         simulate_exact(cfg, method="dense")
     with pytest.raises(ConfigTooLarge, match=r"^bath size 13 exceeds MAX_BATH_SIZE = 12$"):
         single_qubit_coherence_exact(13, BATH_TIM, SYS, TIMES, method="dense")
-    for run in (simulate_exact, extract_products, reconstruct_reduced):
-        assert np.isfinite(run(cfg)).all()
+    for big in (cfg, make_cfg(10**6, BATH_TIM)):
+        for run in (simulate_exact, extract_products, reconstruct_reduced):
+            assert np.isfinite(run(big)).all()
     assert np.isfinite(single_qubit_coherence_exact(1000, BATH_TIM, SYS, TIMES)).all()
     with pytest.raises(InvalidParams):
         make_cfg(0, BATH_TIM)
@@ -607,12 +608,11 @@ def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
 @pytest.mark.parametrize("w", [0.0, 0.2])
 def test_dense_matches_factorized_at_the_guard_size(w, t_over_tc):
     # N = 12 is 49 collective states; deep in the ordered phase, next to
-    # Tc and in the disordered phase
+    # Tc and in the disordered phase; every row of ROUTES through both entry points
     bath = BathParams(J=2.0, w=w, T=t_over_tc * critical_temperature(2.0))
     cfg = make_cfg(12, bath, state=random_state(12), times=(0.0, *TIMES, 7.5))
-    dense = simulate_exact(cfg, method="dense")
-    assert np.abs(dense - simulate_exact(cfg)).max() <= 1e-12
-    sq = [single_qubit_coherence_exact(12, bath, SYS, cfg.times, method=m)
-          for m in ("dense", "trace")]
-    assert np.abs(sq[0] - sq[1]).max() <= 1e-12
+    for run in (lambda m: simulate_exact(cfg, method=m),
+                lambda m: single_qubit_coherence_exact(12, bath, SYS, cfg.times, method=m)):
+        ref, *rest = map(run, ROUTES)
+        assert len(rest) == 2 and all(np.abs(x - ref).max() <= 1e-12 for x in rest)
 
