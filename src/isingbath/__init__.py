@@ -2,46 +2,14 @@
 
 Closed-form coherence and concurrence dynamics below the bath's ordering
 transition, an exact small-bath brute-force simulator to validate them,
-and a CLI for parameter sweeps and figure reproduction.
+and a CLI for parameter sweeps and figure reproduction.  Import each name
+from its module.
 """
 
-from .dephasing import (
-    MODE_ASYMPTOTIC,
-    MODE_FINITE,
-    SystemParams,
-    coherence_factor_finite,
-    coherence_magnitude_asymptotic,
-    coherence_time,
-    dephasing_coeffs,
-)
-from .entanglement import ConcurrenceValue, concurrence, concurrences
-from .errors import (
-    ConfigTooLarge,
-    InvalidParams,
-    InvalidState,
-    IsingBathError,
-    NoConvergence,
-    NotADensityMatrix,
-)
-from .mean_field import (
-    PHASE_DISORDERED,
-    PHASE_ORDERED,
-    BathParams,
-    OrderSolution,
-    critical_temperature,
-    is_ordered,
-    solve_order,
-    solve_order_grid,
-)
-from .oracle import (
-    MAX_BATH_SIZE,
-    OracleConfig,
-    extract_products,
-    reconstruct_reduced,
-    simulate_exact,
-    single_qubit_coherence_exact,
-)
-from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
-from .two_qubit import PureState2Q, case_state, evolve_reduced, multiplier, validate_density
+from . import dephasing, entanglement, errors, mean_field, oracle, su2, two_qubit
+
+# bench/tests/test_bench.py reads these two as isingbath.BathParams and isingbath.SystemParams
+from .dephasing import SystemParams
+from .mean_field import BathParams
 
 __version__ = "0.1.0"

@@ -30,7 +30,8 @@ reconstruct_reduced is simulate_exact's trace row.  Time is the first axis
 of every result.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
-and so does a finite time at which a field, a trace or a phase overflows.
+and so does a time at which a per-spin bath phase reaches 2**52 (see
+_fields), or at which a trace or the free phase overflows.
 
 extract_products returns the trace row's coefficients as their three
 conjugate products (A*, B*, D*).  The one-excitation coefficient is not
@@ -84,16 +85,23 @@ class OracleConfig:
         object.__setattr__(self, "times", tuple(_checked_times(self.N, self.times).tolist()))
 
 
-def _fields(bath: BathParams, N: int, J0: float, lam) -> tuple[float, np.ndarray]:
+def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[float, np.ndarray]:
     """h0 = 2 m J at bath's self-consistent m, and h0 + (J0/sqrt(N)) lam: the z
-    field on each bath spin while the qubits have coupling eigenvalue(s) lam."""
+    field on each bath spin while the qubits have coupling eigenvalue(s) lam.
+
+    InvalidParams at the first time t where the per-spin bath phase
+    |t| hypot(w, max|h|)/2 is not below 2**52, whose rounding is a radian.
+    Given a time, that holds every field finite and the dense route's |E t|
+    below N 2**53.
+    """
     h0 = 2.0 * solve_order(bath).m * bath.J
-    c, lam = J0 / math.sqrt(N), np.asarray(lam)
-    # h0, J0 >= 0 and |lam| <= 1: the top level's field is the largest, and
-    # a Python float overflows to inf without numpy's warning
-    if math.isinf(h0 + c * float(lam.max())):
-        raise InvalidParams("non-finite coefficients: bath field h0 + J0 lam/sqrt(N) overflows")
-    return h0, h0 + c * lam
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed field fails the bound
+        h = h0 + J0 / math.sqrt(N) * np.asarray(lam)
+        phase = 0.5 * np.abs(t) * math.hypot(bath.w, float(np.abs(h).max()))
+    if not (ok := phase < 2.0**52).all():
+        raise InvalidParams(f"bath phase |t| hypot(w, h)/2 = {phase[~ok][0]:.3g}"
+                            f" is not below 2**52 at t={t[~ok][0]}")
+    return h0, h
 
 
 def _distinct(bra, ket, *extra):
@@ -112,10 +120,9 @@ def _factorized_factor(bath, J0, N, t, bra, ket):
     state (su2.single_spin_gibbs).  O(1) in N.
     """
     levels, a, b = _distinct(bra, ket)
-    h0, nu = _fields(bath, N, J0, levels)
+    h0, nu = _fields(bath, N, J0, t, levels)
     g = single_spin_gibbs(bath.w, h0, bath.T)
-    with np.errstate(over="ignore"):  # TracelessXZ rejects an overflowed field
-        fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
+    fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
     # (L, T, 2, 2): the per-spin bath propagator conditioned on each level
     props = exp_imag(fields)
     return np.einsum("itab,bc,itac->ti", props[a], g, props[b].conj()) ** N
@@ -166,10 +173,8 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     x_b, z_b, mult = _collective_spin(N)
     # level 0 is H_B itself, whose eigendecomposition gives rho_B
     levels, bra_at, ket_at = _distinct(bra, ket, 0.0)
-    _, fields = _fields(bath, N, J0, levels)
+    _, fields = _fields(bath, N, J0, t, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
-    with np.errstate(over="ignore"):
-        finite_by_time(np.abs(evals).max() * t, t, "eigenphase E t")
     zero = levels.searchsorted(0.0)
     e_b, v_b = evals[zero], evecs[zero]
     # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
@@ -190,14 +195,15 @@ def _trace_power(bath, J0, N, t, bra, ket):
     level a, I2 that of level b, and exp(R) is the unnormalized per-spin
     Gibbs weight, which trace_triple normalizes.  O(1) in N.
     """
-    h0, (left, right) = _fields(bath, N, J0, [bra, ket])
+    h0, (left, right) = _fields(bath, N, J0, t, [bra, ket])
     a, b = bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T)
     for name, x in (("w/(2T)", a), ("2mJ/(2T)", b)):
         if math.isinf(x):
             raise InvalidParams(f"non-finite coefficients: per-spin Gibbs field {name} overflows")
     r = TracelessXZ(a=a, b=b)
     t = t[:, None]
-    # TracelessXZ rejects an overflowed field; |trace| <= 1, so a non-finite one overflowed
+    # _fields' bound keeps I1 and I2 finite; |trace| <= 1, so a non-finite one
+    # overflowed against a huge Gibbs field
     with np.errstate(over="ignore", invalid="ignore"):
         i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
         i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right)

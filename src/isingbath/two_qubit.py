@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,26 +50,19 @@ class PureState2Q:
     @classmethod
     def normalized(cls, alpha, beta, gamma, delta) -> "PureState2Q":
         """Build a state from unnormalized amplitudes of any finite scale."""
-        amps = (alpha, beta, gamma, delta)
-        try:
-            mags = [abs(complex(a)) for a in amps]
-        except OverflowError:  # |a| past the float range: first take every part below 1
-            top = max(max(abs(z.real), abs(z.imag)) for z in map(complex, amps))
-            return cls.normalized(*(a * 2.0 ** -math.frexp(top)[1] for a in amps))
-        try:
-            norm2 = sum(x**2 for x in mags)
-        except OverflowError:
-            norm2 = math.inf
-        if not sys.float_info.min <= norm2 < math.inf and 0.0 < max(mags) < math.inf:
-            # an exact power-of-two rescale brings the largest magnitude near 1,
-            # so its square neither overflows nor underflows
-            scale = 2.0 ** min(-math.frexp(max(mags))[1], 1023)
-            amps = tuple(a * scale for a in amps)
-            norm2 = sum((x * scale) ** 2 for x in mags)
-        if norm2 == 0.0:
+        amps = [complex(a) for a in (alpha, beta, gamma, delta)]
+        if not all(map(cmath.isfinite, amps)):
+            raise InvalidState("non-finite amplitude")
+        top = max(max(abs(z.real), abs(z.imag)) for z in amps)
+        if top == 0.0:
             raise InvalidState("cannot normalize the zero vector")
-        norm = math.sqrt(norm2)
-        return cls(*(a / norm for a in amps))
+        # far from 1, an exact power-of-two rescale brings the largest part near 1,
+        # so that no |z|^2 overflows or underflows; ldexp by 0 is the identity
+        e = math.frexp(top)[1]
+        e = e if abs(e) > 500 else 0
+        amps = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in amps]
+        norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
+        return cls(*(z / norm for z in amps))
 
     def amplitudes(self) -> np.ndarray:
         return np.array(

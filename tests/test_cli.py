@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -47,6 +49,18 @@ def floats(data, col):
 def abs_r(data):
     """|r| of a coherence CSV, from its re_r and im_r cells."""
     return np.abs(floats(data, "re_r") + 1j * floats(data, "im_r"))
+
+
+def test_import_isingbath_binds_seven_modules_two_params_and_no_cli():
+    # each name is imported from its module; bench/run.py's setup_s times this import
+    code = ("import sys, isingbath; print(sorted(n for n in vars(isingbath) if n[0] != '_'),"
+            " '__version__' in vars(isingbath), 'isingbath.cli' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("['BathParams', 'SystemParams', 'dephasing', 'entanglement', 'errors',"
+                           " 'mean_field', 'oracle', 'su2', 'two_qubit'] True False\n")
 
 
 def test_phase_sweep(tmp_path):
@@ -857,13 +871,13 @@ def test_an_overflowing_qubit_coupling_phase_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--J0", "bath trace overflows at t=0.15"),
-    ("--w", "bath trace overflows at t=0.15"),
+    ("--J0", "bath phase |t| hypot(w, h)/2 = 7.5e+306 is not below 2**52 at t=0.15"),
+    ("--w", "bath phase |t| hypot(w, h)/2 = 7.5e+306 is not below 2**52 at t=0.15"),
     ("--mu0", "mu0 t overflows at t=2.07857"),
 ])
 def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
-    # the per-spin bath trace, or the single-qubit free phase mu0 t, overflows
-    # within verify's time grid: one line, no RuntimeWarning
+    # the bath phase passes 2**52, or the single-qubit free phase mu0 t
+    # overflows, within verify's time grid: one line, no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["verify", "--N-max", "2", flag, "1e308"]) == EXIT_BAD_INPUT
@@ -874,15 +888,20 @@ def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
 
 def test_a_gibbs_field_past_the_float_range_exits_2_without_a_warning(capsys):
     # w/(2T) overflows: the factorized route takes the per-spin Gibbs state's
-    # T -> 0 projector, and the trace route rejects the field in one line naming it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["verify", "--N-max", "2", "--J", "1e-300", "--w", "1e300"]) == EXIT_BAD_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "isingbath: error: non-finite coefficients: per-spin Gibbs field w/(2T) overflows\n"
-    )
+    # T -> 0 projector, and the trace route rejects the field in one line naming
+    # it; at w = 1e300 the bath phase passes 2**52 first
+    for argv, message in [
+        (["--w", "1e10", "--T-over-Tc", "1e-300"],
+         "non-finite coefficients: per-spin Gibbs field w/(2T) overflows"),
+        (["--J", "1e-300", "--w", "1e300"],
+         "bath phase |t| hypot(w, h)/2 = 7.5e+298 is not below 2**52 at t=0.15"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--N-max", "2", *argv]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"isingbath: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -966,22 +985,14 @@ def _assert_scale_free_run(out, capsys):
     ["phase", "--J", "1e308", "--T", "1,2"],
     ["coherence", "--J", "1e155", "--T-over-Tc", "0.5"],
     ["coherence", "--J", "1e300", "--w", "0", "--points", "3"],
+    ["phase", "--J", "1e-162", "--w", "0", "--T-over-Tc", "0.5"],
+    ["coherence", "--J", "1e-162", "--w", "0", "--T-over-Tc", "0.5"],
 ])
-def test_overflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, argv):
-    # named for the exit 2 it asserted while m was formed from Theta^2,
-    # which overflowed here; m and the rate are ratios to J now
+def test_a_bath_scale_whose_square_leaves_the_float_range_runs_as_J_1(tmp_path, capsys, argv):
+    # m and the rate are formed from ratios to J, so Theta^2 never overflows
+    # or underflows
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
-    _assert_scale_free_run(out, capsys)
-
-
-@pytest.mark.parametrize("command", ["phase", "coherence"])
-def test_underflowing_bath_scale_exits_2_naming_J(tmp_path, capsys, command):
-    # named for the exit 2 it asserted while m was formed from Theta^2,
-    # which underflowed to 0 here: m read 0.0 as ordered, and |r| = 1
-    out = tmp_path / "o.csv"
-    argv = [command, "--J", "1e-162", "--w", "0", "--T-over-Tc", "0.5", "--out", str(out)]
-    assert main(argv) == EXIT_OK
     _assert_scale_free_run(out, capsys)
 
 
@@ -1053,10 +1064,11 @@ def test_stdout_when_no_out(capsys):
     # numpy's linspace raised IndexError, a traceback, at 2**63 - 1 points
     (["concurrence", "--points", str(2**63 - 1)],
      f"isingbath: error: points: must be 2 to {cli._MAX_POINTS}, got {2**63 - 1}\n"),
-    # coherence runs at this bath scale (test_overflowing_bath_scale_exits_2_naming_J);
-    # the exact oracle's per-spin trace does not
+    # coherence runs at this bath scale
+    # (test_a_bath_scale_whose_square_leaves_the_float_range_runs_as_J_1);
+    # the exact oracle's bath phase passes 2**52
     (["verify", "--J", "1e300", "--w", "0", "--N-max", "2"],
-     "isingbath: error: non-finite coefficients: per-spin bath trace overflows at t=0.15\n"),
+     "isingbath: error: bath phase |t| hypot(w, h)/2 = 7.18e+298 is not below 2**52 at t=0.15\n"),
 ])
 def test_a_request_past_the_float_or_address_range_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
@@ -1095,9 +1107,10 @@ def test_recorded_keys_that_move_no_column(tmp_path, command, key, values):
         assert f" {key}={values[0]} " in a and f" {key}={values[1]} " in b
 
 
-# the property test's text pool: the edges of the float range, non-finite
-# and junk texts, an integer past the float range, and lists
-_TEXTS = ["0", "-1", "5e-324", "1e-320", "1e308", "1e400", "nan", "inf", "-inf", "abc",
+# the property test's text pool: the edges of the float range, a coupling
+# whose bath phase passes 2**52 (3e153), non-finite and junk texts, an
+# integer past the float range, and lists
+_TEXTS = ["0", "-1", "5e-324", "1e-320", "3e153", "1e308", "1e400", "nan", "inf", "-inf", "abc",
           str(10**400), "0.5,0.25", "1,0,0,1", "none"]
 # points past the address space fail at allocation, and past RunConfig's
 # bound before any work; a larger grid that fits in memory would really be
@@ -1132,15 +1145,14 @@ def _command_lines(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_command_lines())
 def test_every_command_line_ends_in_a_result_or_one_line(tmp_path_factory, capsys, argv):
-    # exit 0 with clean CSVs, or exit 2 with one stderr line; verify may also
-    # report a failed check (exit 1).  No traceback and no RuntimeWarning.
+    # exit 0 with clean CSVs, or exit 2 with one stderr line; no verify check
+    # fails (exit 1).  No traceback and no RuntimeWarning.
     outdir = tmp_path_factory.mktemp("run")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(argv + ["--out", str(outdir / "o.csv")])
     captured = capsys.readouterr()
-    assert code in ((EXIT_OK, EXIT_BAD_INPUT, EXIT_VERIFY_FAILED) if argv[0] == "verify"
-                    else (EXIT_OK, EXIT_BAD_INPUT)), captured.err
+    assert code in (EXIT_OK, EXIT_BAD_INPUT), captured.err
     assert "Traceback" not in captured.err
     if code == EXIT_BAD_INPUT:
         assert captured.err.count("\n") == 1 and captured.err.startswith("isingbath: error: ")

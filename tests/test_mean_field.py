@@ -365,10 +365,8 @@ def test_tiny_J_keeps_the_scale_free_order_parameter():
 
 
 @pytest.mark.parametrize("J", [1e-160, 1e-162, 1e-300])
-def test_underflowing_theta_squared_names_J(J):
-    # named for the error it raised while m was formed from Theta^2, which
-    # is subnormal or 0 here: m read 0.4787969 at J = 1e-160 and 0.0
-    # (ordered) at J = 1e-162, against 0.4787520 at J = 1
+def test_a_J_whose_theta_squared_underflows_orders_as_J_1(J):
+    # Theta^2 is subnormal or 0 here; m is formed from ratios to J
     sol = solve_order(BathParams(J=J, w=0.0, T=0.25 * J))
     ref = solve_order(BathParams(J=1.0, w=0.0, T=0.25))
     assert sol.ordered and sol.m == pytest.approx(ref.m, rel=_m_precision(1.0, 0.0, 0.25), abs=0)

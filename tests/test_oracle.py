@@ -335,21 +335,22 @@ def test_non_finite_time_is_one_error_on_every_route(route, bad):
 
 @pytest.mark.parametrize("route", list(_route_calls()))
 def test_field_overflow_at_a_finite_time_is_invalid_params(route):
-    # 0.5 t (2 m J), and on the dense routes the eigenphase E t, overflow at
-    # t = 1e308 with J = 10; no RuntimeWarning
+    # the bath phase |t| hypot(w, 2 m J)/2 overflows at t = 1e308 with J = 10;
+    # no RuntimeWarning
     bath = BathParams(J=10.0, w=0.1, T=1.0)
-    with pytest.raises(InvalidParams, match="non-finite coefficients"):
+    with pytest.raises(InvalidParams, match=r"^bath phase .* = inf is not below .* at t=1e\+308$"):
         _route_calls(bath=bath)[route]((1e308,))
 
 
 @pytest.mark.parametrize("route", list(_route_calls()))
 def test_conditioned_field_overflow_is_invalid_params(route):
     # h0 = 2 m J ~ 1.5e308 and J0/sqrt(N) = 1e308 are finite, but the field
-    # h0 + (J0/sqrt(N)) lam of a coupling level is not; no RuntimeWarning
+    # h0 + (J0/sqrt(N)) lam of a coupling level is not, so neither is the bath
+    # phase, even at t = 0; no RuntimeWarning
     bath, sys_p = BathParams(J=1.5e308, w=0.1, T=1e307), SystemParams(J0=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidParams, match="bath field h0 .* overflows"):
+        with pytest.raises(InvalidParams, match=r"^bath phase .* = nan is not below .* at t=0\.0$"):
             _route_calls(n=1, bath=bath, sys_p=sys_p)[route]((0.0, 1.0))
 
 
@@ -392,8 +393,8 @@ def test_qubit_phase_overflow_at_a_finite_time_is_invalid_params(route):
     ("single_qubit", SystemParams(J0=1.0, mu0=1e308), BATH_TIM),
 ])
 def test_trace_or_free_phase_overflow_names_the_first_bad_time(route, sys_p, bath):
-    # each field is finite, but a product of two in the per-spin trace
-    # overflows at t = 2.4 and not at t = 0; so does mu0 t
+    # each field is finite, but the bath phase |t| hypot(w, h)/2 passes 2**52
+    # at t = 2.4 and not at t = 0; mu0 t overflows there
     times = (0.0, 2.4)
     cfg = make_cfg(2, bath, times=times, sys_p=sys_p)
     call = {
@@ -403,7 +404,7 @@ def test_trace_or_free_phase_overflow_names_the_first_bad_time(route, sys_p, bat
     }[route]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidParams, match=r"^non-finite coefficients: .* at t=2\.4$"):
+        with pytest.raises(InvalidParams, match=r"^(bath|non-finite .* free) phase .* at t=2\.4$"):
             call()
 
 

@@ -290,6 +290,15 @@ def test_normalized_at_any_finite_scale(scale):
     np.testing.assert_allclose(got, unit, rtol=1e-15)
 
 
+def test_subnormal_amplitudes_normalize_as_at_normal_scale():
+    # abs() of a subnormal amplitude rounds to the subnormal grid; the parts
+    # are rescaled by a power of two before any modulus is taken
+    amps = [1.84806129634e-313 - 1.670805567246e-312j, 1.3466419847e-313 - 3.27182143464e-313j,
+            2.7746559498e-313 - 8.0449556044e-313j, -8.17642851865e-313 - 6.3124390262e-313j]
+    want = PureState2Q.normalized(*(a * 2.0**1000 for a in amps)).amplitudes()
+    assert PureState2Q.normalized(*amps).amplitudes().tolist() == want.tolist()
+
+
 def test_amplitudes_whose_modulus_overflows():
     # abs() of each amplitude overflows; the state takes an exact power-of-two
     # rescale by its largest part first, and a direct construction is invalid
