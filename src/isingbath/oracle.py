@@ -15,7 +15,7 @@ level pair over the whole time list t, shaped (T, P):
 * "factorized": explicit per-spin propagators from su2.exp_imag, one per
   distinct level, traced against g in one einsum; the reference.
 * "trace": the same traces through the closed-form triple-trace identity
-  (su2.trace_triple).
+  (su2.trace_triple) against g's traceless part (su2.gibbs_part).
 * "dense": the whole bath in its collective-spin basis, free of the
   per-spin factorization: the oracle of the oracle.  Its basis grows as
   N^2, so it alone caps N at MAX_BATH_SIZE; the rows above cost O(1) in N.
@@ -31,7 +31,7 @@ of every result.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does a time at which a per-spin bath phase reaches 2**52 (see
-_fields), or at which a trace or the free phase overflows.
+_fields), or at which the free phase overflows.
 
 extract_products returns the trace row's coefficients as their three
 conjugate products (A*, B*, D*).  The one-excitation coefficient is not
@@ -51,7 +51,7 @@ import numpy as np
 from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
-from .su2 import TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
+from .su2 import TracelessXZ, exp_imag, gibbs_part, single_spin_gibbs, trace_triple
 from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, finite_by_time, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
@@ -104,10 +104,10 @@ def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[fl
     return h0, h
 
 
-def _distinct(bra, ket, *extra):
-    """The sorted distinct levels of bra, ket and extra, and the index of each
-    bra and ket level in them; a set is cheaper than np.unique on so few."""
-    levels = np.array(sorted({*bra.tolist(), *ket.tolist(), *extra}))
+def _distinct(bra, ket):
+    """The sorted distinct levels of bra and ket, and the index of each bra and
+    ket level in them; a set is cheaper than np.unique on so few."""
+    levels = np.array(sorted({*bra.tolist(), *ket.tolist()}))
     return levels, levels.searchsorted(bra), levels.searchsorted(ket)
 
 
@@ -161,8 +161,8 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     sector S of the 2^N bath space then repeats d_S times, and the bath
     trace counts it d_S times: in the stacked sector basis the bath state is
     rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d) commutes with
-    every operator that keeps S.  One eigendecomposition (E_a, V_a) per
-    distinct coupling level a; with p_a = exp(-i E_a t),
+    every operator that keeps S.  One eigendecomposition of H_B for rho_B,
+    and one (E_a, V_a) per distinct coupling level a; with p_a = exp(-i E_a t),
         F_ab(t) = p_a^T K_ab p_b^*,   K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)
     (elementwise): one (T, n) @ (n, n) product per pair.  An eigenvector may
     mix sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is
@@ -171,14 +171,19 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     if N > MAX_BATH_SIZE:
         raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
     x_b, z_b, mult = _collective_spin(N)
-    # level 0 is H_B itself, whose eigendecomposition gives rho_B
-    levels, bra_at, ket_at = _distinct(bra, ket, 0.0)
-    _, fields = _fields(bath, N, J0, t, levels)
+    levels, bra_at, ket_at = _distinct(bra, ket)
+    h0, fields = _fields(bath, N, J0, t, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
-    zero = levels.searchsorted(0.0)
-    e_b, v_b = evals[zero], evecs[zero]
-    # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy so T -> 0 cannot overflow
-    half = np.sqrt(mult)[:, None] * v_b * np.exp(-(e_b - e_b[0]) / (2.0 * bath.T))
+    # H_B/T as 2**e H_B / 2**e T, so that a subnormal w or h0 keeps its bits;
+    # e = 0 unless max(w, h0) < 2**-501
+    e = -math.frexp(max(bath.w, h0))[1]
+    e = e if e > 500 else 0
+    e_b, v_b = np.linalg.eigh(-math.ldexp(bath.w, e) * x_b - np.diag(math.ldexp(h0, e) * z_b))
+    # diag(d)^(1/2) exp(-H_B/2T), shifted by the ground energy; as T -> 0 every
+    # excited weight overflows to exp(-inf) = 0, leaving the ground projector
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(e_b - e_b[0]) / np.ldexp(2.0 * bath.T, e))
+    half = np.sqrt(mult)[:, None] * v_b * weights
     rho_b = half @ half.T
     rho_b /= np.trace(rho_b)
     p = np.exp(-1j * t[:, None, None] * np.array(evals))
@@ -190,24 +195,15 @@ def _dense_factor(bath, J0, N, t, bra, ket):
 
 
 def _trace_power(bath, J0, N, t, bra, ket):
-    """(tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R))^N for each level pair
-    (a, b) of bra and ket, shaped (T, P): I1 carries the bath field of
-    level a, I2 that of level b, and exp(R) is the unnormalized per-spin
-    Gibbs weight, which trace_triple normalizes.  O(1) in N.
+    """tr[exp(i I1) g exp(i I2)]^N for each level pair (a, b) of bra and ket,
+    shaped (T, P): I1 carries the bath field of level a, I2 that of level b,
+    and g = I/2 + G is the per-spin Gibbs state (su2.gibbs_part).  O(1) in N.
     """
     h0, (left, right) = _fields(bath, N, J0, t, [bra, ket])
-    a, b = bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T)
-    for name, x in (("w/(2T)", a), ("2mJ/(2T)", b)):
-        if math.isinf(x):
-            raise InvalidParams(f"non-finite coefficients: per-spin Gibbs field {name} overflows")
-    r = TracelessXZ(a=a, b=b)
     t = t[:, None]
-    # _fields' bound keeps I1 and I2 finite; |trace| <= 1, so a non-finite one
-    # overflowed against a huge Gibbs field
-    with np.errstate(over="ignore", invalid="ignore"):
-        i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
-        i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right)
-        return finite_by_time(trace_triple(i1, r, i2), t, "per-spin bath trace") ** N
+    i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
+    i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right)
+    return trace_triple(i1, gibbs_part(bath.w, h0, bath.T), i2) ** N
 
 
 ROUTES = {"factorized": _factorized_factor, "trace": _trace_power, "dense": _dense_factor}

@@ -2,12 +2,11 @@
 
 Every bath operator in the mean-field model is a real combination
 a*sigma_x + b*sigma_z, i.e. a traceless real-symmetric 2x2 matrix.  For this
-two-parameter family the unitary exponential and the trace of a triple
-product exp(i*I1) exp(R) exp(i*I2), normalized by tr exp(R), have closed
-forms in terms of q = sqrt(a^2 + b^2).  The triple-product trace is exact
-(not a commuting approximation): the product of any three family members
-has a traceless sigma_x/sigma_z part, so the naive four-term expansion
-loses nothing.
+two-parameter family the unitary exponential, the per-spin Gibbs state
+g = I/2 + G and the trace of exp(i*I1) g exp(i*I2) have closed forms in terms
+of q = sqrt(a^2 + b^2).  The trace is exact (not a commuting approximation):
+the product of any three family members has a traceless sigma_x/sigma_z
+part, so the naive four-term expansion loses nothing.
 """
 
 from __future__ import annotations
@@ -84,33 +83,29 @@ def pair_trace(X: TracelessXZ, Y: TracelessXZ) -> float:
     return 2.0 * (X.a * Y.a + X.b * Y.b)
 
 
-def trace_triple(I1: TracelessXZ, R: TracelessXZ, I2: TracelessXZ) -> complex:
-    """tr[exp(i I1) exp(R) exp(i I2)] / tr exp(R) in closed form.
+def trace_triple(I1: TracelessXZ, G: TracelessXZ, I2: TracelessXZ) -> complex:
+    """tr[exp(i I1) (I/2 + G) exp(i I2)] in closed form.
 
-    Expanding each factor as (cos/cosh) I + (sinc/sinch) M leaves four terms
-    with nonzero trace; the triple product I1*R*I2 is traceless for this
-    family, so the formula below is exact.  Dividing by tr exp(R) =
-    2 cosh(q_R) turns cosh into 1/2 and sinch into tanhc/2, so the result
-    stays finite for any R, as single_spin_gibbs does.
+    Expanding each exponential as cos(q) I + i (sin(q)/q) M leaves four terms
+    with nonzero trace; I1*G*I2 is traceless for this family, so the formula
+    is exact.  G from gibbs_part has |G| <= 1/2, so no term overflows.
     """
     x, z = I1.q, I2.q
-    half_tanhc_y = 0.5 * _tanhc(R.q)
     cos_x, cos_z = np.cos(x), np.cos(z)
     sinc_x, sinc_z = _sinc(x), _sinc(z)
     out = cos_x * cos_z
-    out = out + 1j * sinc_x * half_tanhc_y * cos_z * pair_trace(I1, R)
-    out = out + 1j * cos_x * half_tanhc_y * sinc_z * pair_trace(R, I2)
+    out = out + 1j * sinc_x * cos_z * pair_trace(I1, G)
+    out = out + 1j * cos_x * sinc_z * pair_trace(G, I2)
     out = out - 0.5 * sinc_x * sinc_z * pair_trace(I1, I2)
     return out
 
 
-def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
-    """Thermal 2x2 density matrix of one bath spin in fields (w, h), real.
+def gibbs_part(w: float, h: float, T: float) -> TracelessXZ:
+    """G of one bath spin's thermal state g = I/2 + G in fields (w, h).
 
-    Returns exp((w S^x + h S^z)/T) / (2 cosh(sqrt(w^2+h^2)/(2T))) with
-    S = sigma/2.  Evaluated as I/2 + tanh(q) (a sigma_x + b sigma_z)/(2q),
-    which stays finite for any field/temperature ratio (T -> 0 gives the
-    projector onto the upper eigenstate).
+    g = exp((w S^x + h S^z)/T) / tr, S = sigma/2, so G = tanh(q) (a sigma_x +
+    b sigma_z)/(2q) with a = w/2T, b = h/2T: |G| <= 1/2 at any field/temperature
+    ratio, and T -> 0 gives the projector onto the upper eigenstate.
     """
     if T <= 0:
         raise InvalidParams(f"temperature must be positive, got {T}")
@@ -123,4 +118,10 @@ def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
         f = 0.5 / math.hypot(a, b)
     else:
         f = 0.5 * _tanhc(q)
-    return _xz_matrix(0.5, f * a, f * b)
+    return TracelessXZ(f * a, f * b)
+
+
+def single_spin_gibbs(w: float, h: float, T: float) -> np.ndarray:
+    """g = I/2 + gibbs_part(w, h, T) as a real 2x2 matrix."""
+    G = gibbs_part(w, h, T)
+    return _xz_matrix(0.5, G.a, G.b)

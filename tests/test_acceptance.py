@@ -35,7 +35,7 @@ from isingbath.oracle import (
     reconstruct_reduced,
     simulate_exact,
 )
-from isingbath.su2 import TracelessXZ, exp_imag, trace_triple
+from isingbath.su2 import TracelessXZ, exp_imag, gibbs_part, trace_triple
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced
 from su2_reference import series_exp, xz_matrix
 from wootters_reference import case2_concurrence, r_matrix
@@ -357,7 +357,8 @@ def test_criterion_11_exponential_identities():
         brute = np.trace(
             series_exp(1j * xz_matrix(i1)) @ gibbs @ series_exp(1j * xz_matrix(i2))
         ) / np.trace(gibbs)
-        worst_tr = max(worst_tr, abs(trace_triple(i1, r, i2) - brute))
+        g_part = gibbs_part(2.0 * r.a, 2.0 * r.b, 1.0)  # exp(R) / tr exp(R) = I/2 + G
+        worst_tr = max(worst_tr, abs(trace_triple(i1, g_part, i2) - brute))
     assert worst_tr < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0

@@ -27,7 +27,9 @@ from isingbath.oracle import (
     simulate_exact,
     single_qubit_coherence_exact,
 )
-from isingbath.su2 import _SMALL_Q, TracelessXZ, exp_imag, single_spin_gibbs, trace_triple
+from isingbath.su2 import (
+    _SMALL_Q, TracelessXZ, exp_imag, gibbs_part, single_spin_gibbs, trace_triple,
+)
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 import dense_reference
 import mp_reference
@@ -441,11 +443,11 @@ def _scalar_products(cfg, sol):
     bath = cfg.bath
     h0 = 2.0 * sol.m * bath.J
     shift = cfg.sys.J0 / math.sqrt(cfg.N)
-    r = TracelessXZ(bath.w / (2.0 * bath.T), h0 / (2.0 * bath.T))
+    g_part = gibbs_part(bath.w, h0, bath.T)
     pairs = ((h0, h0 + shift), (h0 - shift, h0 + shift), (h0 - shift, h0))
     return np.array([
         [
-            trace_triple(TracelessXZ(0.5 * t * bath.w, 0.5 * t * left), r,
+            trace_triple(TracelessXZ(0.5 * t * bath.w, 0.5 * t * left), g_part,
                          TracelessXZ(-0.5 * t * bath.w, -0.5 * t * right)) ** cfg.N
             for left, right in pairs
         ]
@@ -587,9 +589,9 @@ def test_single_qubit_route_matches_the_60_digit_echo(route, n):
 
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
-    # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2 and
-    # adds the uncoupled H_B for the bath state; at N = 4 the collective
-    # basis has 5 + 3 + 1 states
+    # two qubits couple through S^z = 1, 0, -1, one qubit through +-1/2, and
+    # each adds the uncoupled H_B, at its own scale, for the bath state; at
+    # N = 4 the collective basis has 5 + 3 + 1 states
     calls = []
     eigh = np.linalg.eigh
 
@@ -599,18 +601,21 @@ def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     simulate_exact(make_cfg(4, BATH_TIM), method="dense")
-    assert calls == [(9, 9)] * 3
+    assert calls == [(9, 9)] * 4
     calls.clear()
     single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, method="dense")
     assert calls == [(9, 9)] * 3
 
 
-@pytest.mark.parametrize("t_over_tc", [1e-6, 0.5, 0.999, 1.5])
-@pytest.mark.parametrize("w", [0.0, 0.2])
-def test_dense_matches_factorized_at_the_guard_size(w, t_over_tc):
-    # N = 12 is 49 collective states; deep in the ordered phase, next to
-    # Tc and in the disordered phase; every row of ROUTES through both entry points
-    bath = BathParams(J=2.0, w=w, T=t_over_tc * critical_temperature(2.0))
+@pytest.mark.parametrize("bath", [
+    *(pytest.param(BathParams(J=2.0, w=w, T=r * critical_temperature(2.0)), id=f"{w}-{r}")
+      for w in (0.0, 0.2) for r in (1e-310, 1e-6, 0.5, 0.999, 1.5)),
+    pytest.param(BathParams(J=1e-320, w=5e-324, T=5e-324), id="subnormal"),
+])
+def test_dense_matches_factorized_at_the_guard_size(bath):
+    # N = 12 is 49 collective states; at T -> 0, deep in the ordered phase,
+    # next to Tc and in the disordered phase, and at a subnormal bath scale;
+    # every row of ROUTES through both entry points
     cfg = make_cfg(12, bath, state=random_state(12), times=(0.0, *TIMES, 7.5))
     for run in (lambda m: simulate_exact(cfg, method=m),
                 lambda m: single_qubit_coherence_exact(12, bath, SYS, cfg.times, method=m)):

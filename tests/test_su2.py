@@ -8,6 +8,7 @@ from isingbath.errors import InvalidParams
 from isingbath.su2 import (
     TracelessXZ,
     exp_imag,
+    gibbs_part,
     pair_trace,
     single_spin_gibbs,
     trace_triple,
@@ -21,6 +22,11 @@ def brute_triple(i1, r, i2):
     return np.trace(
         series_exp(1j * xz_matrix(i1)) @ gibbs @ series_exp(1j * xz_matrix(i2))
     ) / np.trace(gibbs)
+
+
+def gibbs_of(r):
+    """G of exp(R) / tr exp(R): gibbs_part at fields (2a, 2b) and T = 1."""
+    return gibbs_part(2.0 * r.a, 2.0 * r.b, 1.0)
 
 
 def test_exp_of_zero_is_identity():
@@ -47,8 +53,8 @@ def test_traces_closed_form():
     z = TracelessXZ(0.0, 0.0)
     for _ in range(300):
         m = TracelessXZ(*rng.uniform(-4, 4, size=2))
-        # trace_triple with identity outer factors is tr exp(m) / tr exp(m)
-        assert trace_triple(z, m, z) == 1.0
+        # trace_triple with identity outer factors is tr g
+        assert trace_triple(z, gibbs_of(m), z) == 1.0
         assert abs(np.trace(exp_imag(m)) - 2.0 * math.cos(m.q)) < 1e-13
 
 
@@ -56,9 +62,9 @@ def test_small_q_series_branch():
     # exercise the |q| < 1e-4 series against the generic formula
     m = TracelessXZ(3e-5, -4e-5)
     assert np.abs(exp_imag(m) - series_exp(1j * xz_matrix(m))).max() < 1e-15
-    # the real factor's tanh(q)/q series, through the triple trace
+    # the Gibbs state's tanh(q)/q series, through the triple trace
     i1, i2 = TracelessXZ(0.3, -0.2), TracelessXZ(-0.1, 0.4)
-    assert abs(trace_triple(i1, m, i2) - brute_triple(i1, m, i2)) < 1e-15
+    assert abs(trace_triple(i1, gibbs_of(m), i2) - brute_triple(i1, m, i2)) < 1e-15
 
 
 def test_trace_triple_all_zero():
@@ -74,22 +80,22 @@ def test_trace_triple_degenerate_factor():
         i2 = TracelessXZ(*rng.uniform(-2, 2, size=2))
         gibbs = series_exp(xz_matrix(r))
         direct = np.trace(gibbs @ exp_imag(i2)) / np.trace(gibbs)
-        assert abs(trace_triple(z, r, i2) - direct) < 1e-13
+        assert abs(trace_triple(z, gibbs_of(r), i2) - direct) < 1e-13
 
 
 def test_trace_triple_vs_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         i1, r, i2 = (TracelessXZ(*rng.uniform(-2, 2, size=2)) for _ in range(3))
-        assert abs(trace_triple(i1, r, i2) - brute_triple(i1, r, i2)) < 1e-13
+        assert abs(trace_triple(i1, gibbs_of(r), i2) - brute_triple(i1, r, i2)) < 1e-13
 
 
 def test_trace_triple_sigma_x_reflection_symmetry():
     rng = np.random.default_rng(8)
     for _ in range(300):
         i1, r, i2 = (TracelessXZ(*rng.uniform(-2, 2, size=2)) for _ in range(3))
-        flipped = (TracelessXZ(-m.a, m.b) for m in (i1, r, i2))
-        assert trace_triple(i1, r, i2) == pytest.approx(
+        flipped = (TracelessXZ(-m.a, m.b) for m in (i1, gibbs_of(r), i2))
+        assert trace_triple(i1, gibbs_of(r), i2) == pytest.approx(
             trace_triple(*flipped), abs=1e-13
         )
 
@@ -147,15 +153,16 @@ def test_gibbs_is_density_matrix():
         assert np.linalg.eigvalsh(g).min() >= -1e-15
 
 
-@pytest.mark.parametrize("q", [800.0, 1e6, 1e300])
+@pytest.mark.parametrize("q", [800.0, 1e6, 1e300, math.inf])
 def test_trace_triple_is_finite_past_cosh_overflow(q):
-    # exp(R) / tr exp(R) tends to the projector onto R's upper eigenvector,
-    # so the normalized trace is <up| exp(i I2) exp(i I1) |up>
+    # g tends to the projector onto the field's upper eigenvector, so the
+    # trace is <up| exp(i I2) exp(i I1) |up>; at q = inf, w/(2T) overflows
+    scale, T = (2.0 * q, 1.0) if math.isfinite(q) else (1e10, 1e-300)
     i1, i2 = TracelessXZ(0.1, 0.3), TracelessXZ(-0.4, 0.2)
-    for a, b, up in ((0.0, q, [1.0, 0.0]), (0.0, -q, [0.0, 1.0]), (q, 0.0, [1.0, 1.0])):
+    for a, b, up in ((0.0, 1.0, [1.0, 0.0]), (0.0, -1.0, [0.0, 1.0]), (1.0, 0.0, [1.0, 1.0])):
         up = np.array(up) / np.linalg.norm(up)
         want = up @ exp_imag(i2) @ exp_imag(i1) @ up
-        assert abs(trace_triple(i1, TracelessXZ(a, b), i2) - want) < 1e-14
+        assert abs(trace_triple(i1, gibbs_part(a * scale, b * scale, T), i2) - want) < 1e-14
 
 
 def test_invalid_inputs():
@@ -188,7 +195,7 @@ def test_exp_imag_broadcasts_elementwise():
 def test_trace_triple_broadcasts_elementwise():
     rng = np.random.default_rng(12)
     i1, i2 = (TracelessXZ(*_array_fields(rng, (200,))) for _ in range(2))
-    r = TracelessXZ(0.7, -1.3)
+    r = gibbs_part(1.4, -2.6, 1.0)
     got = trace_triple(i1, r, i2)
     assert got.shape == (200,)
     want = [
