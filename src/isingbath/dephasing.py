@@ -32,6 +32,7 @@ import numpy as np
 from .errors import InvalidParams
 from .mean_field import BathParams, OrderSolution
 from .su2 import _sinc
+from .two_qubit import bounded_phase
 
 MODE_FINITE = "finite"
 MODE_ASYMPTOTIC = "asymptotic"
@@ -85,6 +86,8 @@ def coherence_factor_finite(
     factor, u = J0 t / sqrt(N); for integer N the principal branch is exact
     even when z crosses the negative real axis.  log|z| is taken as
     log1p(-kappa u^2 sinc^2(cu))/2, accurate where |z| is within eps of 1.
+    InvalidParams (two_qubit.bounded_phase) where N |c u|, the per-spin
+    angle's rounding grown N-fold by the power, reaches 2**52 or is nan.
 
     The free single-qubit phase exp(i mu0 t) is excluded: it cannot change
     |r| or any concurrence.  Multiply by it to recover the full
@@ -93,11 +96,11 @@ def coherence_factor_finite(
     if N < 1:
         raise InvalidParams(f"bath size N must be >= 1, got {N}")
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise InvalidParams("coherence factor needs finite times")
     c, lo, hi = _rate_factors(sol, bath)
-    u = t * (sys.J0 / math.sqrt(N))
-    cu = c * u
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
+        u = t * (sys.J0 / math.sqrt(N))
+        cu = c * u
+        bounded_phase(N * np.abs(cu), t, "bath phase N |c u|")
     s = u * _sinc(cu)  # sin(cu)/c, and u at c = 0
     # 1 - |z|^2 = kappa s^2 reaches 1 where m = 0 and cos(cu) rounds to 0:
     # log1p(-1) = -inf there, and r = 0
@@ -157,7 +160,9 @@ def dephasing_coeffs(
         if N is None:
             raise InvalidParams("finite mode requires a bath size N")
         A = coherence_factor_finite(t, N, sol, bath, sys)
-        B = coherence_factor_finite(2.0 * t, N, sol, bath, sys)
+        with np.errstate(over="ignore"):  # an overflowed 2t fails the bound
+            doubled = 2.0 * t
+        B = coherence_factor_finite(doubled, N, sol, bath, sys)
     elif mode == MODE_ASYMPTOTIC:
         A = coherence_magnitude_asymptotic(t, sol, bath, sys)
         B = A**4

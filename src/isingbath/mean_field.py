@@ -8,12 +8,11 @@ m -> -m branch is physically equivalent).  Above the transition, or when
 the transverse field is too strong (w/J >= tanh(w/2T)), the bath is
 disordered and m = 0.  solve_order solves one temperature;
 solve_order_grid runs the same bisection over a temperature grid at once.
-Each loop is the faster for its callers: one temperature costs ~50x more
-in solve_order_grid than in solve_order, and 1,000 cost ~7x more in a
-solve_order loop than in the grid (medians of timeit repeats at J = 2,
-w = 0.1, T/Tc in [0.05, 0.95], one BLAS thread, 2-core Xeon).  The two
-share one ordering rule and one formula for m, formed from ratios to J:
-m depends on w/J and T/J alone.  Measured at w = 0, T = Tc/2, m is within
+Each loop is the faster for its callers: for one temperature numpy's
+per-call overhead outweighs the grid's array passes, and for many the
+grid's passes beat a Python loop of scalar bisections.  The two share one
+ordering rule and one formula for m, formed from ratios to J: m depends
+on w/J and T/J alone.  Measured at w = 0, T = Tc/2, m is within
 2.4e-16 relative of J = 1's down to J = 1e-309.  A subnormal J rounds the
 bisection itself: m is 2.1e-14 off at J = 1e-310 and 2.8e-13 at 1e-311,
 and from J = 1e-312 down the solvers raise NoConvergence.

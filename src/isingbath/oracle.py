@@ -30,8 +30,8 @@ reconstruct_reduced is simulate_exact's trace row.  Time is the first axis
 of every result.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
-and so does a time at which a per-spin bath phase reaches 2**52 (see
-_fields), or at which the free phase overflows.
+and so does one where a phase the route exponentiates reaches 2**52
+(two_qubit.bounded_phase): the per-spin bath phase, E t, xi0 t/2 or mu0 t.
 
 extract_products returns the trace row's coefficients as their three
 conjugate products (A*, B*, D*).  The one-excitation coefficient is not
@@ -52,7 +52,7 @@ from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, exp_imag, gibbs_part, single_spin_gibbs, trace_triple
-from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, finite_by_time, multiplier
+from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, bounded_phase, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
 
@@ -89,18 +89,15 @@ def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[fl
     """h0 = 2 m J at bath's self-consistent m, and h0 + (J0/sqrt(N)) lam: the z
     field on each bath spin while the qubits have coupling eigenvalue(s) lam.
 
-    InvalidParams at the first time t where the per-spin bath phase
-    |t| hypot(w, max|h|)/2 is not below 2**52, whose rounding is a radian.
-    Given a time, that holds every field finite and the dense route's |E t|
-    below N 2**53.
+    InvalidParams (two_qubit.bounded_phase) where the per-spin bath phase
+    |t| hypot(w, max|h|)/2 reaches 2**52, which holds every field finite; it
+    bounds one spin's phase, not N times it: the dense route bounds its E t.
     """
     h0 = 2.0 * solve_order(bath).m * bath.J
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed field fails the bound
         h = h0 + J0 / math.sqrt(N) * np.asarray(lam)
         phase = 0.5 * np.abs(t) * math.hypot(bath.w, float(np.abs(h).max()))
-    if not (ok := phase < 2.0**52).all():
-        raise InvalidParams(f"bath phase |t| hypot(w, h)/2 = {phase[~ok][0]:.3g}"
-                            f" is not below 2**52 at t={t[~ok][0]}")
+    bounded_phase(phase, t, "bath phase |t| hypot(w, h)/2")
     return h0, h
 
 
@@ -186,7 +183,8 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     half = np.sqrt(mult)[:, None] * v_b * weights
     rho_b = half @ half.T
     rho_b /= np.trace(rho_b)
-    p = np.exp(-1j * t[:, None, None] * np.array(evals))
+    t3 = t[:, None, None]
+    p = np.exp(-1j * bounded_phase(t3 * np.array(evals), t3, "bath phase |E t|"))
     factors = []
     for a, b in zip(bra_at, ket_at):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
@@ -255,5 +253,5 @@ def single_qubit_coherence_exact(
     """
     t = _checked_times(N, times)
     product = _route(method)(bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
-    with np.errstate(over="ignore"):
-        return np.exp(1j * finite_by_time(sys.mu0 * t, t, "free phase mu0 t")) * product
+    with np.errstate(over="ignore"):  # an overflowed phase fails the bound
+        return np.exp(1j * bounded_phase(sys.mu0 * t, t, "free phase |mu0 t|")) * product

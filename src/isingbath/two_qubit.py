@@ -132,13 +132,13 @@ def multiplier(t: np.ndarray, xi0: float, coef: np.ndarray) -> np.ndarray:
     (D = A); the exact finite-field products of the oracle do not.  The
     qubit phase p, of H_s = -xi0 S1^z S2^z, stays a factor of its own:
     added to the O(1) bath eigenvalues behind A, B and D, a large xi0 would
-    round them away.  InvalidParams where xi0 t overflows.  A numpy scalar
-    rounds A p as a 0-d array does.
+    round them away.  InvalidParams where bounded_phase refuses xi0 t/2.  A
+    numpy scalar rounds A p as a 0-d array does.
     """
     coef = np.asarray(coef, dtype=complex)
     A, B, D = coef[..., 0], coef[..., 1], coef[..., 2]
-    with np.errstate(over="ignore"):
-        p = np.exp(0.5j * finite_by_time(xi0 * t, t, "qubit-qubit phase xi0 t"))
+    with np.errstate(over="ignore"):  # an overflowed phase fails the bound
+        p = np.exp(1j * bounded_phase(0.5 * (xi0 * t), t, "qubit phase |xi0 t|/2"))
     m = np.ones(np.shape(t) + (4, 4), dtype=complex)
     m[..., 0, 1] = m[..., 0, 2] = A * p
     m[..., 1, 3] = m[..., 2, 3] = D * p.conj()
@@ -147,13 +147,14 @@ def multiplier(t: np.ndarray, xi0: float, coef: np.ndarray) -> np.ndarray:
     return m
 
 
-def finite_by_time(values: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
-    """values, which broadcast against times t; InvalidParams naming the first
-    time at which one is not finite, where name overflowed."""
-    if not (ok := np.isfinite(values)).all():
+def bounded_phase(phase: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
+    """phase, which broadcasts against times t, if every |phase| is below 2**52
+    (from there on its rounding reaches a radian); else InvalidParams with name,
+    |phase| and the first time it is not below, which a nan or inf phase is not."""
+    if not (ok := (size := np.abs(phase)) < 2.0**52).all():
         at = np.broadcast_to(t, ok.shape)[~ok][0]
-        raise InvalidParams(f"non-finite coefficients: {name} overflows at t={at}")
-    return values
+        raise InvalidParams(f"{name} = {size[~ok][0]:.3g} is not below 2**52 at t={at}")
+    return phase
 
 
 def validate_density(rho: np.ndarray) -> None:

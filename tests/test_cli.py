@@ -799,95 +799,6 @@ def test_csv_header_is_checked_like_flags(tmp_path, old, new):
         read_csv_config(str(out))
 
 
-@pytest.mark.parametrize("command", ["coherence", "concurrence"])
-@pytest.mark.parametrize("t_max", ["nan", "inf"])
-def test_non_finite_t_max_exits_2(tmp_path, capsys, command, t_max):
-    out = tmp_path / "o.csv"
-    assert main([command, "--t-max", t_max, "--out", str(out)]) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "t-max" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["coherence", "--J0", "1e-320", "--points", "3"],
-    ["concurrence", "--t-max", "1e300", "--J0", "1e-10", "--points", "3"],
-])
-def test_time_grid_overflow_exits_2(tmp_path, capsys, argv):
-    # t-max / J0 is checked before numpy divides the scaled grid by J0
-    out = tmp_path / "o.csv"
-    assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "t-max" in err and "J0" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["coherence", "--t-max", "1e308", "--points", "3"],
-    ["concurrence", "--t-max", "1e308", "--J0", "0", "--points", "3"],
-    ["concurrence", "--t-max", "1e308", "--mode", "finite", "--points", "3"],
-])
-def test_time_grid_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
-    # B(t) = A(2t) doubles the last time t-max / J0 (raw t-max when J0 = 0)
-    out = tmp_path / "o.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "t-max" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["coherence", "--t-max", "1e200", "--points", "3"],
-    ["concurrence", "--t-max", "1e200", "--points", "3"],
-    ["concurrence", "--t-max", "1e307", "--mode", "finite", "--points", "3"],
-])
-def test_time_grid_far_inside_the_float_range_runs(tmp_path, capsys, argv):
-    # only the doubled last time bounds t-max: the Gaussian reads 0 where x^2 overflows
-    out = tmp_path / "o.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    columns, data = read_csv(out)
-    for name in columns:
-        assert all(math.isfinite(float(v)) for v in data[name]), name
-
-
-@pytest.mark.parametrize("argv", [
-    ["concurrence", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
-    ["concurrence", "--case", "4", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
-    ["fig1", "--xi0", "1e308", "--points", "3"],
-    ["verify", "--xi0", "1e308", "--N-max", "2"],
-])
-def test_an_overflowing_qubit_coupling_phase_exits_2(tmp_path, capsys, argv):
-    # xi0 t overflows within the time grid: one line, no RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "xi0 t overflows" in captured.err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("flag, message", [
-    ("--J0", "bath phase |t| hypot(w, h)/2 = 7.5e+306 is not below 2**52 at t=0.15"),
-    ("--w", "bath phase |t| hypot(w, h)/2 = 7.5e+306 is not below 2**52 at t=0.15"),
-    ("--mu0", "mu0 t overflows at t=2.07857"),
-])
-def test_an_overflowing_oracle_input_exits_2(capsys, flag, message):
-    # the bath phase passes 2**52, or the single-qubit free phase mu0 t
-    # overflows, within verify's time grid: one line, no RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["verify", "--N-max", "2", flag, "1e308"]) == EXIT_BAD_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and message in captured.err
-
-
 def test_a_gibbs_field_past_the_float_range_verifies_without_a_warning(capsys):
     # 2mJ/(2T) or w/(2T) overflows: every route takes the per-spin Gibbs
     # state's T -> 0 projector, and the dense route its ground projector
@@ -916,18 +827,6 @@ def test_a_bath_size_below_1_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_a_huge_qubit_coupling_inside_the_float_range_runs(tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["concurrence", "--case", "4", "--xi0", "1e307", "--t-max", "8",
-                     "--points", "3", "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    columns, data = read_csv(out)
-    for name in columns:
-        assert all(math.isfinite(float(v)) for v in data[name]), name
-
-
 @pytest.mark.parametrize("argv", [
     ["coherence", "--w", "1e200", "--points", "3"],
     ["concurrence", "--w", "1e200", "--points", "3"],
@@ -943,18 +842,32 @@ def test_huge_field_of_a_disordered_bath_runs(tmp_path, capsys, argv):
     assert set(values.tolist()) == {1.0}
 
 
+# every cell finite, also where a phase nears its 2**52 bound
 @pytest.mark.parametrize("argv", [
+    # m and the rate are formed from ratios to J, so no bath scale overflows
     ["coherence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
     ["concurrence", "--J", "1e155", "--T-over-Tc", "0.9999", "--points", "3"],
+    # asymptotic: the Gaussian reads 0 where (J0 t)^2 overflows, and the
+    # qubit phase is 0 at xi0 = 0
+    ["concurrence", "--t-max", "1e200", "--points", "3"],
+    ["concurrence", "--t-max", "1e308", "--J0", "0", "--points", "3"],
+    ["fig1", "--t-max", "1e308", "--J0", "0", "--points", "3"],
+    # the finite-N phase N |c u| at t = 1e12 and xi0 t/2 at xi0 = 1e15, t = 8
+    # stay below 2**52
+    ["coherence", "--t-max", "1e12", "--points", "3"],
+    ["concurrence", "--case", "4", "--xi0", "1e15", "--t-max", "8", "--points", "3"],
 ])
-def test_huge_bath_scale_near_tc_runs(tmp_path, capsys, argv):
-    # m and the rate are formed from ratios to J, so no bath scale overflows
-    out = tmp_path / "o.csv"
-    assert main(argv + ["--out", str(out)]) == EXIT_OK
+def test_an_edge_run_exits_0_with_finite_cells(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    columns, data = read_csv(out)
-    for name in columns:
-        assert all(math.isfinite(float(v)) for v in data[name]), name
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == (4 if argv[0] == "fig1" else 1)
+    for path in paths:
+        columns, data = read_csv(path)
+        for name in columns:
+            assert all(math.isfinite(float(v)) for v in data[name]), (path, name)
 
 
 def _assert_scale_free_run(out, capsys):
@@ -1067,16 +980,67 @@ def test_stdout_when_no_out(capsys):
     # w/(2T) overflows, but the bath phase passes 2**52 first
     (["verify", "--J", "1e-300", "--w", "1e300", "--N-max", "2"],
      "isingbath: error: bath phase |t| hypot(w, h)/2 = 7.5e+298 is not below 2**52 at t=0.15\n"),
+    # t-max and t-max / J0 must be finite, checked before numpy divides the
+    # scaled grid by J0
+    *((argv, f"isingbath: error: t-max must be > 0 with t-max / J0 finite, got {got}\n")
+      for argv, got in [
+          (["coherence", "--t-max", "nan"], "t-max = nan, J0 = 1.0"),
+          (["coherence", "--t-max", "inf"], "t-max = inf, J0 = 1.0"),
+          (["concurrence", "--t-max", "nan"], "t-max = nan, J0 = 1.0"),
+          (["concurrence", "--t-max", "inf"], "t-max = inf, J0 = 1.0"),
+          (["coherence", "--J0", "1e-320", "--points", "3"], "t-max = 8.0, J0 = 1e-320"),
+          (["concurrence", "--t-max", "1e300", "--J0", "1e-10", "--points", "3"],
+           "t-max = 1e+300, J0 = 1e-10"),
+      ]),
+    # a phase that a command exponentiates reaches 2**52, where its rounding
+    # is a radian: the first such time is named, in every mode and command
+    *((argv, f"isingbath: error: {phase} is not below 2**52 at t={t}\n") for argv, phase, t in [
+        # the finite-N closed form's N |c u|, also through B(t) = A(2t)
+        (["coherence", "--t-max", "1e308", "--points", "3"], "bath phase N |c u| = inf", "5e+307"),
+        (["concurrence", "--t-max", "1e308", "--mode", "finite", "--points", "3"],
+         "bath phase N |c u| = inf", "5e+307"),
+        (["concurrence", "--t-max", "1e307", "--mode", "finite", "--points", "3"],
+         "bath phase N |c u| = inf", "5e+306"),
+        (["coherence", "--t-max", "1e200", "--points", "3"],
+         "bath phase N |c u| = 2.5e+202", "5e+199"),
+        (["coherence", "--t-max", "1e20", "--points", "3"],
+         "bath phase N |c u| = 2.5e+22", "5e+19"),
+        (["coherence", "--t-max", "1e13", "--points", "3"],
+         "bath phase N |c u| = 4.99e+15", "10000000000000.0"),
+        (["coherence", "--points", "3", "--N", str(10**154)], "bath phase N |c u| = 2e+77", "4.0"),
+        # 2t overflows, and 0 * inf at J0 = 0 is nan
+        (["concurrence", "--t-max", "1e308", "--mode", "finite", "--J0", "0", "--points", "3"],
+         "bath phase N |c u| = nan", "inf"),
+        # the qubit phase xi0 t/2 of the multiplier, and of verify's oracle
+        (["concurrence", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
+         "qubit phase |xi0 t|/2 = inf", "4.0"),
+        (["concurrence", "--case", "4", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
+         "qubit phase |xi0 t|/2 = inf", "4.0"),
+        (["concurrence", "--case", "4", "--xi0", "1e307", "--t-max", "8", "--points", "3"],
+         "qubit phase |xi0 t|/2 = 2e+307", "4.0"),
+        (["concurrence", "--case", "4", "--xi0", "1e17", "--t-max", "8", "--points", "3"],
+         "qubit phase |xi0 t|/2 = 2e+17", "4.0"),
+        (["fig1", "--xi0", "1e308", "--points", "3"], "qubit phase |xi0 t|/2 = inf", "4.0"),
+        (["verify", "--xi0", "1e308", "--N-max", "2"], "qubit phase |xi0 t|/2 = 7.5e+306", "0.15"),
+        (["verify", "--xi0", "1e17", "--N-max", "2"], "qubit phase |xi0 t|/2 = 7.5e+15", "0.15"),
+        # the oracle's per-spin bath phase, its dense E t and the free phase mu0 t
+        (["verify", "--J0", "1e308", "--N-max", "2"],
+         "bath phase |t| hypot(w, h)/2 = 7.5e+306", "0.15"),
+        (["verify", "--w", "1e308", "--N-max", "2"],
+         "bath phase |t| hypot(w, h)/2 = 7.5e+306", "0.15"),
+        (["verify", "--w", "1e15", "--N-max", "12"], "bath phase |E t| = 4.8e+15", "2.4"),
+        (["verify", "--mu0", "1e308", "--N-max", "2"], "free phase |mu0 t| = 1.5e+307", "0.15"),
+        (["verify", "--mu0", "1e17", "--N-max", "2"], "free phase |mu0 t| = 1.5e+16", "0.15"),
+    ]),
 ])
 def test_a_request_past_the_float_or_address_range_exits_2(tmp_path, capsys, argv, message):
-    out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, key, values", [

@@ -329,6 +329,26 @@ def test_coefficients_bounded():
         assert np.abs(co).max() <= 1.0 + 1e-12
 
 
+def test_finite_phase_bound_at_its_edge():
+    # at w = 0 below Tc, c = 1/2 exactly, so with N = 4 and J0 = 1 the phase
+    # N |c u| = N |c| J0 |t| / sqrt(N) is t itself: 2**52 - 0.5 one ulp of t
+    # inside the bound and 2**52 at it, four times the per-spin angle c u
+    bath = BathParams(J=2.0, w=0.0, T=0.5)
+    sol, sys_p = solve_order(bath), SystemParams(J0=1.0)
+    inside = np.array([0.0, np.nextafter(2.0**52, 0.0)])
+    assert np.isfinite(coherence_factor_finite(inside, 4, sol, bath, sys_p)).all()
+    edge = r"^bath phase N \|c u\| = 4\.5e\+15 is not below 2\*\*52 at t=4503599627370496\.0$"
+    with pytest.raises(InvalidParams, match=edge):
+        coherence_factor_finite(np.append(inside, 2.0**52), 4, sol, bath, sys_p)
+    # B(t) = A(2t) meets the bound at the doubled time
+    with pytest.raises(InvalidParams, match=edge):
+        dephasing_coeffs(2.0**51, sol, bath, sys_p, mode=MODE_FINITE, N=4)
+    # a non-finite time fails it too, also as 0 * inf at J0 = 0
+    for t, j0, phase in [(np.nan, 1.0, "nan"), (np.inf, 1.0, "inf"), (np.inf, 0.0, "nan")]:
+        with pytest.raises(InvalidParams, match=rf"= {phase} is not below 2\*\*52 at t={t}$"):
+            coherence_factor_finite(np.array([0.0, t]), 4, sol, bath, SystemParams(J0=j0))
+
+
 def test_validation():
     with pytest.raises(InvalidParams):
         coherence_factor_finite(1.0, 0, SOL, BATH, SYS)

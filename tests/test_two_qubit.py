@@ -346,12 +346,13 @@ def test_evolve_rejects_a_coefficient_array_of_another_shape(t, shape):
 
 
 def test_evolve_rejects_an_overflowing_qubit_phase():
-    # xi0 t overflows at t = 2 but not at t = 1
-    times = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(InvalidParams, match="xi0 t overflows at t=2.0"):
-        evolve_reduced(case_state(4), times, 1e308, np.ones((3, 3)))
-    head = np.ones((2, 3))
-    assert np.isfinite(evolve_reduced(case_state(4), times[:2], 1e308, head)).all()
+    # with xi0 = 2**52 the qubit phase xi0 t/2 is 2**52 at t = 2, the bound
+    # exactly, and 2**52 - 1 one ulp of t below it
+    times = np.array([0.0, 1.0, np.nextafter(2.0, 0.0), 2.0])
+    with pytest.raises(InvalidParams, match=r"^qubit phase \|xi0 t\|/2 = 4\.5e\+15 .* at t=2\.0$"):
+        evolve_reduced(case_state(4), times, 2.0**52, np.ones((4, 3)))
+    head = np.ones((3, 3))
+    assert np.isfinite(evolve_reduced(case_state(4), times[:3], 2.0**52, head)).all()
 
 
 def test_validate_density():
