@@ -14,6 +14,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -60,6 +61,7 @@ FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
 # does not fit in memory
 _MAX_POINTS = sys.maxsize // 256
 VERIFY_BATH_SIZES = (1, 2, 4, 6, 8, 10, 12)
+_BLOCK_ROWS = 1024  # CSV rows formatted per write, ~100 kB of text
 
 
 @dataclass(frozen=True)
@@ -226,27 +228,36 @@ def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]]) -> Non
     """Header, column-name line, then one row per column entry, to cfg.out or stdout.
 
     A numpy column is written as Python's shortest round-trip repr of each
-    value; a list column must already hold strings.
+    value; a list column must already hold strings.  Rows are formatted and
+    written _BLOCK_ROWS at a time, so one block's text is held at once; a
+    write that fails partway through can leave only the rows written so far.
     """
     header = "# " + " ".join(f"{k}={v}" for k, v in cfg.key_values().items())
-    # .tolist() gives Python floats: numpy 2 scalars repr as np.float64(...)
-    cells = [
-        map(repr, col.tolist()) if isinstance(col, np.ndarray) else col
-        for col in columns.values()
-    ]
-    rows = map(",".join, zip(*cells))
-    _write_text("\n".join([header, ",".join(columns), *rows]) + "\n", cfg.out)
+
+    def pieces():
+        yield f"{header}\n{','.join(columns)}\n"
+        for lo in range(0, min(map(len, columns.values())), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            # .tolist() gives Python floats: numpy 2 scalars repr as np.float64(...)
+            cells = [
+                map(repr, col[rows].tolist()) if isinstance(col, np.ndarray) else col[rows]
+                for col in columns.values()
+            ]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _write_text(pieces(), cfg.out)
 
 
-def _write_text(text: str, path: str | None) -> None:
-    """text to stdout, or over the file at path in place, then cut to length
-    (on ext4 an O_TRUNC open or a rename over the file rewrites ~4x slower);
-    a device or FIFO takes no cut.  A failed write can leave old bytes after."""
+def _write_text(pieces: Iterable[str], path: str | None) -> None:
+    """The pieces in turn to stdout, or over the file at path in place, then
+    cut to length (on ext4 an O_TRUNC open or a rename over the file
+    rewrites ~4x slower); a device or FIFO takes no cut.  A write that fails
+    partway through can leave only some new pieces, and old bytes after them."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-            f.write(text)
+            f.writelines(pieces)
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
 
@@ -402,7 +413,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         for name, err, bound in checks
     ]
     lines.append(f"verify: {'FAILED' if failed else 'all checks passed'}")
-    _write_text("\n".join(lines) + "\n", cfg.out)
+    _write_text(["\n".join(lines) + "\n"], cfg.out)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -376,6 +377,50 @@ def test_a_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, first, second):
     assert main(argv + ["--points", str(second), "--out", str(fresh)]) == EXIT_OK
     assert out.read_bytes() == fresh.read_bytes()
     assert len(out.read_text().splitlines()) == second + 2
+
+
+def _outputs(tmp_path, prefix, argv):
+    """The files a run with --out tmp_path/prefix writes (fig1's --out is a
+    prefix for its four), by their names after the prefix."""
+    assert main(argv + ["--out", str(tmp_path / prefix)]) == EXIT_OK
+    return {p.name.removeprefix(prefix): p.read_bytes() for p in tmp_path.glob(prefix + "*")}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--points", "7"],
+    ["concurrence", "--case", "4", "--points", "7"],
+    ["phase", "--T-over-Tc", "0.25,0.5,0.75,1.25,1.5"],  # a string column
+    ["fig1", "--points", "5"],
+], ids=lambda argv: argv[0])
+def test_rows_written_in_blocks_are_the_bytes_of_one_block(
+        tmp_path, capsys, monkeypatch, argv, block_rows):
+    fresh = _outputs(tmp_path, "fresh", argv)
+    assert len(fresh) == (4 if argv[0] == "fig1" else 1)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    for suffix, data in fresh.items():
+        # a longer file already there is cut after the last block
+        (tmp_path / f"old{suffix}").write_bytes(b"9\n" * len(data))
+    assert _outputs(tmp_path, "old", argv) == fresh
+    if argv[0] != "fig1":  # fig1 writes files only
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == fresh[""]
+
+
+def test_the_csv_writer_holds_one_block_of_text_not_the_whole_grid():
+    def peak_bytes(points):
+        tracemalloc.start()
+        try:
+            assert main(["coherence", "--points", str(points), "--out", os.devnull]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(2)  # the parser and the caches behind a first run
+    small, large = peak_bytes(3_000), peak_bytes(30_000)
+    # the numpy columns cost ~60 B a point; the rows of the whole grid held
+    # as text would add ~380 B a point
+    assert (large - small) / 27_000 < 150
 
 
 def test_out_to_a_device_exits_0(capsys):
