@@ -56,7 +56,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
-# a (points, 4, 4) complex stack, 256 bytes a point, must stay within the
+# 256 bytes a point, more than any one per-point array a command forms (a
+# concurrence's (points, 3, 3) complex tau is 144), must stay within the
 # byte count numpy can index; time_grid names points where a smaller grid
 # does not fit in memory
 _MAX_POINTS = sys.maxsize // 256
@@ -334,7 +335,7 @@ def cmd_concurrence(cfg: RunConfig) -> int:
         "abs_B": np.abs(coef[:, 1]),
     }
     if cfg.amplitudes is None and cfg.case == 4:
-        # C's multiplier has already bounded this phase xi0 t/2
+        # C's level entries have already bounded this phase xi0 t/2
         columns["no_bath_C"] = np.abs(np.sin(0.5 * cfg.xi0 * times))
     write_csv(cfg, columns)
     return EXIT_OK
@@ -515,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text
         return exc.code
-    # MemoryError: a time grid that fits and a (points, 4, 4) stack that does not
+    # MemoryError: a time grid that fits and a (points, 3, 3) stack that does not
     except (IsingBathError, OSError, ValueError, MemoryError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -110,39 +110,59 @@ def evolve_reduced(
     """Reduced density matrix rho_s(t) for initial |Psi><Psi|: a (4, 4)
     matrix for a scalar t, a (T, 4, 4) stack for a 1-D t.
 
-    coef holds A, B and D on its last axis, shaped t.shape + (3,); another
-    shape, or a magnitude above 1 beyond rounding or nan, is InvalidParams.
+    InvalidParams where checked_coef refuses coef or qubit_phase xi0 t/2.
     """
     t = np.asarray(t, dtype=float)
+    return state.density() * multiplier(t, xi0, checked_coef(t, coef))
+
+
+def checked_coef(t: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """coef, which holds A, B and D on its last axis, if it is shaped
+    t.shape + (3,) with no magnitude above 1 beyond rounding; another shape,
+    a larger magnitude or a nan is InvalidParams."""
     coef = np.asarray(coef)
     if coef.shape != t.shape + (3,):
         raise InvalidParams(f"coefficients of shape {coef.shape} for times {t.shape}")
     if not (worst := np.abs(coef).max(initial=0.0)) <= 1.0 + 1e-12:  # a nan fails too
         raise InvalidParams(f"max |A|, |B|, |D| = {worst} exceeds 1 beyond tolerance")
-    return state.density() * multiplier(t, xi0, coef)
+    return coef
+
+
+def level_entries(t: np.ndarray, xi0: float, coef: np.ndarray) -> tuple:
+    """The 3x3 level multiplier's entries above its unit diagonal: a = A p
+    between levels 0 and 1, b = B between 0 and 2, d = D p^* between 1 and 2.
+
+    coef holds A, B and D on its last axis, shaped t.shape + (3,).  The
+    qubit phase p = exp(i xi0 t / 2), of H_s = -xi0 S1^z S2^z, stays a factor
+    of its own: added to the O(1) bath eigenvalues behind A, B and D, a large
+    xi0 would round them away.  A numpy scalar rounds A p as a 0-d array
+    does.
+    """
+    coef = np.asarray(coef, dtype=complex)
+    p = qubit_phase(t, xi0)
+    return coef[..., 0] * p, coef[..., 1], coef[..., 2] * p.conj()
+
+
+def qubit_phase(t: np.ndarray, xi0: float) -> np.ndarray:
+    """p = exp(i xi0 t / 2); InvalidParams where bounded_phase refuses xi0 t/2."""
+    with np.errstate(over="ignore"):  # an overflowed phase fails the bound
+        return np.exp(1j * bounded_phase(0.5 * (xi0 * t), t, "qubit phase |xi0 t|/2"))
 
 
 def multiplier(t: np.ndarray, xi0: float, coef: np.ndarray) -> np.ndarray:
     """M(t), a Hermitian t.shape + (4, 4) stack that takes any rho0 to rho0 * M.
 
-    coef holds A, B and D on its last axis, shaped t.shape + (3,).  Unit
-    diagonal and |01><10| entry; A p, p = exp(i xi0 t / 2), on the
-    one-excitation coherences adjacent to |00>, D p^* on those adjacent to
-    |11>, and B at |00><11|.  The closed forms share one coefficient
-    (D = A); the exact finite-field products of the oracle do not.  The
-    qubit phase p, of H_s = -xi0 S1^z S2^z, stays a factor of its own:
-    added to the O(1) bath eigenvalues behind A, B and D, a large xi0 would
-    round them away.  InvalidParams where bounded_phase refuses xi0 t/2.  A
-    numpy scalar rounds A p as a 0-d array does.
+    Each basis state sits on its coupling level, and M holds the level
+    multiplier's entries (level_entries): unit diagonal and |01><10| entry;
+    a on the one-excitation coherences adjacent to |00>, d on those adjacent
+    to |11>, and b at |00><11|.  The closed forms share one coefficient
+    (D = A); the exact finite-field products of the oracle do not.
     """
-    coef = np.asarray(coef, dtype=complex)
-    A, B, D = coef[..., 0], coef[..., 1], coef[..., 2]
-    with np.errstate(over="ignore"):  # an overflowed phase fails the bound
-        p = np.exp(1j * bounded_phase(0.5 * (xi0 * t), t, "qubit phase |xi0 t|/2"))
+    a, b, d = level_entries(t, xi0, coef)
     m = np.ones(np.shape(t) + (4, 4), dtype=complex)
-    m[..., 0, 1] = m[..., 0, 2] = A * p
-    m[..., 1, 3] = m[..., 2, 3] = D * p.conj()
-    m[..., 0, 3] = B
+    m[..., 0, 1] = m[..., 0, 2] = a
+    m[..., 1, 3] = m[..., 2, 3] = d
+    m[..., 0, 3] = b
     m[..., _LOWER[0], _LOWER[1]] = m[..., _LOWER[1], _LOWER[0]].conj()
     return m
 

@@ -407,20 +407,34 @@ def test_rows_written_in_blocks_are_the_bytes_of_one_block(
         assert capsys.readouterr().out.encode() == fresh[""]
 
 
-def test_the_csv_writer_holds_one_block_of_text_not_the_whole_grid():
+def _bytes_per_point(argv):
+    """Growth of main(argv + --points n)'s tracemalloc peak a point, from
+    3,000 to 30,000 points, after a first run fills the parser's caches."""
     def peak_bytes(points):
         tracemalloc.start()
         try:
-            assert main(["coherence", "--points", str(points), "--out", os.devnull]) == EXIT_OK
+            assert main(argv + ["--points", str(points), "--out", os.devnull]) == EXIT_OK
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak_bytes(2)  # the parser and the caches behind a first run
-    small, large = peak_bytes(3_000), peak_bytes(30_000)
+    peak_bytes(2)
+    small = peak_bytes(3_000)
+    return (peak_bytes(30_000) - small) / 27_000
+
+
+def test_the_csv_writer_holds_one_block_of_text_not_the_whole_grid():
     # the numpy columns cost ~60 B a point; the rows of the whole grid held
     # as text would add ~380 B a point
-    assert (large - small) / 27_000 < 150
+    assert _bytes_per_point(["coherence"]) < 150
+
+
+@pytest.mark.parametrize("case, bound", [("2", 150), ("4", 1000)])
+def test_concurrence_forms_no_four_by_four_stack(case, bound):
+    # a (points, 4, 4) complex stack of rho or M alone is 256 B a point, and
+    # eigh's and validate_density's temporaries took case 2 to ~810 B and case
+    # 4 to ~1,380 B; case 4's (points, 3, 3) tau and its factor cost ~530 B
+    assert _bytes_per_point(["concurrence", "--case", case]) < bound
 
 
 def test_out_to_a_device_exits_0(capsys):

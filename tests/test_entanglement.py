@@ -7,6 +7,7 @@ from isingbath.dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
     SystemParams,
+    _rate_factors,
     coherence_magnitude_asymptotic,
     dephasing_coeffs,
 )
@@ -19,10 +20,11 @@ from isingbath.entanglement import (
     concurrences,
     dephased_concurrences,
 )
-from isingbath.errors import NotADensityMatrix
+from isingbath.errors import InvalidParams, NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import _BRA, _KET, _LEVELS, _dense_factor
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
+from mp_reference import dephased_wootters
 from wootters_reference import SIGMA_YY, case1_concurrence, case2_concurrence, r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
@@ -402,32 +404,65 @@ def test_dephased_concurrences_match_the_general_route_where_a_pair_vanishes():
             assert np.abs(dephased_concurrences(state, times, xi0, coef) - want).max() <= 1e-14
 
 
-def test_the_general_route_runs_exactly_where_three_levels_are_occupied(monkeypatch):
+def test_dephased_concurrences_never_call_the_general_route_or_eigh(monkeypatch):
     calls = []
 
-    def spy(rhos):
-        calls.append(len(rhos))
-        return concurrences(rhos)
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(entanglement, "concurrences", spy)
+    monkeypatch.setattr(entanglement, "concurrences", spy("concurrences", concurrences))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
     rng = np.random.default_rng(24)
     times, xi0, coef = next(curves(rng, 1))
-    for state in two_level_states(rng):
-        dephased_concurrences(state, times, xi0, coef)
+    states = two_level_states(rng) + three_level_states(rng) + [case_state(4)]
+    for state in states + [random_state(rng) for _ in range(4)]:
+        assert dephased_concurrences(state, times, xi0, coef).shape == times.shape
     assert calls == []
-    more = three_level_states(rng) + [case_state(4)] + [random_state(rng) for _ in range(4)]
-    for state in more:
-        dephased_concurrences(state, times, xi0, coef)
-    assert calls == [len(times)] * len(more)
 
 
-def test_dephased_concurrences_are_the_general_route_bit_for_bit_elsewhere():
+def test_dephased_concurrences_match_the_general_route_within_1e_11_elsewhere():
+    # the level factor and the eigh of rho round differently; both are held to
+    # a 60-digit Wootters below
     rng = np.random.default_rng(22)
     states = [case_state(4)] + [random_state(rng) for _ in range(6)]
     for times, xi0, coef in curves(rng, 4):
         for state in states:
-            np.testing.assert_array_equal(dephased_concurrences(state, times, xi0, coef),
-                                          general_route(state, times, xi0, coef))
+            got = dephased_concurrences(state, times, xi0, coef)
+            assert np.abs(got - general_route(state, times, xi0, coef)).max() <= 1e-11
+
+
+def test_three_level_dephased_concurrences_match_a_60_digit_wootters():
+    # 44 points at ~14 ms each, ~0.7 s: each curve's first two grid times and
+    # two random ones, plus, on the six finite-mode curves at N <= 10, the
+    # first two revivals t = k pi sqrt(N) / (c J0), where |A| rounds to 1
+    rng = np.random.default_rng(38)
+    worst = 0.0
+    for k in range(8):
+        J = rng.uniform(1.0, 3.0)
+        bath = BathParams(J=J, w=rng.uniform(0.0, 0.3) if k % 2 else 0.0,
+                          T=rng.uniform(0.1, 0.9) * critical_temperature(J))
+        sys_p = SystemParams(J0=rng.uniform(0.5, 2.0), xi0=rng.uniform(0.0, 2.0))
+        sol = solve_order(bath)
+        if k < 6:
+            N = int(rng.integers(1, 11))
+            revival = np.pi * math.sqrt(N) / (_rate_factors(sol, bath)[0] * sys_p.J0)
+            times = np.r_[np.linspace(0.0, 2.5 * revival, 60), revival, 2.0 * revival]
+            coef = dephasing_coeffs(times, sol, bath, sys_p, mode=MODE_FINITE, N=N)
+            picks = [0, 1, 60, 61]
+            assert np.abs(coef[60:, 0]).min() > 1.0 - 1e-12
+        else:
+            times = np.linspace(0.0, 16.0, 60) / sys_p.J0
+            coef = dephasing_coeffs(times, sol, bath, sys_p, mode=MODE_ASYMPTOTIC)
+            picks = [0, 1]
+        state = case_state(4) if k % 2 else random_state(rng)
+        got = dephased_concurrences(state, times, sys_p.xi0, coef)
+        for i in picks + rng.integers(2, 60, 2).tolist():
+            want = dephased_wootters(state.amplitudes(), sys_p.xi0, times[i], coef[i])
+            worst = max(worst, abs(got[i] - want))
+    assert worst <= 1e-10
 
 
 def test_case1_and_case2_closed_forms_to_one_ulp():
@@ -452,3 +487,50 @@ def test_a_multiplier_negative_on_three_occupied_levels_is_refused_on_both_paths
             run(three_levels, times, 0.3, coef)
         # on |00> and |11> alone the same coefficients give a valid Bell state
         np.testing.assert_allclose(run(case_state(2), times, 0.3, coef), 1.0, rtol=0, atol=1e-15)
+
+
+def test_a_multiplier_with_a_zero_schur_diagonal_is_refused_on_both_paths():
+    # A = B = 1, D = -1: level 0's elimination leaves S = [[0, -2 p^*], [-2 p, 0]],
+    # eigenvalues +-2 on a zero diagonal, which no floor may read as a zero block
+    times = np.array([0.0, 0.5, 1.0])
+    coef = np.tile([1.0 + 0j, 1.0, -1.0], (3, 1))
+    for run in (dephased_concurrences, general_route):
+        for state in (case_state(4), PureState2Q.normalized(1.0, 1.0, 0.0, 1.0)):
+            with pytest.raises(NotADensityMatrix, match="^negative eigenvalue "):
+                run(state, times, 0.3, coef)
+
+
+@pytest.mark.parametrize("times, coef", [
+    (np.zeros(3), np.ones((2, 3), complex)),
+    (np.zeros(3), np.tile([1.0 + 1e-9, 1.0, 1.0], (3, 1))),
+    (np.zeros(3), np.tile([1.0, np.nan, 1.0], (3, 1))),
+    (np.array([0.0, 2.0**54]), np.ones((2, 3), complex)),
+], ids=["shape", "above-1", "nan", "qubit-phase"])
+def test_bad_coefficients_and_phases_meet_the_one_evolve_reduced_message(times, coef):
+    for state in (case_state(2), case_state(4)):
+        with pytest.raises(InvalidParams) as want:
+            evolve_reduced(state, times, 0.5, coef)
+        with pytest.raises(InvalidParams) as got:
+            dephased_concurrences(state, times, 0.5, coef)
+        assert str(got.value) == str(want.value)
+
+
+def test_a_multiplier_indefinite_by_rounding_keeps_c_within_1e_11():
+    # at T = 0.054 Tc and N = 605815, |A| and |B| round to 1 while the phases of
+    # A, B and D disagree by ~1e-11: at t[179] level 0's Schur complement is
+    # S = [[2.6e-14, s12], [s12^*, 1.05e-13]], |s12| = 5.5e-12, indefinite within
+    # the clamp.  A Cholesky pivot on the larger diagonal, just above the floor,
+    # put C 1.5e-10 off; the positive part of S keeps it within 1e-11
+    bath = BathParams(J=1.749992484875286, w=0.10026864240823798, T=0.04752524393312397)
+    sys_p = SystemParams(J0=0.8538370230587714, xi0=1.276466263112538)
+    times = np.linspace(0.0, 16.0 / sys_p.J0, 200)
+    coef = dephasing_coeffs(times, solve_order(bath), bath, sys_p, mode=MODE_FINITE, N=605815)
+    state = PureState2Q(0.6411560542441234 + 0.09430213146988474j,
+                        0.4458763395494273 - 0.13999169375518836j,
+                        -0.4702104304660652 + 0.3257633083615724j,
+                        0.14293007796675417 - 0.11821187941386899j)
+    got = dephased_concurrences(state, times, sys_p.xi0, coef)
+    assert np.abs(got - general_route(state, times, sys_p.xi0, coef)).max() <= 1e-11
+    for i in (176, 179):
+        want = dephased_wootters(state.amplitudes(), sys_p.xi0, times[i], coef[i])
+        assert abs(got[i] - want) <= 1e-11
