@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvtext import block_text
 from .dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
@@ -62,7 +63,7 @@ FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
 # does not fit in memory
 _MAX_POINTS = sys.maxsize // 256
 VERIFY_BATH_SIZES = (1, 2, 4, 6, 8, 10, 12)
-_BLOCK_ROWS = 1024  # CSV rows formatted per write, ~100 kB of text
+_BLOCK_ROWS = 400  # CSV rows formatted per write: ~2,000 cells, ~40 kB of text
 
 
 @dataclass(frozen=True)
@@ -228,23 +229,20 @@ _KEYS = {
 def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]]) -> None:
     """Header, column-name line, then one row per column entry, to cfg.out or stdout.
 
-    A numpy column is written as Python's shortest round-trip repr of each
-    value; a list column must already hold strings.  Rows are formatted and
-    written _BLOCK_ROWS at a time, so one block's text is held at once; a
-    write that fails partway through can leave only the rows written so far.
+    A numpy column holds floats, each written as Python's shortest
+    round-trip repr; a list column must already hold ASCII strings of at
+    most 44 characters.  Rows are formatted and written _BLOCK_ROWS at a time, so
+    one block's text is held at once; a write that fails partway through
+    can leave only the rows written so far.
     """
     header = "# " + " ".join(f"{k}={v}" for k, v in cfg.key_values().items())
 
     def pieces():
         yield f"{header}\n{','.join(columns)}\n"
-        for lo in range(0, min(map(len, columns.values())), _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            # .tolist() gives Python floats: numpy 2 scalars repr as np.float64(...)
-            cells = [
-                map(repr, col[rows].tolist()) if isinstance(col, np.ndarray) else col[rows]
-                for col in columns.values()
-            ]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        n = min(map(len, columns.values()))
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = slice(lo, min(lo + _BLOCK_ROWS, n))
+            yield block_text([col[rows] for col in columns.values()])
 
     _write_text(pieces(), cfg.out)
 
@@ -316,7 +314,7 @@ def cmd_coherence(cfg: RunConfig) -> int:
         "re_r": r.real,
         "im_r": r.imag,
         "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
-        "tau": [repr(tau)] * len(times),
+        "tau": np.full(len(times), tau),
     }
     write_csv(cfg, columns)
     return EXIT_OK

@@ -79,15 +79,21 @@ def coherence_factor_finite(
     sol: OrderSolution,
     bath: BathParams,
     sys: SystemParams,
+    *,
+    levels: int = 1,
 ) -> complex | np.ndarray:
-    """Finite-N coherence factor r(t) multiplying the <0|rho|1> element.
+    """Finite-N coherence factor r(levels t): at levels = 1 the factor
+    multiplying the <0|rho|1> element, at levels = 2 the two-excitation
+    coefficient B(t) = r(2t).
 
     Computed as exp(N log z) with z = cos(cu) + i m u sinc(cu) the per-spin
-    factor, u = J0 t / sqrt(N); for integer N the principal branch is exact
-    even when z crosses the negative real axis.  log|z| is taken as
-    log1p(-kappa u^2 sinc^2(cu))/2, accurate where |z| is within eps of 1.
-    InvalidParams (two_qubit.bounded_phase) where N |c u|, the per-spin
-    angle's rounding grown N-fold by the power, reaches 2**52 or is nan.
+    factor, u = levels (J0 t / sqrt(N)): the angle is scaled, not the time,
+    so J0 = 0 gives u = 0 at every finite t; for integer N the principal
+    branch is exact even when z crosses the negative real axis.  log|z| is
+    taken as log1p(-kappa u^2 sinc^2(cu))/2, accurate where |z| is within
+    eps of 1.  InvalidParams (two_qubit.bounded_phase), naming t, where
+    N |c u|, the per-spin angle's rounding grown N-fold by the power,
+    reaches 2**52 or is nan.
 
     The free single-qubit phase exp(i mu0 t) is excluded: it cannot change
     |r| or any concurrence.  Multiply by it to recover the full
@@ -98,7 +104,7 @@ def coherence_factor_finite(
     t = np.asarray(t, dtype=float)
     c, lo, hi = _rate_factors(sol, bath)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
-        u = t * (sys.J0 / math.sqrt(N))
+        u = levels * (t * (sys.J0 / math.sqrt(N)))
         cu = c * u
         bounded_phase(N * np.abs(cu), t, "bath phase N |c u|")
     s = u * _sinc(cu)  # sin(cu)/c, and u at c = 0
@@ -153,16 +159,15 @@ def dephasing_coeffs(
     t.shape + (3,): the exact oracle routes' layout, which
     two_qubit.multiplier takes.  The closed forms have D = A.
 
-    Finite mode: A(t) = r(t), B(t) = A(2t) exactly (same code path).
+    Finite mode: A(t) = r(t), B(t) = A(2t) exactly (same code path, with
+    the angle u doubled rather than t).
     Asymptotic mode: magnitudes only, A = |r| Gaussian and B = A^4.
     """
     if mode == MODE_FINITE:
         if N is None:
             raise InvalidParams("finite mode requires a bath size N")
         A = coherence_factor_finite(t, N, sol, bath, sys)
-        with np.errstate(over="ignore"):  # an overflowed 2t fails the bound
-            doubled = 2.0 * t
-        B = coherence_factor_finite(doubled, N, sol, bath, sys)
+        B = coherence_factor_finite(t, N, sol, bath, sys, levels=2)
     elif mode == MODE_ASYMPTOTIC:
         A = coherence_magnitude_asymptotic(t, sol, bath, sys)
         B = A**4

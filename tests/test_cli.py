@@ -929,6 +929,21 @@ def test_an_edge_run_exits_0_with_finite_cells(tmp_path, capsys, argv):
             assert all(math.isfinite(float(v)) for v in data[name]), (path, name)
 
 
+@pytest.mark.parametrize("command", ["concurrence", "fig1"])
+def test_nothing_dephases_at_J0_0_up_to_the_largest_time(tmp_path, command):
+    # B's angle is A's doubled, not A's at a doubled time, so a grid time
+    # whose double overflows still has the phase 0 at J0 = 0
+    argv = [command, "--t-max", "1e308", "--mode", "finite", "--J0", "0", "--points", "3"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
+    for path in tmp_path.iterdir():
+        _, data = read_csv(path)
+        assert data["t"] == ["0.0", "5e+307", "1e+308"]
+        assert data["abs_A"] == data["abs_B"] == ["1.0"] * 3
+        # case 2's C = 2 sqrt(p0 p3) |B| reads 1 up to the state's rounding
+        assert data["C"] == [data["C"][0]] * 3
+        assert float(data["C"][0]) == pytest.approx(1.0, abs=1e-15)
+
+
 def _assert_scale_free_run(out, capsys):
     """A clean run at an extreme bath scale J reads what the bath at J = 1,
     with w and T divided by J, reads: m of each phase row, or coherence's tau."""
@@ -1067,9 +1082,11 @@ def test_stdout_when_no_out(capsys):
         (["coherence", "--t-max", "1e13", "--points", "3"],
          "bath phase N |c u| = 4.99e+15", "10000000000000.0"),
         (["coherence", "--points", "3", "--N", str(10**154)], "bath phase N |c u| = 2e+77", "4.0"),
-        # 2t overflows, and 0 * inf at J0 = 0 is nan
-        (["concurrence", "--t-max", "1e308", "--mode", "finite", "--J0", "0", "--points", "3"],
-         "bath phase N |c u| = nan", "inf"),
+        # B(t) = A(2t) meets the bound at a grid time whose A is inside it: at
+        # w = 0 below Tc, c = 1/2, so with N = 4 and J0 = 1 A's phase is t
+        (["concurrence", "--w", "0", "--N", "4", "--mode", "finite",
+          "--t-max", "2251799813685248", "--points", "3"],
+         "bath phase N |c u| = 4.5e+15", "2251799813685248.0"),
         # the qubit phase xi0 t/2 of the multiplier, and of verify's oracle
         (["concurrence", "--xi0", "1e308", "--t-max", "8", "--points", "3"],
          "qubit phase |xi0 t|/2 = inf", "4.0"),
