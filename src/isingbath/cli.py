@@ -43,13 +43,7 @@ from .mean_field import (
     solve_order,
     solve_order_grid,
 )
-from .oracle import (
-    ROUTES,
-    OracleConfig,
-    extract_products,
-    simulate_exact,
-    single_qubit_coherence_exact,
-)
+from .oracle import OracleConfig, extract_products, simulate_exact, single_qubit_coherence_exact
 from .two_qubit import PureState2Q, case_state, evolve_reduced
 
 EXIT_OK = 0
@@ -291,8 +285,11 @@ def cmd_phase(cfg: RunConfig) -> int:
     tc = critical_temperature(cfg.J)
     temps = np.array(cfg.temperatures(), dtype=float)
     theta, m, ordered = solve_order_grid(cfg.J, cfg.w, temps)
-    with np.errstate(over="ignore"):  # T / Tc may overflow to inf, as a Python float does
-        t_over_tc = temps / tc if tc > 0 else np.full_like(temps, math.inf)
+    if cfg.T:
+        with np.errstate(over="ignore"):  # T / Tc may overflow to inf, as a Python float does
+            t_over_tc = temps / tc if tc > 0 else np.full_like(temps, math.inf)
+    else:  # the ratios as given: (r Tc) / Tc can be an ulp off r
+        t_over_tc = np.array(cfg.T_over_Tc)
     columns = {
         "T": temps,
         "T_over_Tc": t_over_tc,
@@ -354,12 +351,12 @@ def cmd_fig1(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     """Cross-check the exact oracle against the closed forms.
 
-    Structural checks (every other row of oracle.ROUTES against the
-    factorized one, and the single-qubit trace vs dense) run at the working
-    transverse field; closed-form equivalence checks run in the
-    Ising limit w = 0, the regime where the finite-N formulas are exact
-    identities rather than large-N asymptotics.  n_max is the text of the
-    --N-max flag.  The report goes to cfg.out, or to stdout.
+    Structural checks (the trace route against the independent dense one,
+    for both qubits and for one) run at the working transverse field;
+    closed-form equivalence checks run in the Ising limit w = 0, the regime
+    where the finite-N formulas are exact identities rather than large-N
+    asymptotics.  n_max is the text of the --N-max flag.  The report goes
+    to cfg.out, or to stdout.
     """
     n_max = _parse_text("N-max", int, n_max)
     if n_max < 1:
@@ -378,15 +375,13 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
     for n in sizes:
         tim = OracleConfig(N=n, bath=bath_tim, sys=sys_p, state=state, times=times)
         im = replace(tim, bath=bath_im)
-        fac = 4 * simulate_exact(tim)
         products = extract_products(im)
         closed = dephasing_coeffs(times, sol_im, bath_im, sys_p, mode=MODE_FINITE, N=n)
         # one (name, x, y, tol) row per check, evaluated in report order: the
         # oracle's one-line overflow errors (mu0 t, say) precede numpy's warnings
         rows = [
-            *((f"factorized vs {method} route (w={cfg.w})",
-               fac, 4 * simulate_exact(tim, method=method), tol)
-              for method in ROUTES if method != "factorized"),
+            (f"trace vs dense route (w={cfg.w})",
+             4 * simulate_exact(tim), 4 * simulate_exact(tim, method="dense"), tol),
             (f"single-qubit trace vs dense (w={cfg.w})",
              single_qubit_coherence_exact(n, bath_tim, sys_p, times),
              single_qubit_coherence_exact(n, bath_tim, sys_p, times, method="dense"), tol),

@@ -12,13 +12,12 @@ ROUTES is the one table of the ways to compute F.  Every row is called as
 route(bath, J0, N, t, bra, ket) and returns one factor per (bra, ket)
 level pair over the whole time list t, shaped (T, P):
 
-* "factorized": explicit per-spin propagators from su2.exp_imag, one per
-  distinct level, traced against g in one einsum; the reference.
-* "trace": the same traces through the closed-form triple-trace identity
-  (su2.trace_triple) against g's traceless part (su2.gibbs_part).
+* "trace": the per-spin trace from the closed-form triple-trace identity
+  (su2.trace_triple) against g's traceless part (su2.gibbs_part); O(1) in
+  N, and the default of every entry point.
 * "dense": the whole bath in its collective-spin basis, free of the
-  per-spin factorization: the oracle of the oracle.  Its basis grows as
-  N^2, so it alone caps N at MAX_BATH_SIZE; the rows above cost O(1) in N.
+  per-spin factorization: the independent route, which verify holds the
+  trace row to.  Its basis grows as N^2, so it caps N at MAX_BATH_SIZE.
 
 The two entry points take a row by name (method), with one error for an
 unknown name.  simulate_exact asks for two_qubit's level pairs (_BRA,
@@ -26,8 +25,8 @@ _KET) of the two qubits' total S^z (_LEVELS), which are the coefficients
 A, B and D, and two_qubit.multiplier lays out M and adds the qubit phase;
 single_qubit_coherence_exact asks for the one pair (<0|, |1>) of one
 qubit's S^z (_SZ) and adds the free phase exp(i mu0 t).
-reconstruct_reduced is simulate_exact's trace row.  Time is the first axis
-of every result.
+reconstruct_reduced is simulate_exact's default under a second name.  Time
+is the first axis of every result.
 
 Times must be finite; a nan or inf time raises InvalidParams on every route,
 and so does one where a phase the route exponentiates reaches 2**52
@@ -51,7 +50,7 @@ import numpy as np
 from .dephasing import SystemParams
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
-from .su2 import TracelessXZ, exp_imag, gibbs_part, single_spin_gibbs, trace_triple
+from .su2 import TracelessXZ, gibbs_part, trace_triple
 from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, bounded_phase, multiplier
 
 MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
@@ -106,23 +105,6 @@ def _distinct(bra, ket):
     ket level in them; a set is cheaper than np.unique on so few."""
     levels = np.array(sorted({*bra.tolist(), *ket.tolist()}))
     return levels, levels.searchsorted(bra), levels.searchsorted(ket)
-
-
-def _factorized_factor(bath, J0, N, t, bra, ket):
-    """tr[U_a g U_b^dag]^N for each level pair (a, b) of bra and ket: shaped
-    (T, P) over the T times t, from explicit 2x2 matrices.
-
-    U_a = exp(i t (w S^x + h_a S^z)) is the per-spin bath propagator at
-    level a (su2.exp_imag, one per distinct level) and g the per-spin Gibbs
-    state (su2.single_spin_gibbs).  O(1) in N.
-    """
-    levels, a, b = _distinct(bra, ket)
-    h0, nu = _fields(bath, N, J0, t, levels)
-    g = single_spin_gibbs(bath.w, h0, bath.T)
-    fields = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * nu[:, None])
-    # (L, T, 2, 2): the per-spin bath propagator conditioned on each level
-    props = exp_imag(fields)
-    return np.einsum("itab,bc,itac->ti", props[a], g, props[b].conj()) ** N
 
 
 def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,7 +186,7 @@ def _trace_power(bath, J0, N, t, bra, ket):
     return trace_triple(i1, gibbs_part(bath.w, h0, bath.T), i2) ** N
 
 
-ROUTES = {"factorized": _factorized_factor, "trace": _trace_power, "dense": _dense_factor}
+ROUTES = {"trace": _trace_power, "dense": _dense_factor}
 
 
 def _route(method: str):
@@ -214,7 +196,7 @@ def _route(method: str):
     return ROUTES[method]
 
 
-def simulate_exact(cfg: OracleConfig, *, method: str = "factorized") -> np.ndarray:
+def simulate_exact(cfg: OracleConfig, *, method: str = "trace") -> np.ndarray:
     """Exact reduced density matrices tr_B[exp(-iHt) rho(0) exp(iHt)], shaped
     (T, 4, 4) over the T times of cfg.times.
 
@@ -238,9 +220,8 @@ def extract_products(cfg: OracleConfig) -> np.ndarray:
 
 
 def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
-    """Reduced matrices from the closed trace identity, shaped (T, 4, 4):
-    simulate_exact's trace row."""
-    return simulate_exact(cfg, method="trace")
+    """simulate_exact(cfg): the trace row's reduced matrices, shaped (T, 4, 4)."""
+    return simulate_exact(cfg)
 
 
 def single_qubit_coherence_exact(

@@ -45,6 +45,10 @@ class TracelessXZ:
         return np.hypot(self.a, self.b)
 
 
+# _xz_matrix, exp_imag and single_spin_gibbs have no caller in the package:
+# the benchmark's single-qubit reference (bench/checks.py) and its tracer
+# (bench/layers.py), tests/dense_reference.py and the explicit-propagator
+# reference in tests/test_oracle.py use them; they go once those move
 def _xz_matrix(c, a, b) -> np.ndarray:
     """c I + a sigma_x + b sigma_z, shaped (..., 2, 2) over the broadcast
     shape of c, a and b."""

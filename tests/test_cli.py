@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isingbath import cli
+from isingbath import cli, oracle
 from isingbath.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -91,6 +91,19 @@ def test_phase_theta_value(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     _, data = read_csv(out)
     assert floats(data, "theta")[0] == pytest.approx(1.915, abs=1e-3)
+
+
+def test_phase_writes_the_ratios_it_was_given(tmp_path):
+    # at J = 3, (r Tc) / Tc is an ulp off r = 0.1 and 0.7; a run given --T
+    # still writes T / Tc, which overflows to inf past the float range
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--J", "3", "--T-over-Tc", "0.1,0.7", "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    assert data["T_over_Tc"] == ["0.1", "0.7"]
+    assert data["T"] == [repr(0.1 * 1.5), repr(0.7 * 1.5)]
+    assert main(["phase", "--J", "0.5", "--T", "0.5,1e308", "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    assert data["T_over_Tc"] == ["2.0", "inf"]
 
 
 def test_coherence_columns(tmp_path):
@@ -592,7 +605,7 @@ def test_verify_passes_at_and_above_tc(capsys, argv):
     # subnormal bath scale, where w/T = 1 must keep its bits
     assert main(["verify", "--N-max", "12", *argv]) == EXIT_OK
     *checks, last = capsys.readouterr().out.splitlines()
-    assert len(checks) == 49 and all(line.startswith("ok ") for line in checks)
+    assert len(checks) == 42 and all(line.startswith("ok ") for line in checks)
     assert last == "verify: all checks passed"
 
 
@@ -623,8 +636,7 @@ def test_verify_honours_a_zero_qubit_coupling(capsys, monkeypatch):
 
 # verify's checks per bath size, in report order, at its default w = 0.1
 VERIFY_CHECKS = [
-    "factorized vs trace route (w=0.1)",
-    "factorized vs dense route (w=0.1)",
+    "trace vs dense route (w=0.1)",
     "single-qubit trace vs dense (w=0.1)",
     "exact coefficients vs closed form (w=0)",
     "oracle vs closed-form reduced matrix (w=0)",
@@ -635,17 +647,17 @@ VERIFY_CHECKS = [
 
 def _verify_report(capsys, argv, code):
     """The (verdict, name) of each check line of verify --N-max 12, and its
-    last line; every bath size up to 12 reports the seven checks in order."""
+    last line; every bath size up to 12 reports the six checks in order."""
     assert main(["verify", "--N-max", "12", *argv]) == code
     *checks, last = capsys.readouterr().out.splitlines()
     parsed = [re.fullmatch(r"(ok|FAIL) +(.+): max error \S+ \(tol \S+\)", line).groups()
               for line in checks]
     names = [f"N={n} {name}" for n in (1, 2, 4, 6, 8, 10, 12) for name in VERIFY_CHECKS]
-    assert len(names) == 49 and [name for _, name in parsed] == names
+    assert len(names) == 42 and [name for _, name in parsed] == names
     return [verdict for verdict, _ in parsed], last
 
 
-def test_verify_report_lists_seven_checks_per_bath_size(capsys):
+def test_verify_report_lists_six_checks_per_bath_size(capsys):
     verdicts, last = _verify_report(capsys, [], EXIT_OK)
     assert set(verdicts) == {"ok"} and last == "verify: all checks passed"
 
@@ -654,6 +666,16 @@ def test_verify_negative_control(capsys):
     # the injected error fails every check line
     verdicts, last = _verify_report(capsys, ["--inject-error"], EXIT_VERIFY_FAILED)
     assert set(verdicts) == {"FAIL"} and last == "verify: FAILED"
+
+
+def test_verify_catches_a_wrong_trace_route(capsys, monkeypatch):
+    # the trace vs dense rows hold the per-spin trace to the independent
+    # dense bath; an error of 1e-9 in the trace route fails each of them
+    trace = oracle.ROUTES["trace"]
+    monkeypatch.setitem(oracle.ROUTES, "trace", lambda *args: trace(*args) + 1e-9)
+    assert main(["verify", "--N-max", "2"]) == EXIT_VERIFY_FAILED
+    rows = [line for line in capsys.readouterr().out.splitlines() if "trace vs dense route" in line]
+    assert len(rows) == 2 and all(line.startswith("FAIL ") for line in rows)
 
 
 def test_verify_fails_a_nan_error(capsys, monkeypatch):

@@ -68,20 +68,12 @@ def test_case1_state_keeps_constant_concurrence():
         assert concurrence(rho).c == pytest.approx(1.0, abs=1e-12)
 
 
-def test_factorized_matches_dense():
+def test_trace_matches_dense():
     for n in (1, 2, 3, 4, 5, 6, 9):
         cfg = make_cfg(n, BATH_TIM, state=random_state(n))
-        fac = simulate_exact(cfg)
+        tr = simulate_exact(cfg)
         den = simulate_exact(cfg, method="dense")
-        assert np.abs(fac - den).max() <= 1e-12
-
-
-def test_factorized_matches_trace_identity_reconstruction():
-    for bath in (BATH_TIM, BATH_IM, BathParams(J=2.0, w=0.5, T=0.8)):
-        cfg = make_cfg(5, bath)
-        fac = simulate_exact(cfg)
-        rec = reconstruct_reduced(cfg)
-        assert np.abs(fac - rec).max() < 1e-12
+        assert np.abs(tr - den).max() <= 1e-12
 
 
 def test_oracle_matches_closed_forms_in_ising_limit():
@@ -276,8 +268,8 @@ def test_ising_closed_form_is_exact_on_both_sides_of_tc(J, T_over_Tc):
 
 
 def test_size_guards():
-    # only the dense basis grows with N; the factorized and trace-identity
-    # routes are O(1) in N and run past MAX_BATH_SIZE
+    # only the dense basis grows with N; the trace-identity route is O(1) in
+    # N and runs past MAX_BATH_SIZE
     cfg = make_cfg(13, BATH_TIM)
     with pytest.raises(ConfigTooLarge, match=r"^bath size 13 exceeds MAX_BATH_SIZE = 12$"):
         simulate_exact(cfg, method="dense")
@@ -294,7 +286,7 @@ def test_size_guards():
 
 
 def test_unknown_method_is_one_error_on_both_entry_points():
-    message = r"^unknown method 'adiabatic'; the routes are factorized, trace, dense$"
+    message = r"^unknown method 'adiabatic'; the routes are trace, dense$"
     with pytest.raises(InvalidParams, match=message):
         simulate_exact(make_cfg(2, BATH_TIM), method="adiabatic")
     with pytest.raises(InvalidParams, match=message):
@@ -372,12 +364,12 @@ def test_dense_route_keeps_the_bath_under_a_large_qubit_energy(sys_p):
         assert np.abs(sq[0] - sq[1]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("route", ["factorized", "reconstruct", "dense"])
+@pytest.mark.parametrize("route", ["trace", "reconstruct", "dense"])
 def test_qubit_phase_overflow_at_a_finite_time_is_invalid_params(route):
     # with xi0 = 2**52 the qubit phase xi0 t/2 reaches 2**52 at t = 4 but not at t = 1
     cfg = make_cfg(3, BATH_TIM, times=(1.0, 4.0), sys_p=SystemParams(J0=1.0, xi0=2.0**52))
     call = {
-        "factorized": lambda: simulate_exact(cfg),
+        "trace": lambda: simulate_exact(cfg),
         "reconstruct": lambda: reconstruct_reduced(cfg),
         "dense": lambda: simulate_exact(cfg, method="dense"),
     }[route]
@@ -455,7 +447,7 @@ def _scalar_products(cfg, sol):
     ])
 
 
-@pytest.mark.parametrize("w", [0.0, 0.2])
+@pytest.mark.parametrize("w", [0.0, 0.2, 0.5])
 def test_batched_routes_match_per_time_scalar_reference(w):
     rng = np.random.default_rng(71)
     for k in range(12):
@@ -563,14 +555,15 @@ def test_uncapped_routes_meet_the_ising_closed_forms_at_large_n(n):
         assert np.abs(4 * got - m).max() <= tol
 
 
-# the rows whose cost is O(1) in N; the dense row is capped at MAX_BATH_SIZE
+# the rows whose cost is O(1) in N (the trace row); the dense row is capped
+# at MAX_BATH_SIZE
 _UNCAPPED = [m for m in ROUTES if m != "dense"]
 _ROUNDED_POWER = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 19: a rounded per-spin trace raised to the N-th power errs "
-    "by ~N eps h0 t; factorized / trace err by 3.3e-4 / 4.1e-4 at N = 1e12 and "
-    "0.25 / 0.32 at N = 1e15, where |F| = 1.12 / 1.003 > 1",
+    "by ~N eps h0 t; the trace route errs by 4.1e-4 at N = 1e12 and 0.32 at "
+    "N = 1e15, where |F| = 1.003 > 1",
 )
 
 
@@ -612,13 +605,13 @@ def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
       for w in (0.0, 0.2) for r in (1e-310, 1e-6, 0.5, 0.999, 1.5)),
     pytest.param(BathParams(J=1e-320, w=5e-324, T=5e-324), id="subnormal"),
 ])
-def test_dense_matches_factorized_at_the_guard_size(bath):
+def test_dense_matches_trace_at_the_guard_size(bath):
     # N = 12 is 49 collective states; at T -> 0, deep in the ordered phase,
     # next to Tc and in the disordered phase, and at a subnormal bath scale;
-    # every row of ROUTES through both entry points
+    # both rows of ROUTES through both entry points
     cfg = make_cfg(12, bath, state=random_state(12), times=(0.0, *TIMES, 7.5))
     for run in (lambda m: simulate_exact(cfg, method=m),
                 lambda m: single_qubit_coherence_exact(12, bath, SYS, cfg.times, method=m)):
         ref, *rest = map(run, ROUTES)
-        assert len(rest) == 2 and all(np.abs(x - ref).max() <= 1e-12 for x in rest)
+        assert len(rest) == 1 and all(np.abs(x - ref).max() <= 1e-12 for x in rest)
 
