@@ -3,7 +3,8 @@
 Emits deterministic CSV: a `# key=value ...` parameter header (which
 round-trips back into a run configuration), a column-name line, then data
 rows.  Time grids are specified in scaled units J0*t (raw t when J0 = 0).
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 141 stdout
+closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .two_qubit import PureState2Q, case_state, evolve_reduced
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_STDOUT_CLOSED = 141
 
 FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
 # 256 bytes a point, more than any one per-point array a command forms (a
@@ -57,7 +59,13 @@ FIG1_T_OVER_TC = (0.75, 0.50, 0.35, 0.25)
 # does not fit in memory
 _MAX_POINTS = sys.maxsize // 256
 VERIFY_BATH_SIZES = (1, 2, 4, 6, 8, 10, 12)
-_BLOCK_ROWS = 400  # CSV rows formatted per write: ~2,000 cells, ~40 kB of text
+_BLOCK_ROWS = 1600  # CSV rows formatted per write: ~8,000 cells, ~160 kB of text
+# a header tuple of at least this many values (T or T_over_Tc) is formatted
+# by the CSV kernel as one column, into the same text as repr: on 2-core
+# x86-64, 24 full-length ratios took 14 us by repr and 92 us by the kernel,
+# 256 took 141 and 133 us, 1,000 took 545 and 254 us (4-digit decimals take
+# the kernel's short-decimal pass and break even only near 1,000)
+_HEADER_KERNEL_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,8 @@ def _format_value(v) -> str:
     if v is None:
         return "none"
     if isinstance(v, tuple):
+        if len(v) >= _HEADER_KERNEL_MIN:
+            return block_text([np.array(v, dtype=float)])[:-1].replace("\n", ";")
         return ";".join(_format_value(x) for x in v)
     if isinstance(v, complex):
         sign = "+" if v.imag >= 0 else "-"
@@ -241,13 +251,26 @@ def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]]) -> Non
     _write_text(pieces(), cfg.out)
 
 
+class _StdoutClosed(Exception):
+    """stdout's reader closed it before the output was written."""
+
+
 def _write_text(pieces: Iterable[str], path: str | None) -> None:
     """The pieces in turn to stdout, or over the file at path in place, then
     cut to length (on ext4 an O_TRUNC open or a rename over the file
     rewrites ~4x slower); a device or FIFO takes no cut.  A write that fails
     partway through can leave only some new pieces, and old bytes after them."""
     if path is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: point fd 1 at /dev/null, as the signal
+            # module's docs advise, so the flush at exit stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _StdoutClosed from None
     else:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
             f.writelines(pieces)
@@ -509,6 +532,8 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, **extra)
     except SystemExit as exc:  # --help printed its text
         return exc.code
+    except _StdoutClosed:
+        return EXIT_STDOUT_CLOSED
     # MemoryError: a time grid that fits and a (points, 3, 3) stack that does not
     except (IsingBathError, OSError, ValueError, MemoryError) as exc:
         print(f"isingbath: error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ def _cell_tables():
     and the mask words of the bytes kept by each (s, digit count, 0 for
     zero; sign)."""
     thr = np.full(2048, np.inf)
-    s_hi = np.ones(2048, np.int16)
+    s_hi = np.ones(2048, np.intp)
     for e in range(_E_LO, _E_HI + 1):
         b = e - 1022  # the binade is [2**(b - 1), 2**b), k = floor(log10 2**(b - 1)) + 1
         k = len(str(2 ** (b - 1))) if b > 0 else len(str(5 ** (1 - b))) + b - 1
@@ -75,16 +75,16 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     Temporaries are deleted once used: they bound the writer's memory."""
     thr, s_hi, r_hi, pow5, p5hi, p5lo, ten = _cell_tables()[:7]
     bits = v.view(np.uint64)
-    E = bits << 1 >> 53
-    ok = E - _E_LO <= _E_HI - _E_LO
-    ge = bits << 1 >= thr[E]
-    s, r = s_hi[E] - ge, r_hi[E] + ge
+    E = (bits << 1 >> 53).view(np.intp)  # numpy converts any other index type on every gather
+    ok = E.view(np.uintp) - _E_LO <= _E_HI - _E_LO  # unsigned: below _E_LO wraps high
+    ge = bits << 1 >= thr.take(E)
+    s, r = s_hi.take(E) - ge, r_hi.take(E) + ge
     del E, ge
     # 4f 5**s = hi 2**64 + lo, from the 32-bit halves of 4f and 5**s
     a0 = (bits << 12 >> 10) | (1 << 54)
     a1 = a0 >> 32
     a0 &= 0xFFFFFFFF
-    b0, b1 = p5lo[s], p5hi[s]
+    b0, b1 = p5lo.take(s), p5hi.take(s)
     mid = a1 * b0
     mid += a0 * b1
     hi = a1 * b1
@@ -95,7 +95,7 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     lo = b0
     # upper = floor(X + dh), lower = floor(X - dl) and twice = floor(2X)
     rc = 64 - r
-    d = pow5[s] << 1  # dh 2**r
+    d = pow5.take(s) << 1  # dh 2**r
     b0 = lo + d
     upper = (b0 >> r) | ((hi + (b0 < lo)) << rc)
     d >>= bits << 12 == 0  # dl 2**r, half of dh at a power of two
@@ -105,11 +105,11 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     inexact = lo << rc != 0  # 2X is not an integer
     del hi, lo, r, rc, d, b0, mid
     k = sum((lower // ten[j] < upper // ten[j]).view(np.uint8) for j in (1, 2, 3))
+    k = k.astype(np.intp)
     more = np.flatnonzero((k == 3) & ok)
     if more.size:  # short decimals
-        k[more] += (lower[more, None] // ten[4:] < upper[more, None] // ten[4:]).sum(
-            axis=1, dtype=np.uint8)
-    unit = ten[k]
+        k[more] += (lower[more, None] // ten[4:] < upper[more, None] // ten[4:]).sum(axis=1)
+    unit = ten.take(k)
     half = twice + unit
     M = half // (unit << 1) * unit
     ok &= (twice - 2 * 10**16 < 18 * 10**16) & (M > lower) & (M <= upper) & (M < 10**17)
@@ -130,7 +130,7 @@ def _float_cells(v: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     row[zero] = np.signbit(v[zero])
     # word indices of the slots, word by word: the leading digit, four
     # groups, the exponent with the separator
-    idx = np.empty((6, len(v)), np.uint32)
+    idx = np.empty((6, len(v)), np.intp)
     x = M // 10**8
     np.subtract(M, x * 10**8, out=idx[4])
     del M
@@ -141,11 +141,11 @@ def _float_cells(v: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     halves = idx[2::2][:2]
     np.floor_divide(halves, 10000, out=idx[1::2][:2])
     halves -= idx[1::2][:2] * 10000
-    np.add(s, 10010, out=idx[5], casting="unsafe")
+    np.add(s, 10010, out=idx[5])
     idx[5].reshape(-1, ncols)[:, -1] += 28
     chars = np.take(words, idx.T)
     del idx
-    chars &= keep_rows[row]
+    chars &= keep_rows.take(row, axis=0)
     chars = chars.view(np.uint8)
     chars[todo, :_SEP] = 0
     return chars, todo

@@ -106,6 +106,58 @@ def test_phase_writes_the_ratios_it_was_given(tmp_path):
     assert data["T_over_Tc"] == ["2.0", "inf"]
 
 
+@pytest.mark.parametrize("key", ["T_over_Tc", "T"])
+def test_a_long_header_tuple_is_the_repr_join_of_its_values(tmp_path, key):
+    # past cli._HEADER_KERNEL_MIN values the header word comes from the CSV
+    # kernel, which leaves 1e-12 and 2**-37 (below 2**-36) to repr; the rest
+    # mimic the bench's grid: uniform below Tc, and clusters at Tc and at the
+    # w > 0 ordering boundary, with a few short decimals
+    J, w = 2.0, 0.1
+    rng = np.random.default_rng(42)
+    boundary = (w / (2.0 * math.atanh(w / J))) / (0.5 * J)
+
+    def near(centre, m):
+        return centre * (1.0 + rng.choice((-1.0, 1.0), m) * 10 ** rng.uniform(-8.0, -1.0, m))
+
+    values = np.concatenate([rng.uniform(0.0, 1.0, 200) + 1e-9, near(1.0, 200),
+                             near(boundary, 190), [1e-12, 2.0**-37, 0.25, 0.5, 1.5]])
+    values = tuple(float(v) for v in values)
+    assert len(values) > cli._HEADER_KERNEL_MIN
+    out = tmp_path / "phase.csv"
+    argv = ["phase", "--J", repr(J), "--w", repr(w), "--" + key.replace("_", "-"),
+            ",".join(repr(v) for v in values), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    header = out.read_text().splitlines()[0].split(" ")
+    assert f"{key}={';'.join(repr(v) for v in values)}" in header
+    assert getattr(read_csv_config(str(out)), key) == values
+
+
+@pytest.mark.parametrize("argv, column_line", [
+    (["coherence", "--points", "200000"], b"t,re_r,im_r,abs_r_asymptotic,tau\n"),
+    (["phase"], None),
+])
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(argv, column_line):
+    # the reader takes two lines and closes its end, as `| head -2` does, or
+    # is gone before the first write; without PYTHONUNBUFFERED stdout is
+    # block-buffered, as in a shell, so bytes left in its buffer would fail
+    # the interpreter's flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        if column_line is None:
+            reader.close()
+        with subprocess.Popen([sys.executable, "-m", "isingbath.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            os.close(write_end)
+            if column_line is not None:
+                assert [reader.readline() for _ in range(2)][1] == column_line
+            reader.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+    assert (code, stderr) == (cli.EXIT_STDOUT_CLOSED, b"")
+
+
 def test_coherence_columns(tmp_path):
     out = tmp_path / "coh.csv"
     code = main(["coherence", "--T-over-Tc", "0.5", "--N", "1000000",
