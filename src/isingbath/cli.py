@@ -165,7 +165,7 @@ def _format_value(v) -> str:
         return "none"
     if isinstance(v, tuple):
         if len(v) >= _HEADER_KERNEL_MIN:
-            return block_text([np.array(v, dtype=float)])[:-1].replace("\n", ";")
+            return block_text([np.array(v, dtype=float)])[:-1].replace(b"\n", b";").decode()
         return ";".join(_format_value(x) for x in v)
     if isinstance(v, complex):
         sign = "+" if v.imag >= 0 else "-"
@@ -230,23 +230,26 @@ _KEYS = {
 }
 
 
-def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str]]) -> None:
+def write_csv(cfg: RunConfig, columns: dict[str, np.ndarray | list[str] | float]) -> None:
     """Header, column-name line, then one row per column entry, to cfg.out or stdout.
 
     A numpy column holds floats, each written as Python's shortest
     round-trip repr; a list column must already hold ASCII strings of at
-    most 44 characters.  Rows are formatted and written _BLOCK_ROWS at a time, so
+    most 47 characters; a float is a one-value column, its text on every
+    row, and follows every other column (block_text raises TypeError
+    otherwise).  Rows are formatted and written _BLOCK_ROWS at a time, so
     one block's text is held at once; a write that fails partway through
     can leave only the rows written so far.
     """
     header = "# " + " ".join(f"{k}={v}" for k, v in cfg.key_values().items())
 
     def pieces():
-        yield f"{header}\n{','.join(columns)}\n"
-        n = min(map(len, columns.values()))
+        yield f"{header}\n{','.join(columns)}\n".encode()
+        cols = list(columns.values())
+        n = min(len(col) for col in cols if not isinstance(col, float))
         for lo in range(0, n, _BLOCK_ROWS):
             rows = slice(lo, min(lo + _BLOCK_ROWS, n))
-            yield block_text([col[rows] for col in columns.values()])
+            yield block_text([col if isinstance(col, float) else col[rows] for col in cols])
 
     _write_text(pieces(), cfg.out)
 
@@ -255,15 +258,20 @@ class _StdoutClosed(Exception):
     """stdout's reader closed it before the output was written."""
 
 
-def _write_text(pieces: Iterable[str], path: str | None) -> None:
+def _write_text(pieces: Iterable[bytes], path: str | None) -> None:
     """The pieces in turn to stdout, or over the file at path in place, then
     cut to length (on ext4 an O_TRUNC open or a rename over the file
     rewrites ~4x slower); a device or FIFO takes no cut.  A write that fails
     partway through can leave only some new pieces, and old bytes after them."""
     if path is None:
         try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
+            sys.stdout.flush()  # text printed before goes first
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:  # a text stream with no bytes layer, such as an io.StringIO
+                sys.stdout.writelines(piece.decode() for piece in pieces)
+            else:
+                out.writelines(pieces)
+                out.flush()
         except BrokenPipeError:
             # the reader is gone: point fd 1 at /dev/null, as the signal
             # module's docs advise, so the flush at exit stays silent
@@ -272,7 +280,7 @@ def _write_text(pieces: Iterable[str], path: str | None) -> None:
             os.close(devnull)
             raise _StdoutClosed from None
     else:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.writelines(pieces)
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
@@ -334,7 +342,7 @@ def cmd_coherence(cfg: RunConfig) -> int:
         "re_r": r.real,
         "im_r": r.imag,
         "abs_r_asymptotic": coherence_magnitude_asymptotic(times, sol, bath, sys_p),
-        "tau": np.full(len(times), tau),
+        "tau": tau,
     }
     write_csv(cfg, columns)
     return EXIT_OK
@@ -430,7 +438,7 @@ def cmd_verify(cfg: RunConfig, n_max: str, inject_error: bool) -> int:
         for name, err, bound in checks
     ]
     lines.append(f"verify: {'FAILED' if failed else 'all checks passed'}")
-    _write_text(["\n".join(lines) + "\n"], cfg.out)
+    _write_text([("\n".join(lines) + "\n").encode()], cfg.out)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -463,7 +471,11 @@ _RUN_KEYS = {f.name for f in fields(RunConfig)} | {"config"}
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as InvalidParams, so main prints one
-    line and returns EXIT_BAD_INPUT; add_subparsers reuses this class."""
+    line and returns EXIT_BAD_INPUT; add_subparsers reuses this class.
+    build_parser sets the top-level parser's commands: each command's parser
+    by name."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         raise InvalidParams(message)
@@ -477,9 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Qubit dephasing and entanglement in a mean-field transverse-Ising bath",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (_, text, keys) in _COMMANDS.items():
         # no abbreviations: verify --N must not pass for --N-max
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p = parser.commands[name] = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; explicit flags win")
         for key in keys:
             p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key][1])
@@ -525,7 +538,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:  # --help, or no command or an unknown one
+            args = parser.parse_args(argv)
+        else:  # the command's own parser, without a top-level pass over every word
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         cfg = build_run_config(args)
         handler = _COMMANDS[args.command][0]
         extra = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import re
@@ -266,6 +267,21 @@ def test_top_level_help_lists_every_command(capsys):
         assert f"    {command} " in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--points"],
+    ["coherence", "--bogus", "1"],
+    ["verify", "--N", "3"],  # no abbreviations
+    ["phase", "extra"],
+    ["fig1", "--points", "3", "--help-me"],
+])
+def test_a_command_line_handed_to_its_command_parser_fails_as_the_full_parse(capsys, argv):
+    # main skips the top-level pass when the first word names a command
+    with pytest.raises(InvalidParams) as info:
+        build_parser().parse_args(argv)
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", f"isingbath: error: {info.value}\n")
+
+
 def test_unknown_commands_share_one_cached_parser():
     build_parser.cache_clear()
     for k in range(100):
@@ -500,6 +516,15 @@ def test_concurrence_forms_no_four_by_four_stack(case, bound):
     # eigh's and validate_density's temporaries took case 2 to ~810 B and case
     # 4 to ~1,380 B; case 4's (points, 3, 3) tau and its factor cost ~530 B
     assert _bytes_per_point(["concurrence", "--case", case]) < bound
+
+
+def test_stdout_without_a_bytes_layer_takes_the_text(tmp_path, monkeypatch):
+    # an in-process caller may redirect stdout to an io.StringIO
+    argv = ["coherence", "--points", "5"]
+    assert main(argv + ["--out", str(tmp_path / "c.csv")]) == EXIT_OK
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == EXIT_OK
+    assert sys.stdout.getvalue() == (tmp_path / "c.csv").read_text()
 
 
 def test_out_to_a_device_exits_0(capsys):
