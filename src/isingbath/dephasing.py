@@ -25,6 +25,7 @@ the oracle module, which computes those traces).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,14 @@ class SystemParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be finite and >= 0, got {v}")
+
+
+def bath_size(N) -> int:
+    """N as a Python int, if it is a whole number >= 1 of any real type: a
+    numpy integer, or a whole float such as 1e6.  Else InvalidParams."""
+    if isinstance(N, numbers.Real) and 1 <= N < math.inf and int(N) == N:
+        return int(N)
+    raise InvalidParams(f"bath size N must be a whole number >= 1, got {N!r}")
 
 
 def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, float]:
@@ -99,8 +108,7 @@ def coherence_factor_finite(
     |r| or any concurrence.  Multiply by it to recover the full
     matrix-element evolution.
     """
-    if N < 1:
-        raise InvalidParams(f"bath size N must be >= 1, got {N}")
+    N = bath_size(N)
     t = np.asarray(t, dtype=float)
     c, lo, hi = _rate_factors(sol, bath)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound

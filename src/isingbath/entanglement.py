@@ -4,22 +4,21 @@ The concurrence of a two-qubit density matrix is
 C = max(l1 - l2 - l3 - l4, 0) where l_i are the square roots of the
 eigenvalues of R = rho rho~ in decreasing order (Wootters, PRL 80, 2245
 (1998)).  For any factor rho = W W^dag, the l_i are exactly the singular
-values of tau = W^T (sy x sy) W.  In the general route, concurrences,
-one batched LAPACK eigendecomposition rho = V diag(e) V^dag checks
-positivity and gives that factor, W = V diag(sqrt(e)), with near-zero e
-floored to exactly zero; sy x sy is a signed reversal of the rows of W,
-so tau is one batched 4x4 product.
-A batched SVD of tau then gives the l_i without square-rooting roundoff
-noise: separable states return a clean zero instead of a sqrt(eps)-sized
-residue.  A whole time curve is one (T, 4, 4) stack.  The test suite
-cross-checks the spectrum against a generic nonsymmetric eigensolver
-applied to R.
+values of tau = W^T (sy x sy) W.  The general route, concurrence, takes
+one 4x4 matrix: it checks that rho is Hermitian with unit trace, and one
+LAPACK eigendecomposition rho = V diag(e) V^dag checks positivity and
+gives that factor, W = V diag(sqrt(e)), with near-zero e floored to
+exactly zero; sy x sy is a signed reversal of the rows of W.  An SVD of
+tau then gives the l_i without square-rooting roundoff noise: separable
+states return a clean zero instead of a sqrt(eps)-sized residue.  The
+test suite cross-checks the spectrum against a generic nonsymmetric
+eigensolver applied to R.
 
 A dephased pure state needs no 4x4 matrix: dephased_concurrences factors
 its 3x3 coupling-level multiplier in closed form, so tau is 3x3, and on
 at most two levels it takes the paper's closed forms, C = 2|psi1 psi2| at
 every time, or C = 2|psi0 psi3| |B(t)|.  The CLI takes that route for
-every state; the general route serves the scalar concurrence and the tests.
+every state; concurrence serves the tests.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotADensityMatrix
-from .two_qubit import PureState2Q, checked_coef, level_entries, qubit_phase, validate_density
+from .two_qubit import PureState2Q, checked_coef, level_entries, qubit_phase
 
+_TOL = 1e-12  # Hermiticity and trace of rho
 _PSD_CLAMP = -1e-10  # eigenvalues of rho below this are a genuine violation
 _ZERO_FLOOR = 1e-13  # |eig| below this is numerically zero (unit-trace scale)
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # the anti-diagonal of sy x sy
@@ -46,38 +46,11 @@ class ConcurrenceValue:
     lambdas: tuple[float, float, float, float]
 
 
-def _wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
-    """Square-rooted R eigenvalues, descending, for a (..., 4, 4) stack.
-
-    Eigenvalues of rho within the numerical-zero floor are set to exactly
-    zero so rank-deficient inputs keep an exactly rank-deficient factor W.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    validate_density(rhos)
-    evals, evecs = np.linalg.eigh(rhos)
-    lowest = evals.min(initial=0.0)
-    if lowest < _PSD_CLAMP:
-        raise NotADensityMatrix(f"negative eigenvalue {lowest:.3g} beyond roundoff tolerance")
-    roots = np.where(evals < _ZERO_FLOOR, 0.0, np.sqrt(np.clip(evals, 0.0, None)))
-    w = evecs * roots[..., None, :]
-    return np.linalg.svd(np.swapaxes(w, -1, -2) @ _spin_flip_rows(w), compute_uv=False)
-
-
-def _spin_flip_rows(w: np.ndarray) -> np.ndarray:
-    """(sy x sy) w for a (..., 4, n) stack: the rows reversed and signed."""
-    return w[..., ::-1, :] * _FLIP_SIGNS[:, None]
-
-
 def _from_lambdas(lambdas: np.ndarray) -> np.ndarray:
     # l1 - l2 - l3 (- l4) from descending lambdas, three or four of them; the
     # upper clip is the physical bound: without it a Bell state comes out as
     # 1 + 4e-16
     return np.clip(functools.reduce(np.subtract, np.moveaxis(lambdas, -1, 0)), 0.0, 1.0)
-
-
-def concurrences(rhos: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of every matrix in a (..., 4, 4) stack."""
-    return _from_lambdas(_wootters_lambdas(rhos))
 
 
 def dephased_concurrences(
@@ -103,7 +76,7 @@ def dephased_concurrences(
       eigenvectors times the roots of its eigenvalues, and one batched 3x3
       SVD of tau gives C.  Where S's smaller eigenvalue is below _PSD_CLAMP,
       M3, and so rho, is not positive: NotADensityMatrix.  An eigenvalue
-      below _ZERO_FLOOR is exactly 0, the floor concurrences puts on rho's.
+      below _ZERO_FLOOR is exactly 0, the floor concurrence puts on rho's.
       Rounding in a, b and d can leave S indefinite by ~1e-11 where |A|
       rounds to 1; the eigenvectors keep S's positive part, where a
       Cholesky pivot on that scale would put C 1e-10 off.
@@ -153,14 +126,22 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def concurrence(rho: np.ndarray) -> ConcurrenceValue:
     """Wootters concurrence of one two-qubit density matrix, with its lambdas.
 
-    The square-rooted eigenvalues of R = rho rho~ are the singular values
-    of tau = W^T (sy x sy) W for any factor rho = W W^dag (Wootters 1998).
+    NotADensityMatrix unless rho is a finite 4x4 matrix, Hermitian with unit
+    trace, and positive beyond roundoff.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotADensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    lambdas = _wootters_lambdas(rho[None])
-    return ConcurrenceValue(
-        c=float(_from_lambdas(lambdas)[0]), lambdas=tuple(lambdas[0].tolist())
-    )
-
+    if not np.isfinite(rho).all():
+        raise NotADensityMatrix("matrix has non-finite entries")
+    if (herm := np.abs(rho - rho.conj().T).max()) > _TOL:
+        raise NotADensityMatrix(f"Hermiticity violated by {herm:.3g}")
+    if np.abs((tr := np.trace(rho)) - 1.0) > _TOL:
+        raise NotADensityMatrix(f"trace = {complex(tr)!r} is not 1 within {_TOL}")
+    evals, evecs = np.linalg.eigh(rho)
+    if (lowest := evals[0]) < _PSD_CLAMP:  # eigh sorts ascending
+        raise NotADensityMatrix(f"negative eigenvalue {lowest:.3g} beyond roundoff tolerance")
+    w = evecs * np.where(evals < _ZERO_FLOOR, 0.0, np.sqrt(np.clip(evals, 0.0, None)))
+    # (sy x sy) W: W's rows reversed and signed
+    lambdas = np.linalg.svd(w.T @ (w[::-1] * _FLIP_SIGNS[:, None]), compute_uv=False)
+    return ConcurrenceValue(c=float(_from_lambdas(lambdas)), lambdas=tuple(lambdas.tolist()))

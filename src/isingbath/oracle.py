@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dephasing import SystemParams
+from .dephasing import SystemParams, bath_size
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, gibbs_part, trace_triple
@@ -59,10 +59,8 @@ MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 4
 _SZ = np.array([0.5, -0.5])
 
 
-def _checked_times(N: int, times: Sequence[float]) -> np.ndarray:
-    """times as a float array, once N is a positive integer and every time finite."""
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParams(f"bath size N must be a positive integer, got {N}")
+def _checked_times(times: Sequence[float]) -> np.ndarray:
+    """times as a float array; InvalidParams unless every time is finite."""
     t = np.array(times, dtype=float)
     bad = t[~np.isfinite(t)]
     if bad.size:
@@ -81,7 +79,8 @@ class OracleConfig:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(_checked_times(self.N, self.times).tolist()))
+        object.__setattr__(self, "N", bath_size(self.N))
+        object.__setattr__(self, "times", tuple(_checked_times(self.times).tolist()))
 
 
 def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[float, np.ndarray]:
@@ -232,7 +231,8 @@ def single_qubit_coherence_exact(
     The factor of the one level pair, bra <0| and ket |1>, from the row of
     ROUTES named method, times the free phase exp(i mu0 t).
     """
-    t = _checked_times(N, times)
+    N = bath_size(N)
+    t = _checked_times(times)
     product = _route(method)(bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
     with np.errstate(over="ignore"):  # an overflowed phase fails the bound
         return np.exp(1j * bounded_phase(sys.mu0 * t, t, "free phase |mu0 t|")) * product

@@ -1,4 +1,4 @@
-"""Pure-dephasing dynamics of two qubits: the multiplier M(t) and 4x4 checks.
+"""Pure-dephasing dynamics of two qubits: the states and the multiplier M(t).
 
 Basis ordering is |00>, |01>, |10>, |11> throughout, with |0> the upper
 (S^z = +1/2) eigenstate.  Pure dephasing maps every initial rho0 to the
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidState, NotADensityMatrix
+from .errors import InvalidParams, InvalidState
 
-_TOL = 1e-12  # state norm^2, Hermiticity and trace
+_TOL = 1e-12  # state norm^2
 _LOWER = np.tril_indices(4, -1)
 
 # total system S^z of the two qubits' coupling levels: |00>; |01> and |10>; |11>
@@ -176,24 +176,3 @@ def bounded_phase(phase: np.ndarray, t: np.ndarray, name: str) -> np.ndarray:
         raise InvalidParams(f"{name} = {size[~ok][0]:.3g} is not below 2**52 at t={at}")
     return phase
 
-
-def validate_density(rho: np.ndarray) -> None:
-    """Raise NotADensityMatrix unless every matrix of a (..., 4, 4) stack is
-    Hermitian with unit trace.
-
-    Positivity is checked downstream where an eigendecomposition happens
-    anyway (see entanglement.concurrences).
-    """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise NotADensityMatrix(f"expected 4x4 matrices, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise NotADensityMatrix("matrix has non-finite entries")
-    herm = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(initial=0.0)
-    if herm > _TOL:
-        raise NotADensityMatrix(f"Hermiticity violated by {herm:.3g}")
-    tr = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
-    dev = np.abs(tr - 1.0)
-    if dev.max(initial=0.0) > _TOL:
-        worst = complex(tr[dev.argmax()])
-        raise NotADensityMatrix(f"trace = {worst!r} is not 1 within {_TOL}")

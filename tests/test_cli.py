@@ -513,8 +513,9 @@ def test_the_csv_writer_holds_one_block_of_text_not_the_whole_grid():
 @pytest.mark.parametrize("case, bound", [("2", 150), ("4", 1000)])
 def test_concurrence_forms_no_four_by_four_stack(case, bound):
     # a (points, 4, 4) complex stack of rho or M alone is 256 B a point, and
-    # eigh's and validate_density's temporaries took case 2 to ~810 B and case
-    # 4 to ~1,380 B; case 4's (points, 3, 3) tau and its factor cost ~530 B
+    # the temporaries of a batched eigh of rho and its Hermiticity and trace
+    # checks took case 2 to ~810 B and case 4 to ~1,380 B; case 4's
+    # (points, 3, 3) tau and its factor cost ~530 B
     assert _bytes_per_point(["concurrence", "--case", case]) < bound
 
 

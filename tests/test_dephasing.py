@@ -349,6 +349,20 @@ def test_finite_phase_bound_at_its_edge():
             coherence_factor_finite(np.array([0.0, t]), 4, sol, bath, SystemParams(J0=j0))
 
 
+def test_bath_size_is_a_whole_number_of_any_real_type():
+    # 1e6 and np.int64 are the int 10**6, bitwise; anything not a whole
+    # number >= 1 is refused, naming N
+    t = np.linspace(0.0, 40.0, 101)
+    for levels in (1, 2):
+        want = coherence_factor_finite(t, 10**6, SOL, BATH, SYS, levels=levels)
+        for n in (1e6, np.int64(10**6), np.float32(1e6)):
+            np.testing.assert_array_equal(
+                coherence_factor_finite(t, n, SOL, BATH, SYS, levels=levels), want)
+    for bad in (4.5, 0, -3, 0.5, np.nan, np.inf, "4", 4 + 0j, None, np.array([4])):
+        with pytest.raises(InvalidParams, match=r"^bath size N must be a whole number >= 1, got "):
+            coherence_factor_finite(1.0, bad, SOL, BATH, SYS)
+
+
 def test_validation():
     with pytest.raises(InvalidParams):
         coherence_factor_finite(1.0, 0, SOL, BATH, SYS)

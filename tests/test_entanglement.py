@@ -13,19 +13,13 @@ from isingbath.dephasing import (
 )
 from isingbath import entanglement
 from isingbath.cli import RunConfig
-from isingbath.entanglement import (
-    _spin_flip_rows,
-    _wootters_lambdas,
-    concurrence,
-    concurrences,
-    dephased_concurrences,
-)
+from isingbath.entanglement import concurrence, dephased_concurrences
 from isingbath.errors import InvalidParams, NotADensityMatrix
 from isingbath.mean_field import BathParams, critical_temperature, solve_order
 from isingbath.oracle import _BRA, _KET, _LEVELS, _dense_factor
 from isingbath.two_qubit import PureState2Q, case_state, evolve_reduced, multiplier
 from mp_reference import dephased_wootters
-from wootters_reference import SIGMA_YY, case1_concurrence, case2_concurrence, r_matrix
+from wootters_reference import case1_concurrence, case2_concurrence, r_matrix
 
 BATH = BathParams(J=2.0, w=0.1, T=0.5)
 SOL = solve_order(BATH)
@@ -41,6 +35,11 @@ def random_density(rng, rank=4):
 def bell_phi_plus():
     amps = case_state(2).amplitudes()
     return np.outer(amps, amps.conj())
+
+
+def concurrences(rhos):
+    """concurrence(rho).c of every matrix of a (T, 4, 4) stack."""
+    return np.array([concurrence(rho).c for rho in rhos])
 
 
 def direct_lambdas(rho):
@@ -140,7 +139,9 @@ def test_hermitian_route_matches_direct_route():
     rng = np.random.default_rng(5)
     for _ in range(200):
         rho = random_density(rng)
-        assert np.abs(np.array(concurrence(rho).lambdas) - direct_lambdas(rho)).max() < 1e-8
+        lam = concurrence(rho).lambdas
+        assert list(lam) == sorted(lam, reverse=True)
+        assert np.abs(np.array(lam) - direct_lambdas(rho)).max() < 1e-8
 
 
 def test_case1_against_full_pipeline():
@@ -234,27 +235,24 @@ def test_case2_ising_limit_closed_form():
 
 
 def test_rejects_invalid_density():
-    with pytest.raises(NotADensityMatrix):
-        concurrence(np.eye(4, dtype=complex))  # trace 4
-    bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-    with pytest.raises(NotADensityMatrix):
-        concurrence(bad)  # eigenvalue -0.2 far below roundoff
+    bad = np.eye(4, dtype=complex) / 4
+    bad[0, 1] = 0.1
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    for rho, message in (
+        (np.eye(3, dtype=complex) / 3, r"^expected a 4x4 matrix, got shape \(3, 3\)$"),
+        (nan, "^matrix has non-finite entries$"),
+        (bad, r"^Hermiticity violated by 0\.1$"),
+        (np.eye(4, dtype=complex), r"^trace = \(4\+0j\) is not 1 within 1e-12$"),
+        # eigenvalue -0.2 far below roundoff
+        (np.diag([1.2, -0.2, 0.0, 0.0]), r"^negative eigenvalue -0\.2 beyond roundoff tolerance$"),
+    ):
+        with pytest.raises(NotADensityMatrix, match=message):
+            concurrence(rho)
 
 
-def test_batched_matches_scalar_on_random_mixtures():
-    rng = np.random.default_rng(8)
-    stack = np.array([random_density(rng) for _ in range(300)])
-    scalar = [concurrence(r) for r in stack]
-    got = concurrences(stack)
-    assert got.shape == (300,)
-    assert np.abs(got - [cv.c for cv in scalar]).max() < 1e-13
-    for rho, cv in zip(stack, scalar):
-        lam = np.array(cv.lambdas)
-        assert (lam >= 0).all() and list(lam) == sorted(lam, reverse=True)
-        assert np.abs(lam - direct_lambdas(rho)).max() < 1e-8
-
-
-def test_batched_matches_scalar_on_case_states_over_time():
+def test_case_state_stacks_over_time():
+    # the evolve_reduced stack is the per-point matrices; a product state that
+    # stays separable reads exactly 0, as does case 4 at t = 0
     times = np.linspace(0.0, 8.0, 41)
     for case in (1, 2, 3, 4):
         st = case_state(case)
@@ -269,7 +267,6 @@ def test_batched_matches_scalar_on_case_states_over_time():
             ])
             assert np.abs(stack - per_point).max() <= 1e-15
             got = concurrences(stack)
-            assert np.abs(got - [concurrence(r).c for r in per_point]).max() < 1e-13
             if case == 3:
                 assert (got == 0.0).all()
             if case == 4:
@@ -290,7 +287,6 @@ def test_clip_at_one_hides_only_roundoff():
         lam = concurrence(rho).lambdas
         assert lam[0] - lam[1] - lam[2] - lam[3] - 1.0 <= 1e-14
         assert concurrence(rho).c <= 1.0
-    assert (concurrences(np.array(rhos)) <= 1.0).all()
 
 
 def test_rejects_any_bad_matrix_in_a_stack():
@@ -308,18 +304,12 @@ def test_rejects_any_bad_matrix_in_a_stack():
             concurrences(stack)
 
 
-def test_signed_row_reversal_is_sigma_yy():
-    rng = np.random.default_rng(11)
-    w = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
-    np.testing.assert_array_equal(_spin_flip_rows(w), SIGMA_YY @ w)
-
-
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_lambdas_match_direct_route_on_rank_deficient_states(rank):
     # full rank is test_hermitian_route_matches_direct_route
     rng = np.random.default_rng(12 + rank)
-    stack = np.array([random_density(rng, rank) for _ in range(100)])
-    got = _wootters_lambdas(stack)
+    stack = [random_density(rng, rank) for _ in range(100)]
+    got = np.array([concurrence(rho).lambdas for rho in stack])
     want = np.array([direct_lambdas(rho) for rho in stack])
     # R = rho rho~ has rank <= rank(rho).  Past it the reference
     # square-roots roundoff, a residue near 1e-8, and the kernel reads 0
@@ -413,7 +403,7 @@ def test_dephased_concurrences_never_call_the_general_route_or_eigh(monkeypatch)
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(entanglement, "concurrences", spy("concurrences", concurrences))
+    monkeypatch.setattr(entanglement, "concurrence", spy("concurrence", concurrence))
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
     rng = np.random.default_rng(24)
     times, xi0, coef = next(curves(rng, 1))

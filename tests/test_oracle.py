@@ -299,6 +299,27 @@ def test_config_times_coerced():
     assert all(isinstance(t, float) for t in cfg.times)
 
 
+def test_bath_size_of_any_real_type_is_one_int_on_every_route():
+    # a numpy integer or a whole float is the Python int, bitwise; 4.5 is
+    # refused by the oracle and the closed forms alike
+    for n in (np.int64(4), 4.0):
+        assert type(make_cfg(n, BATH_TIM).N) is int
+        for method in ROUTES:
+            np.testing.assert_array_equal(
+                simulate_exact(make_cfg(n, BATH_TIM), method=method),
+                simulate_exact(make_cfg(4, BATH_TIM), method=method))
+            np.testing.assert_array_equal(
+                single_qubit_coherence_exact(n, BATH_TIM, SYS, TIMES, method=method),
+                single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, method=method))
+    message = r"^bath size N must be a whole number >= 1, got 4\.5$"
+    with pytest.raises(InvalidParams, match=message):
+        make_cfg(4.5, BATH_TIM)
+    with pytest.raises(InvalidParams, match=message):
+        single_qubit_coherence_exact(4.5, BATH_TIM, SYS, TIMES)
+    with pytest.raises(InvalidParams, match=message):
+        dephasing_coeffs(np.array(TIMES), solve_order(BATH_TIM), BATH_TIM, SYS, N=4.5)
+
+
 def _route_calls(n=3, bath=BATH_TIM, sys_p=SYS):
     """Every oracle entry point as a function of its time list: each row of
     ROUTES through simulate_exact (named for the row) and through

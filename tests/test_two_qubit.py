@@ -6,13 +6,12 @@ import pytest
 
 from isingbath.dephasing import MODE_FINITE
 from isingbath.entanglement import concurrence
-from isingbath.errors import InvalidParams, InvalidState, NotADensityMatrix
+from isingbath.errors import InvalidParams, InvalidState
 from isingbath.two_qubit import (
     PureState2Q,
     case_state,
     evolve_reduced,
     multiplier,
-    validate_density,
 )
 from wootters_reference import SIGMA_YY, r_matrix, spin_flip
 
@@ -354,17 +353,3 @@ def test_evolve_rejects_an_overflowing_qubit_phase():
     head = np.ones((3, 3))
     assert np.isfinite(evolve_reduced(case_state(4), times[:3], 2.0**52, head)).all()
 
-
-def test_validate_density():
-    validate_density(np.eye(4, dtype=complex) / 4)
-    with pytest.raises(NotADensityMatrix):
-        validate_density(np.eye(3, dtype=complex) / 3)
-    with pytest.raises(NotADensityMatrix):
-        validate_density(np.eye(4, dtype=complex))  # trace 4
-    bad = np.eye(4, dtype=complex) / 4
-    bad[0, 1] = 0.1
-    with pytest.raises(NotADensityMatrix):
-        validate_density(bad)
-    nan = np.full((4, 4), np.nan, dtype=complex)
-    with pytest.raises(NotADensityMatrix):
-        validate_density(nan)

@@ -1,5 +1,5 @@
 """Independent Wootters reference: the spin flip, R = rho rho~ and the
-closed-form concurrences of the case-1 and case-2 states.
+closed-form concurrence of the case-1 and case-2 states.
 
 The package computes concurrence as the singular values of
 tau = W^T (sigma_y x sigma_y) W, for the factor rho = W W^dag that its
