@@ -250,6 +250,18 @@ def test_rejects_invalid_density():
             concurrence(rho)
 
 
+def test_batched_matches_scalar_on_random_mixtures():
+    # dephased_concurrences over a time grid is its scalar call at each time,
+    # on random states dephased into mixtures on two and three coupling levels
+    rng = np.random.default_rng(8)
+    states = [random_state(rng) for _ in range(6)] + two_level_states(rng)
+    for times, xi0, coef in curves(rng, 2):
+        for state in states:
+            got = dephased_concurrences(state, times, xi0, coef)
+            assert got.shape == times.shape
+            scalar = [dephased_concurrences(state, t, xi0, co) for t, co in zip(times, coef)]
+            assert np.abs(got - scalar).max() < 1e-13
+
 def test_case_state_stacks_over_time():
     # the evolve_reduced stack is the per-point matrices; a product state that
     # stays separable reads exactly 0, as does case 4 at t = 0

@@ -6,7 +6,7 @@ import pytest
 
 from isingbath.dephasing import MODE_FINITE
 from isingbath.entanglement import concurrence
-from isingbath.errors import InvalidParams, InvalidState
+from isingbath.errors import InvalidParams, InvalidState, NotADensityMatrix
 from isingbath.two_qubit import (
     PureState2Q,
     case_state,
@@ -353,3 +353,22 @@ def test_evolve_rejects_an_overflowing_qubit_phase():
     head = np.ones((3, 3))
     assert np.isfinite(evolve_reduced(case_state(4), times[:3], 2.0**52, head)).all()
 
+
+def test_validate_density():
+    # concurrence holds the density checks: what evolve_reduced forms passes
+    # them, and each near-miss below is refused
+    rng = np.random.default_rng(30)
+    concurrence(np.eye(4, dtype=complex) / 4)
+    for t in (0.0, 0.7, 3.0):
+        concurrence(evolve_reduced(random_state(rng), t, 0.3, NO_DECAY))
+    with pytest.raises(NotADensityMatrix):
+        concurrence(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(NotADensityMatrix):
+        concurrence(np.eye(4, dtype=complex))  # trace 4
+    bad = np.eye(4, dtype=complex) / 4
+    bad[0, 1] = 0.1
+    with pytest.raises(NotADensityMatrix):
+        concurrence(bad)
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(NotADensityMatrix):
+        concurrence(nan)
