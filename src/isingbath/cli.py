@@ -26,6 +26,7 @@ from .dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
     SystemParams,
+    bath_size,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
     coherence_time,
@@ -70,7 +71,7 @@ _HEADER_KERNEL_MIN = 256
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved parameters of one CLI run."""
+    """Fully resolved parameters of one CLI run; case_state and bath_size check case and N."""
 
     command: str
     J: float = 2.0
@@ -89,18 +90,12 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.case not in (1, 2, 3, 4):
-            raise InvalidParams(f"case must be 1, 2, 3 or 4, got {self.case}")
+        case_state(self.case)
         if self.mode not in (MODE_FINITE, MODE_ASYMPTOTIC):
             raise InvalidParams(
                 f"mode must be {MODE_FINITE!r} or {MODE_ASYMPTOTIC!r}, got {self.mode!r}"
             )
-        if self.N < 1:
-            raise InvalidParams(f"N must be >= 1, got {self.N}")
-        try:
-            float(self.N)  # the finite-N forms take sqrt(N)
-        except OverflowError as exc:
-            raise InvalidParams(f"N: {exc}") from None
+        bath_size(self.N)
         if not 2 <= self.points <= _MAX_POINTS:
             raise InvalidParams(f"points: must be 2 to {_MAX_POINTS}, got {self.points}")
 

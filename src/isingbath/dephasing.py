@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -55,11 +56,14 @@ class SystemParams:
 
 
 def bath_size(N) -> int:
-    """N as a Python int, if it is a whole number >= 1 of any real type: a
-    numpy integer, or a whole float such as 1e6.  Else InvalidParams."""
-    if isinstance(N, numbers.Real) and 1 <= N < math.inf and int(N) == N:
-        return int(N)
-    raise InvalidParams(f"bath size N must be a whole number >= 1, got {N!r}")
+    """N as a Python int, if it is a whole number >= 1 of any real type (a numpy
+    integer, or a whole float such as 1e6) within the float range.  Else InvalidParams."""
+    if not (isinstance(N, numbers.Real) and 1 <= N < math.inf and int(N) == N):
+        raise InvalidParams(f"N must be a whole number >= 1, got {N!r}")
+    if (n := int(N)) > float_info.max:  # as ints: a float32 N would cast the max to float32
+        digits = (d := round(math.log10(n))) + (n >= 10**d)  # str(n) stops at 4,300 digits
+        raise InvalidParams(f"N must be at most {float_info.max:.4g}, got {digits} digits")
+    return n
 
 
 def _rate_factors(sol: OrderSolution, bath: BathParams) -> tuple[float, float, float]:
@@ -167,13 +171,11 @@ def dephasing_coeffs(
     t.shape + (3,): the exact oracle routes' layout, which
     two_qubit.multiplier takes.  The closed forms have D = A.
 
-    Finite mode: A(t) = r(t), B(t) = A(2t) exactly (same code path, with
-    the angle u doubled rather than t).
+    Finite mode, at the bath size N (bath_size): A(t) = r(t), B(t) = A(2t)
+    exactly (same code path, with the angle u doubled rather than t).
     Asymptotic mode: magnitudes only, A = |r| Gaussian and B = A^4.
     """
     if mode == MODE_FINITE:
-        if N is None:
-            raise InvalidParams("finite mode requires a bath size N")
         A = coherence_factor_finite(t, N, sol, bath, sys)
         B = coherence_factor_finite(t, N, sol, bath, sys, levels=2)
     elif mode == MODE_ASYMPTOTIC:

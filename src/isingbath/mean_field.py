@@ -82,20 +82,12 @@ def critical_temperature(J: float) -> float:
     return 0.5 * J
 
 
-def is_ordered(p: BathParams) -> bool:
-    """True iff the bath is in the symmetry-broken phase.
-
-    The condition is w/J < tanh(w/(2T)); where w/(2T) is 0 (w = 0, or a
-    tiny w that underflows) it takes its limit T < Tc = J/2.  J = 0 never
-    orders.
-    """
-    return bool(_orders(p.J, p.w, p.T))
-
-
 def _orders(J: float, w: float, T, tanh=math.tanh):
-    """is_ordered's rule at a temperature T > 0, a float or (with np.tanh)
-    an array; each driver passes the tanh its bisection runs, so the two
-    agree on which side of the root lies just above w."""
+    """True where the bath is in the symmetry-broken phase, w/J < tanh(w/(2T)),
+    at T > 0, a float or (with np.tanh) an array.  Where w/(2T) is 0 (w = 0,
+    or a tiny w that underflows) the rule takes its limit T < Tc = J/2, and
+    J = 0 never orders.  Each solver passes the tanh its bisection runs, so
+    the two agree on which side of the root lies just above w."""
     if J == 0:
         return np.zeros_like(T, dtype=bool)
     x = w / (2.0 * T)
@@ -120,7 +112,7 @@ def solve_order(p: BathParams, tol: float = _DEFAULT_TOL) -> OrderSolution:
     """
     if tol <= 0:
         raise InvalidParams(f"tol must be > 0, got {tol}")
-    if not is_ordered(p):
+    if not _orders(p.J, p.w, p.T):
         return OrderSolution(theta=p.w, m=0.0, ordered=False)
 
     J, w, T2 = p.J, p.w, 2.0 * p.T

@@ -22,7 +22,7 @@ level pair over the whole time list t, shaped (T, P):
 The two entry points take a row by name (method), with one error for an
 unknown name.  simulate_exact asks for two_qubit's level pairs (_BRA,
 _KET) of the two qubits' total S^z (_LEVELS), which are the coefficients
-A, B and D, and two_qubit.multiplier lays out M and adds the qubit phase;
+A, B and D, and evolve_reduced checks them, lays out M, adds the qubit phase;
 single_qubit_coherence_exact asks for the one pair (<0|, |1>) of one
 qubit's S^z (_SZ) and adds the free phase exp(i mu0 t).
 reconstruct_reduced is simulate_exact's default under a second name.  Time
@@ -51,7 +51,7 @@ from .dephasing import SystemParams, bath_size
 from .errors import ConfigTooLarge, InvalidParams
 from .mean_field import BathParams, solve_order
 from .su2 import TracelessXZ, gibbs_part, trace_triple
-from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, bounded_phase, multiplier
+from .two_qubit import _BRA, _KET, _LEVELS, PureState2Q, bounded_phase, evolve_reduced
 
 MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 49 states there
 
@@ -201,11 +201,12 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "trace") -> np.ndarray:
 
     rho(0) = |Psi><Psi| (x) g^(x N) with g the per-spin Gibbs state at the
     mean-field order parameter of cfg.bath.  The row of ROUTES named method
-    computes the bath coefficients A, B and D, and multiplier lays out M.
+    computes the bath coefficients A, B and D, and evolve_reduced checks them
+    (a rounded per-spin trace to a large N can exceed 1) and assembles rho.
     """
     t = np.array(cfg.times)
     coef = _route(method)(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
-    return cfg.state.density() * multiplier(t, cfg.sys.xi0, coef)
+    return evolve_reduced(cfg.state, t, cfg.sys.xi0, coef)
 
 
 def extract_products(cfg: OracleConfig) -> np.ndarray:

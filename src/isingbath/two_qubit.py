@@ -98,7 +98,7 @@ def case_state(case: int) -> PureState2Q:
         return PureState2Q(0.0, 0.0, r, r)
     if case == 4:
         return PureState2Q(0.5, 0.5, 0.5, 0.5)
-    raise InvalidParams(f"case must be 1..4, got {case}")
+    raise InvalidParams(f"case must be 1, 2, 3 or 4, got {case}")
 
 
 def evolve_reduced(

@@ -9,6 +9,7 @@ from isingbath.dephasing import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
     SystemParams,
+    bath_size,
     coherence_factor_finite,
     coherence_magnitude_asymptotic,
     coherence_time,
@@ -359,8 +360,16 @@ def test_bath_size_is_a_whole_number_of_any_real_type():
             np.testing.assert_array_equal(
                 coherence_factor_finite(t, n, SOL, BATH, SYS, levels=levels), want)
     for bad in (4.5, 0, -3, 0.5, np.nan, np.inf, "4", 4 + 0j, None, np.array([4])):
-        with pytest.raises(InvalidParams, match=r"^bath size N must be a whole number >= 1, got "):
+        with pytest.raises(InvalidParams, match=r"^N must be a whole number >= 1, got "):
             coherence_factor_finite(1.0, bad, SOL, BATH, SYS)
+    # past the float range, whose sqrt the finite-N forms take: the digit
+    # count, not the digits; before, a bare OverflowError from math.sqrt
+    for n, digits in ((10**400, 401), (2**1024, 309)):
+        message = rf"^N must be at most 1\.798e\+308, got {digits} digits$"
+        with pytest.raises(InvalidParams, match=message):
+            coherence_factor_finite(1.0, n, SOL, BATH, SYS)
+    # a float32 is compared as an int: no cast of the float max, no warning
+    assert bath_size(np.float32(3e38)) == int(np.float32(3e38))
 
 
 def test_validation():

@@ -14,7 +14,6 @@ from isingbath.mean_field import (
     BathParams,
     OrderSolution,
     critical_temperature,
-    is_ordered,
     solve_order,
     solve_order_grid,
 )
@@ -33,12 +32,12 @@ def test_critical_temperature():
 
 def test_is_ordered_examples():
     # w/J = 0.05 < tanh(0.1) ~ 0.0997
-    assert is_ordered(BathParams(J=2.0, w=0.1, T=0.5))
+    assert solve_order(BathParams(J=2.0, w=0.1, T=0.5)).ordered
     # above Tc = 1
-    assert not is_ordered(BathParams(J=2.0, w=0.0, T=1.5))
+    assert not solve_order(BathParams(J=2.0, w=0.0, T=1.5)).ordered
     # transverse field exceeds coupling: w/J >= 1 >= tanh
-    assert not is_ordered(BathParams(J=2.0, w=2.5, T=1e-9))
-    assert not is_ordered(BathParams(J=0.0, w=0.0, T=1.0))
+    assert not solve_order(BathParams(J=2.0, w=2.5, T=1e-9)).ordered
+    assert not solve_order(BathParams(J=0.0, w=0.0, T=1.0)).ordered
 
 
 def test_zero_temperature_limit():

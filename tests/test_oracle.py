@@ -311,13 +311,19 @@ def test_bath_size_of_any_real_type_is_one_int_on_every_route():
             np.testing.assert_array_equal(
                 single_qubit_coherence_exact(n, BATH_TIM, SYS, TIMES, method=method),
                 single_qubit_coherence_exact(4, BATH_TIM, SYS, TIMES, method=method))
-    message = r"^bath size N must be a whole number >= 1, got 4\.5$"
+    message = r"^N must be a whole number >= 1, got 4\.5$"
     with pytest.raises(InvalidParams, match=message):
         make_cfg(4.5, BATH_TIM)
     with pytest.raises(InvalidParams, match=message):
         single_qubit_coherence_exact(4.5, BATH_TIM, SYS, TIMES)
     with pytest.raises(InvalidParams, match=message):
         dephasing_coeffs(np.array(TIMES), solve_order(BATH_TIM), BATH_TIM, SYS, N=4.5)
+    # past the float range: before, a bare OverflowError from math.sqrt(N)
+    message = r"^N must be at most 1\.798e\+308, got 401 digits$"
+    with pytest.raises(InvalidParams, match=message):
+        make_cfg(10**400, BATH_TIM)
+    with pytest.raises(InvalidParams, match=message):
+        single_qubit_coherence_exact(10**400, BATH_TIM, SYS, TIMES)
 
 
 def _route_calls(n=3, bath=BATH_TIM, sys_p=SYS):
@@ -600,6 +606,20 @@ def test_single_qubit_route_matches_the_60_digit_echo(route, n):
     want = [mp_reference.echo_power(2.0, 0.1, 0.5, 1.0, n, t, 0.5, -0.5) for t in times]
     got = single_qubit_coherence_exact(n, bath, sys_p, times, method=route)
     assert np.abs(got - want).max() <= 1e-10
+
+
+def test_two_qubit_matrices_refuse_a_coefficient_above_1():
+    # the rounded power of item 19 at N = 1e12 lifts |A| to 1.0001029: the
+    # two-qubit routes assemble through evolve_reduced, whose bound on
+    # |A|, |B|, |D| the closed forms pass too, and refuse it; the
+    # single-qubit route still returns the rounded power
+    cfg = OracleConfig(N=10**12, bath=BathParams(J=2.0, w=0.1, T=0.5),
+                       sys=SystemParams(J0=1.0, xi0=0.3), state=case_state(4),
+                       times=tuple(np.linspace(0.0, 6.0, 601)))
+    assert 1.0001 < np.abs(extract_products(cfg)).max() < 1.0002
+    for route in (simulate_exact, reconstruct_reduced):
+        with pytest.raises(InvalidParams, match=r"^max \|A\|, \|B\|, \|D\| = 1\.0001\d* exceeds 1"):
+            route(cfg)
 
 
 def test_dense_route_makes_one_eigh_per_coupling_level(monkeypatch):
