@@ -95,7 +95,7 @@ class RunConfig:
             raise InvalidParams(
                 f"mode must be {MODE_FINITE!r} or {MODE_ASYMPTOTIC!r}, got {self.mode!r}"
             )
-        bath_size(self.N)
+        object.__setattr__(self, "N", bath_size(self.N))
         if not 2 <= self.points <= _MAX_POINTS:
             raise InvalidParams(f"points: must be 2 to {_MAX_POINTS}, got {self.points}")
 

@@ -9,7 +9,8 @@ mean-field root of its own bath and takes the z field h0 + (J0/sqrt(N)) a
 of each level from _fields.
 
 ROUTES is the one table of the ways to compute F.  Every row is called as
-route(bath, J0, N, t, bra, ket) and returns one factor per (bra, ket)
+route(bath, J0, N, t, levels, bra, ket), with bra and ket index arrays into
+the coupling-level table levels, and returns one factor per (bra, ket)
 level pair over the whole time list t, shaped (T, P):
 
 * "trace": the per-spin trace from the closed-form triple-trace identity
@@ -28,9 +29,9 @@ qubit's S^z (_SZ) and adds the free phase exp(i mu0 t).
 reconstruct_reduced is simulate_exact's default under a second name.  Time
 is the first axis of every result.
 
-Times must be finite; a nan or inf time raises InvalidParams on every route,
-and so does one where a phase the route exponentiates reaches 2**52
-(two_qubit.bounded_phase): the per-spin bath phase, E t, xi0 t/2 or mu0 t.
+Every route raises InvalidParams where a phase it exponentiates reaches 2**52
+or is nan (two_qubit.bounded_phase): the per-spin bath phase, which a nan or
+inf time fails first on every route, E t, xi0 t/2 or mu0 t.
 
 extract_products returns the trace row's coefficients as their three
 conjugate products (A*, B*, D*).  The one-excitation coefficient is not
@@ -59,15 +60,6 @@ MAX_BATH_SIZE = 12  # N bound of the dense route; its collective-spin basis is 4
 _SZ = np.array([0.5, -0.5])
 
 
-def _checked_times(times: Sequence[float]) -> np.ndarray:
-    """times as a float array; InvalidParams unless every time is finite."""
-    t = np.array(times, dtype=float)
-    bad = t[~np.isfinite(t)]
-    if bad.size:
-        raise InvalidParams(f"oracle times must be finite, got t={bad[0]}")
-    return t
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Inputs of one exact simulation run."""
@@ -80,7 +72,7 @@ class OracleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "N", bath_size(self.N))
-        object.__setattr__(self, "times", tuple(_checked_times(self.times).tolist()))
+        object.__setattr__(self, "times", tuple(np.array(self.times, dtype=float).tolist()))
 
 
 def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[float, np.ndarray]:
@@ -97,13 +89,6 @@ def _fields(bath: BathParams, N: int, J0: float, t: np.ndarray, lam) -> tuple[fl
         phase = 0.5 * np.abs(t) * math.hypot(bath.w, float(np.abs(h).max()))
     bounded_phase(phase, t, "bath phase |t| hypot(w, h)/2")
     return h0, h
-
-
-def _distinct(bra, ket):
-    """The sorted distinct levels of bra and ket, and the index of each bra and
-    ket level in them; a set is cheaper than np.unique on so few."""
-    levels = np.array(sorted({*bra.tolist(), *ket.tolist()}))
-    return levels, levels.searchsorted(bra), levels.searchsorted(ket)
 
 
 def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,13 +110,13 @@ def _collective_spin(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x + x.T, m, np.repeat(np.array(mult, dtype=float), dims)
 
 
-def _dense_factor(bath, J0, N, t, bra, ket):
+def _dense_factor(bath, J0, N, t, levels, bra, ket):
     """F_ab(t) of tr_B[U(t) (|a><b| (x) g^(x N)) U(t)^dag] = F_ab(t) |a><b|,
-    U(t) = exp(-iHt), for each level pair (a, b) of bra and ket: shaped
-    (T, P), in the bath's collective-spin basis.
+    U(t) = exp(-iHt), for each level pair (a, b) = (levels[bra], levels[ket]):
+    shaped (T, P), in the bath's collective-spin basis.
 
-    H = -(J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, S with the eigenvalues bra and
-    ket, and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the
+    H = -(J0/sqrt(N)) S (x) Z_B + 1 (x) H_B, S with the eigenvalues levels,
+    and g the per-spin Gibbs state.  H_B = -w X_B - 2 J m Z_B is the
     mean-field bath Hamiltonian without its c-number m^2 J N, a global phase
     that cancels in U rho U^dag.  H is block diagonal: level a sees the real
     symmetric bath block H_B - (J0/sqrt(N)) a Z_B, and g^(x N) =
@@ -140,7 +125,7 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     trace counts it d_S times: in the stacked sector basis the bath state is
     rho_B = diag(d) exp(-H_B/T)/Z, symmetric because diag(d) commutes with
     every operator that keeps S.  One eigendecomposition of H_B for rho_B,
-    and one (E_a, V_a) per distinct coupling level a; with p_a = exp(-i E_a t),
+    and one (E_a, V_a) per entry a of levels; with p_a = exp(-i E_a t),
         F_ab(t) = p_a^T K_ab p_b^*,   K_ab = (V_a^T rho_B V_b) * (V_a^T V_b)
     (elementwise): one (T, n) @ (n, n) product per pair.  An eigenvector may
     mix sectors of one energy (at w = 0, say); V_a exp(-i E_a t) V_a^T is
@@ -149,7 +134,6 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     if N > MAX_BATH_SIZE:
         raise ConfigTooLarge(f"bath size {N} exceeds MAX_BATH_SIZE = {MAX_BATH_SIZE}")
     x_b, z_b, mult = _collective_spin(N)
-    levels, bra_at, ket_at = _distinct(bra, ket)
     h0, fields = _fields(bath, N, J0, t, levels)
     evals, evecs = zip(*(np.linalg.eigh(-bath.w * x_b - np.diag(h * z_b)) for h in fields))
     # H_B/T as 2**e H_B / 2**e T, so that a subnormal w or h0 keeps its bits;
@@ -167,21 +151,21 @@ def _dense_factor(bath, J0, N, t, bra, ket):
     t3 = t[:, None, None]
     p = np.exp(-1j * bounded_phase(t3 * np.array(evals), t3, "bath phase |E t|"))
     factors = []
-    for a, b in zip(bra_at, ket_at):
+    for a, b in zip(bra, ket):
         k = (evecs[a].T @ rho_b @ evecs[b]) * (evecs[a].T @ evecs[b])
         factors.append(np.einsum("tk,tk->t", p[:, a] @ k, p[:, b].conj()))
     return np.stack(factors, axis=-1)
 
 
-def _trace_power(bath, J0, N, t, bra, ket):
-    """tr[exp(i I1) g exp(i I2)]^N for each level pair (a, b) of bra and ket,
-    shaped (T, P): I1 carries the bath field of level a, I2 that of level b,
-    and g = I/2 + G is the per-spin Gibbs state (su2.gibbs_part).  O(1) in N.
-    """
-    h0, (left, right) = _fields(bath, N, J0, t, [bra, ket])
+def _trace_power(bath, J0, N, t, levels, bra, ket):
+    """tr[exp(i I1) g exp(i I2)]^N for each level pair (a, b) = (levels[bra],
+    levels[ket]), shaped (T, P): I1 carries the bath field of level a, I2 that
+    of level b, and g = I/2 + G is the per-spin Gibbs state (su2.gibbs_part).
+    O(1) in N."""
+    h0, h = _fields(bath, N, J0, t, levels)
     t = t[:, None]
-    i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * left)
-    i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * right)
+    i1 = TracelessXZ(a=0.5 * t * bath.w, b=0.5 * t * h[bra])
+    i2 = TracelessXZ(a=-0.5 * t * bath.w, b=-0.5 * t * h[ket])
     return trace_triple(i1, gibbs_part(bath.w, h0, bath.T), i2) ** N
 
 
@@ -205,7 +189,7 @@ def simulate_exact(cfg: OracleConfig, *, method: str = "trace") -> np.ndarray:
     (a rounded per-spin trace to a large N can exceed 1) and assembles rho.
     """
     t = np.array(cfg.times)
-    coef = _route(method)(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_BRA], _LEVELS[_KET])
+    coef = _route(method)(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS, _BRA, _KET)
     return evolve_reduced(cfg.state, t, cfg.sys.xi0, coef)
 
 
@@ -216,7 +200,7 @@ def extract_products(cfg: OracleConfig) -> np.ndarray:
     """
     t = np.array(cfg.times)
     # swapping the bra and ket levels conjugates the trace
-    return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS[_KET], _LEVELS[_BRA])
+    return _trace_power(cfg.bath, cfg.sys.J0, cfg.N, t, _LEVELS, _KET, _BRA)
 
 
 def reconstruct_reduced(cfg: OracleConfig) -> np.ndarray:
@@ -233,7 +217,7 @@ def single_qubit_coherence_exact(
     ROUTES named method, times the free phase exp(i mu0 t).
     """
     N = bath_size(N)
-    t = _checked_times(times)
-    product = _route(method)(bath, sys.J0, N, t, _SZ[:1], _SZ[1:])[:, 0]
+    t = np.array(times, dtype=float)
+    product = _route(method)(bath, sys.J0, N, t, _SZ, [0], [1])[:, 0]
     with np.errstate(over="ignore"):  # an overflowed phase fails the bound
         return np.exp(1j * bounded_phase(sys.mu0 * t, t, "free phase |mu0 t|")) * product

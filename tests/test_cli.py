@@ -836,6 +836,24 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_line_without_an_equals_sign_exits_2_with_one_line(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("J 2\n")
+    out = tmp_path / "o.csv"
+    assert main(["concurrence", "--config", str(cfg_file), "--out", str(out)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"isingbath: error: malformed key=value 'J 2' in {cfg_file}\n"
+    assert not out.exists()
+
+
+def test_a_csv_header_without_the_command_is_refused(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# J=2 w=0.1\nT\n")
+    with pytest.raises(InvalidParams, match=r"^configuration is missing the command$"):
+        read_csv_config(str(path))
+
+
 def _round_trip(path):
     cfg = read_csv_config(str(path))
     assert RunConfig.from_key_values(cfg.key_values()) == cfg
@@ -858,6 +876,16 @@ def test_run_config_round_trip(tmp_path):
         conc.write_text(text)
         with pytest.raises(InvalidParams, match="has no parameter header$"):
             read_csv_config(str(conc))
+
+
+@pytest.mark.parametrize("N", [np.int64(10**6), 1e6])
+def test_a_library_built_run_config_keeps_n_as_an_int(N):
+    # a numpy integer or a whole float N is stored as the int bath_size returns,
+    # so its header reads N=1000000 and parses back
+    cfg = RunConfig(command="coherence", N=N)
+    assert type(cfg.N) is int and cfg.N == 10**6
+    assert cfg.key_values()["N"] == "1000000"
+    assert RunConfig.from_key_values(cfg.key_values()) == cfg
 
 
 @pytest.mark.parametrize("temperatures", [
@@ -911,6 +939,16 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["spectrum"]) == EXIT_BAD_INPUT  # unknown subcommand
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'spectrum'" in err
+
+
+@pytest.mark.parametrize("amplitudes", ["inf,0,0,1", "0,nan,0,0"])
+def test_a_non_finite_amplitude_exits_2_with_one_line(capsys, amplitudes):
+    # finiteness is checked before the zero-vector check: max() would skip a
+    # nan in second place and read the vector as zero
+    assert main(["concurrence", "--amplitudes", amplitudes, "--points", "3"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "isingbath: error: non-finite amplitude\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

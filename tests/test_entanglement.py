@@ -81,7 +81,7 @@ def test_werner_state_through_closed_form_and_dense_multipliers():
     n, times = 8, np.linspace(0.0, 12.0, 61)
     co = dephasing_coeffs(times, solve_order(bath), bath, SYS, mode=MODE_FINITE, N=n)
     closed = multiplier(times, SYS.xi0, co)
-    f = _dense_factor(bath, SYS.J0, n, times, _LEVELS[_BRA], _LEVELS[_KET])
+    f = _dense_factor(bath, SYS.J0, n, times, _LEVELS, _BRA, _KET)
     dense = multiplier(times, SYS.xi0, f)
     for p in (0.4, 0.6, 0.8, 1.0):
         c_closed = concurrences(werner(p) * closed)
